@@ -38,7 +38,6 @@ from .inertia import (
 from .models import (
     ForcingSpec,
     ModelConfig,
-    PoissonConvergenceError,
     SimulationBlowupError,
     State,
     consistent_pressure,
@@ -64,7 +63,6 @@ __all__ = [
     "KinematicSample",
     "ModelConfig",
     "ParticleSet",
-    "PoissonConvergenceError",
     "ScalarField",
     "SimulationBlowupError",
     "State",

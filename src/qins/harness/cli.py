@@ -30,7 +30,7 @@ from pathlib import Path
 
 from ..fields import integrate
 from ..diagnostics import divergence_norm
-from ..models import PoissonConvergenceError, SimulationBlowupError
+from ..models import SimulationBlowupError
 from .acceptance import PROFILES, verify
 from .config import ConfigError, config_from_json
 from .experiments import resolve_out_dir, run_experiment
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationBlowupError, PoissonConvergenceError) as exc:
+    except SimulationBlowupError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

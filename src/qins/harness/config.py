@@ -173,8 +173,3 @@ def config_echo(cfg: ExperimentConfig) -> dict:
         return value
 
     return scrub(cfg)
-
-
-def scrub_dataclass(value) -> dict:
-    """Recursive dataclass -> plain dict, used by reports."""
-    return config_echo(value)

@@ -165,7 +165,6 @@ def write_manifest(
     out_dir: str | Path,
     config_echo: dict,
     wall_time_s: float,
-    extra: dict | None = None,
 ) -> Path:
     """Checksum every file under ``out_dir`` and write the manifest last.
 
@@ -185,8 +184,6 @@ def write_manifest(
         "wall_time_s": wall_time_s,
         "checksums": checksums,
     }
-    if extra:
-        manifest.update(extra)
     path = out / MANIFEST_NAME
     write_json(path, manifest)
     return path

@@ -31,15 +31,10 @@ CONVECTION_FORMS = ("advective", "skew")
 PRESSURE_TRANSPORT = ("partial", "material")
 
 DEFAULT_CFL = 0.4
-POISSON_RTOL = 1e-10
 
 
 class SimulationBlowupError(RuntimeError):
     """A time step produced non-finite samples."""
-
-
-class PoissonConvergenceError(RuntimeError):
-    """The pressure solve did not reach tolerance in the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -290,82 +285,34 @@ def compressible_rhs(
 # -- pressure Poisson solve and projection -----------------------------------
 
 
-def _apply_div_grad(p: np.ndarray, h: float) -> np.ndarray:
-    """The composed operator div(grad(.)): wide 5-point stencil, step 2h."""
-    return (
-        np.roll(p, -2, axis=0) + np.roll(p, 2, axis=0)
-        + np.roll(p, -2, axis=1) + np.roll(p, 2, axis=1)
-        - 4.0 * p
-    ) / (4.0 * h * h)
+def solve_pressure_poisson(rhs: np.ndarray, h: float) -> np.ndarray:
+    """Solve div(grad p) = rhs on the torus exactly in Fourier space.
 
-
-def _project_onto_range(rhs: np.ndarray) -> np.ndarray:
-    """Strip the null-space content of the wide stencil from a right-hand side.
-
-    On even grids the composed operator decouples the cell parities, so
-    beyond constants its null space holds the three checkerboard modes.
-    Any divergence of a central-difference gradient (or of any sampled
-    field) is orthogonal to them exactly, which makes this a round-off
-    hygiene step: without it, near-zero right-hand sides feed their noise
-    into directions the iteration cannot reduce and the solve stalls.
-    """
-    out = rhs - rhs.mean()
-    n = rhs.shape[0]
-    if n % 2 == 0:
-        sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        ones = np.ones(n)
-        for u in (np.outer(sign, ones), np.outer(ones, sign), np.outer(sign, sign)):
-            out = out - (np.vdot(u, out) / u.size) * u
-    return out
-
-
-def solve_pressure_poisson(
-    rhs: np.ndarray, h: float, rtol: float = POISSON_RTOL, max_iter: int | None = None
-) -> np.ndarray:
-    """Solve div(grad p) = rhs on the torus by matrix-free conjugate gradient.
-
-    The operator matches the discrete divergence of the discrete gradient
-    exactly, so a velocity corrected with the solution is divergence-free
-    to the solver tolerance.  The right-hand side is projected onto the
-    operator's range (the compatibility condition) and the solution gauge
-    is mean zero.
+    The composed central-difference operator is the wide stencil with
+    Fourier symbol -(sin^2 theta_x + sin^2 theta_y) / h^2, theta = 2 pi m / n,
+    so a velocity corrected with the solution is divergence-free to
+    round-off.  The symbol vanishes where 2m = 0 (mod n) on both axes: the
+    constant mode, plus the three checkerboard modes on even grids.  Those
+    modes are dropped, which projects the right-hand side onto the
+    operator's range (the compatibility condition) and fixes the solution
+    gauge at mean zero.  They are masked by index because sin(pi)^2 is
+    about 1e-32 rather than 0, and dividing by it would swamp the solution.
     """
     n = rhs.shape[0]
-    if max_iter is None:
-        max_iter = 20 * n * n
-    b = -_project_onto_range(rhs)  # negate: CG wants the positive-definite -div grad
-    b_norm = float(np.sqrt((b * b).sum()))
-    if b_norm == 0.0:
-        return np.zeros_like(rhs)
-    x = np.zeros_like(b)
-    r = b.copy()
-    d = r.copy()
-    rs = float((r * r).sum())
-    tol = rtol * b_norm
-    for _ in range(max_iter):
-        if np.sqrt(rs) <= tol:
-            break
-        ad = -_apply_div_grad(d, h)
-        alpha = rs / float((d * ad).sum())
-        x += alpha * d
-        r -= alpha * ad
-        rs_new = float((r * r).sum())
-        beta = rs_new / rs
-        rs = rs_new
-        d = r + beta * d
-    else:
-        raise PoissonConvergenceError(
-            f"pressure solve stalled at residual {np.sqrt(rs):.3e} "
-            f"(target {tol:.3e}) after {max_iter} iterations"
-        )
-    return x - x.mean()
+    sym = -(
+        np.sin(2.0 * np.pi * np.fft.fftfreq(n))[:, None] ** 2
+        + np.sin(2.0 * np.pi * np.fft.rfftfreq(n))[None, :] ** 2
+    ) / (h * h)
+    null = (2 * np.arange(n) % n == 0)[:, None] & (2 * np.arange(n // 2 + 1) % n == 0)[None, :]
+    sym[null] = 1.0
+    p_hat = np.fft.rfft2(rhs) / sym
+    p_hat[null] = 0.0
+    return np.fft.irfft2(p_hat, s=rhs.shape)
 
 
-def project_divergence_free(
-    v: VectorField, rtol: float = POISSON_RTOL
-) -> tuple[VectorField, ScalarField]:
+def project_divergence_free(v: VectorField) -> tuple[VectorField, ScalarField]:
     """Remove the discrete-gradient part of v; returns (solenoidal v, potential)."""
-    phi = solve_pressure_poisson(divergence(v).values, v.grid.spacing, rtol=rtol)
+    phi = solve_pressure_poisson(divergence(v).values, v.grid.spacing)
     phi_field = ScalarField(v.grid, phi)
     return v - gradient(phi_field), phi_field
 
@@ -398,13 +345,18 @@ def incompressible_step(
         raise ValueError(f"incompressible_step called with model {cfg.model!r}")
     v, grid = state.v, state.grid
     f = forcing.evaluate(grid, state.time)
-    v_star = v + dt * (
-        -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f
-    )
-    p = ScalarField(
-        grid, solve_pressure_poisson(divergence(v_star).values / dt, grid.spacing)
-    )
-    v_new = v_star - dt * gradient(p)
+    try:
+        # as in step_rk4: the field constructors catch non-finite samples
+        with np.errstate(over="ignore", invalid="ignore"):
+            v_star = v + dt * (
+                -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f
+            )
+            p = ScalarField(
+                grid, solve_pressure_poisson(divergence(v_star).values / dt, grid.spacing)
+            )
+            v_new = v_star - dt * gradient(p)
+    except ValueError as exc:
+        raise SimulationBlowupError(_blow_up_diagnostic(state, cfg, dt)) from exc
     return State(v_new, p, state.time + dt)
 
 
@@ -416,8 +368,8 @@ def projected_rhs(
     The momentum right-hand side is projected onto the discrete
     divergence-free space each evaluation, so any explicit integrator
     applied to it (the bulk-modulus sweep uses classical RK4) keeps the
-    velocity solenoidal to solver tolerance while carrying the
-    integrator's own time accuracy.  The pressure slot is unused.
+    velocity solenoidal to round-off while carrying the integrator's own
+    time accuracy.  The pressure slot is unused.
     """
     v, grid = state.v, state.grid
     f = forcing.evaluate(grid, state.time)
