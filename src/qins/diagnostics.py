@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField, integrate, l2_norm
-from .models import ForcingSpec, ModelConfig, State, temam_extra_force, temam_rhs
+from .models import ForcingSpec, ModelConfig, State, step_rk4, temam_extra_force, temam_rhs
 from .operators import (
     convection,
     directional_derivative,
@@ -369,32 +369,23 @@ def transport_check(
     def div_at(idx: int, pos: np.ndarray) -> np.ndarray:
         return _periodic_interp(div_fields[idx], pos[:, 0], pos[:, 1], grid)
 
+    def path_rates(y: tuple, t: float) -> tuple:
+        pos, jac = y
+        idx = round(t / dt)  # every stage time is a sample time
+        return vel_at(idx, pos), jac * div_at(idx, pos)
+
     # advect with RK4 over pairs of intervals; positions live at even samples
-    even_positions = [particles.positions.copy()]
-    even_jacobians = [particles.jacobians.copy()]
+    pos, jac = particles.positions.copy(), particles.jacobians.copy()
+    even_positions, even_jacobians = [pos], [jac]
     under_resolved = False
     big = 2.0 * dt
-    pos = particles.positions.copy()
-    jac = particles.jacobians.copy()
     for k in range(0, usable - 1, 2):
-        v1 = vel_at(k, pos)
-        j1 = jac * div_at(k, pos)
-        p2 = pos + 0.5 * big * v1
-        v2 = vel_at(k + 1, p2)
-        j2 = (jac + 0.5 * big * j1) * div_at(k + 1, p2)
-        p3 = pos + 0.5 * big * v2
-        v3 = vel_at(k + 1, p3)
-        j3 = (jac + 0.5 * big * j2) * div_at(k + 1, p3)
-        p4 = pos + big * v3
-        v4 = vel_at(k + 2, p4)
-        j4 = (jac + big * j3) * div_at(k + 2, p4)
-        step = (big / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        if np.abs(step).max() > h:
+        (moved, jac), _ = step_rk4(path_rates, (pos, jac), k * dt, big)
+        if np.abs(moved - pos).max() > h:
             under_resolved = True
-        pos = np.mod(pos + step, grid.period)
-        jac = jac + (big / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-        even_positions.append(pos.copy())
-        even_jacobians.append(jac.copy())
+        pos = np.mod(moved, grid.period)
+        even_positions.append(pos)
+        even_jacobians.append(jac)
 
     half_rho = 0.5 * rho_star
 

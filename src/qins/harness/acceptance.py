@@ -4,7 +4,7 @@
 writes ``results.json`` plus a manifest into the output directory, and
 returns a process exit code.  Each check re-derives its numbers from
 scratch; nothing is cached between runs, so two invocations with the
-same profile and thread count produce byte-identical data files.
+same profile produce byte-identical data files.
 
 Checks with pinned time budgets enforce them only in the ``desk``
 profile; the ``quick`` profile runs the same logic on smaller grids for
@@ -197,7 +197,7 @@ def _test_vector_grad_div(grid):
 # -- C1: operator convergence and summation by parts ---------------------------
 
 
-def check_operators(prof: Profile, out: Path, threads: int, quiet: bool) -> CriterionResult:
+def check_operators(prof: Profile, out: Path, quiet: bool) -> CriterionResult:
     started = time.perf_counter()
     errs: dict[str, list[float]] = {}
     ibp_rels = []
@@ -240,7 +240,7 @@ def check_operators(prof: Profile, out: Path, threads: int, quiet: bool) -> Crit
 # -- C2: vortex benchmark ------------------------------------------------------
 
 
-def check_taylor_green(prof: Profile, out: Path, threads: int, quiet: bool) -> CriterionResult:
+def check_taylor_green(prof: Profile, out: Path, quiet: bool) -> CriterionResult:
     started = time.perf_counter()
     cfg = ExperimentConfig(
         experiment="taylor_green",
@@ -248,7 +248,7 @@ def check_taylor_green(prof: Profile, out: Path, threads: int, quiet: bool) -> C
         t_final=1.0,
         model=ModelConfig(model="incompressible", re=100.0),
     )
-    report = run_taylor_green(cfg, out_dir=out / "taylor_green", threads=threads, quiet=quiet)
+    report = run_taylor_green(cfg, out_dir=out / "taylor_green", quiet=quiet)
     seconds = time.perf_counter() - started
     order = report["observed_order"]
     passed = order >= 1.9
@@ -274,7 +274,7 @@ def check_taylor_green(prof: Profile, out: Path, threads: int, quiet: bool) -> C
 # -- C3: bulk-modulus sweep ----------------------------------------------------
 
 
-def check_k_sweep(prof: Profile, out: Path, threads: int, quiet: bool) -> CriterionResult:
+def check_k_sweep(prof: Profile, out: Path, quiet: bool) -> CriterionResult:
     started = time.perf_counter()
     cfg = ExperimentConfig(
         experiment="k_sweep",
@@ -284,7 +284,7 @@ def check_k_sweep(prof: Profile, out: Path, threads: int, quiet: bool) -> Criter
         k_list=prof.sweep_ks,
         initial_condition=InitialConditionSpec(kind="taylor_green_pulse", amplitude=0.05),
     )
-    report = run_k_sweep(cfg, out_dir=out / "k_sweep", threads=threads, quiet=quiet)
+    report = run_k_sweep(cfg, out_dir=out / "k_sweep", quiet=quiet)
     seconds = time.perf_counter() - started
     slope = report["div_slope"]
     passed = (
@@ -320,7 +320,7 @@ def check_k_sweep(prof: Profile, out: Path, threads: int, quiet: bool) -> Criter
 # -- C4: energy budget closure -------------------------------------------------
 
 
-def check_energy_budget(prof: Profile, out: Path, threads: int, quiet: bool) -> CriterionResult:
+def check_energy_budget(prof: Profile, out: Path, quiet: bool) -> CriterionResult:
     started = time.perf_counter()
     model = ModelConfig(model="temam", re=100.0, k=100.0)
     ic = InitialConditionSpec(kind="taylor_green_pulse", amplitude=0.1)
@@ -384,7 +384,7 @@ def check_energy_budget(prof: Profile, out: Path, threads: int, quiet: bool) -> 
 # -- C5: inertial bookkeeping identities ----------------------------------------
 
 
-def check_inertia_identities(prof: Profile, out: Path, threads: int, quiet: bool) -> CriterionResult:
+def check_inertia_identities(prof: Profile, out: Path, quiet: bool) -> CriterionResult:
     started = time.perf_counter()
     details: dict = {}
 
@@ -493,7 +493,7 @@ def check_inertia_identities(prof: Profile, out: Path, threads: int, quiet: bool
 # -- C6: frame-change behavior ---------------------------------------------------
 
 
-def check_frame_behavior(prof: Profile, out: Path, threads: int, quiet: bool) -> CriterionResult:
+def check_frame_behavior(prof: Profile, out: Path, quiet: bool) -> CriterionResult:
     started = time.perf_counter()
     cfg = ExperimentConfig(
         experiment="galilean",
@@ -504,7 +504,7 @@ def check_frame_behavior(prof: Profile, out: Path, threads: int, quiet: bool) ->
         initial_condition=InitialConditionSpec(kind="taylor_green_pulse", amplitude=0.1),
         boost_w=(1.0, 0.0),
     )
-    report = run_galilean(cfg, out_dir=out / "galilean", threads=threads, quiet=quiet)
+    report = run_galilean(cfg, out_dir=out / "galilean", quiet=quiet)
     seconds = time.perf_counter() - started
     slope = report["alt_force"]["slope"]
     passed = (
@@ -539,7 +539,7 @@ def check_frame_behavior(prof: Profile, out: Path, threads: int, quiet: bool) ->
 # -- C7: referential transport ---------------------------------------------------
 
 
-def check_transport(prof: Profile, out: Path, threads: int, quiet: bool) -> CriterionResult:
+def check_transport(prof: Profile, out: Path, quiet: bool) -> CriterionResult:
     started = time.perf_counter()
     model = ModelConfig(model="temam", re=100.0, k=100.0)
     ic = InitialConditionSpec(kind="taylor_green_pulse", amplitude=0.1)
@@ -601,7 +601,7 @@ def check_transport(prof: Profile, out: Path, threads: int, quiet: bool) -> Crit
 # -- C8: bit-reproducibility -----------------------------------------------------
 
 
-def check_determinism(prof: Profile, out: Path, threads: int, quiet: bool) -> CriterionResult:
+def check_determinism(prof: Profile, out: Path, quiet: bool) -> CriterionResult:
     started = time.perf_counter()
     import hashlib
     import json
@@ -616,7 +616,7 @@ def check_determinism(prof: Profile, out: Path, threads: int, quiet: bool) -> Cr
     )
     checksums = []
     for tag in ("a", "b"):
-        run_free_run(cfg, out_dir=out / f"determinism_{tag}", threads=threads, quiet=quiet)
+        run_free_run(cfg, out_dir=out / f"determinism_{tag}", quiet=quiet)
         manifest = json.loads((out / f"determinism_{tag}" / "manifest.json").read_text())
         checksums.append(manifest["checksums"])
     identical = checksums[0] == checksums[1] and len(checksums[0]) > 0
@@ -670,7 +670,6 @@ def _resolve_root(out_root: str | Path | None) -> Path:
 def run_checks(
     out_root: str | Path | None = None,
     profile: str = "desk",
-    threads: int = 1,
     quiet: bool = False,
 ) -> list[CriterionResult]:
     """Run every check, printing one pass/fail line each; returns the results.
@@ -684,7 +683,7 @@ def run_checks(
     out.mkdir(parents=True, exist_ok=True)
     results = []
     for check in CHECKS:
-        result = check(prof, out, threads, quiet)
+        result = check(prof, out, quiet)
         results.append(result)
         print(
             f"[{'PASS' if result.passed else 'FAIL'}] {result.cid} {result.name}: "
@@ -697,7 +696,6 @@ def run_checks(
 def verify(
     out_root: str | Path | None = None,
     profile: str = "desk",
-    threads: int = 1,
     quiet: bool = False,
 ) -> int:
     """Run the acceptance gate; returns 0 only if every check passes.
@@ -708,13 +706,12 @@ def verify(
     """
     out = _resolve_root(out_root)
     timer = RunTimer.start()
-    results = run_checks(out, profile=profile, threads=threads, quiet=quiet)
+    results = run_checks(out, profile=profile, quiet=quiet)
     all_passed = all(r.passed for r in results)
     write_json(
         out / "results.json",
         {
             "profile": profile,
-            "threads": threads,
             "all_passed": all_passed,
             "results": [
                 {
@@ -727,7 +724,7 @@ def verify(
             ],
         },
     )
-    write_manifest(out, {"profile": profile, "threads": threads}, timer.elapsed())
+    write_manifest(out, {"profile": profile}, timer.elapsed())
     print(
         ("all checks passed" if all_passed else "SOME CHECKS FAILED")
         + f" ({timer.elapsed():.1f}s total)",

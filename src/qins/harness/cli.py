@@ -2,9 +2,9 @@
 
 ::
 
-    qins run CONFIG.json [--out DIR] [--threads N] [--quiet]
-    qins sweep-k CONFIG.json [--out DIR] [--threads N] [--quiet]
-    qins verify [--profile desk|quick] [--out DIR] [--threads N] [--quiet]
+    qins run CONFIG.json [--out DIR] [--quiet]
+    qins sweep-k CONFIG.json [--out DIR] [--quiet]
+    qins verify [--profile desk|quick] [--out DIR] [--quiet]
     qins inspect PATH
 
 ``run`` dispatches a JSON config to its experiment driver; ``sweep-k``
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,12 +44,6 @@ from .io import (
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory (overrides config and $QINS_OUT)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for independent runs (results do not depend on it)",
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
 
@@ -58,7 +51,7 @@ def _cmd_run(args: argparse.Namespace, force_experiment: str | None = None) -> i
     cfg = config_from_json(args.config)
     if force_experiment and cfg.experiment != force_experiment:
         cfg = replace(cfg, experiment=force_experiment)
-    run_experiment(cfg, out_dir=args.out, threads=args.threads, quiet=args.quiet)
+    run_experiment(cfg, out_dir=args.out, quiet=args.quiet)
     if not args.quiet:
         print(f"wrote {resolve_out_dir(cfg, args.out)}")
     return 0
@@ -167,9 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep-k":
             return _cmd_run(args, force_experiment="k_sweep")
         if args.command == "verify":
-            return verify(
-                out_root=args.out, profile=args.profile, threads=args.threads, quiet=args.quiet
-            )
+            return verify(out_root=args.out, profile=args.profile, quiet=args.quiet)
         return _cmd_inspect(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

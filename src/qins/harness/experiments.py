@@ -5,17 +5,20 @@ Every driver writes into one output directory: data files, a
 the config echo and a sha256 of every other file.  The manifest is
 written only after the run has fully succeeded, so its presence marks a
 finished directory.  All numeric output is deterministic for a fixed
-config, seed, and thread count; wall time appears only in the manifest.
+config and seed; wall time appears only in the manifest.
 
 Drivers run unforced.  Body forces are part of the library API
 (:class:`qins.models.ForcingSpec`) and of the tests, but none of the
 canned experiments needs one.
+
+Runs go one after another.  ``run_free_run`` and ``run_transport_check``
+still accept a ``threads`` keyword and ignore it, because the benchmark
+workloads in ``perfbench/workloads.py`` pass ``threads=1``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +38,9 @@ from ..models import (
     ModelConfig,
     SimulationBlowupError,
     State,
+    blowup_guard,
     consistent_pressure,
+    fixed_step,
     galilean_alt_force,
     project_divergence_free,
     projected_rhs,
@@ -83,7 +88,6 @@ def _loglog_slope(xs, ys) -> float | None:
 def run_taylor_green(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     quiet: bool = False,
 ) -> dict:
     """Projection-solver benchmark against the decaying vortex array.
@@ -115,8 +119,7 @@ def run_taylor_green(
             "final": final,
         }
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        coarse, fine = list(pool.map(one, (cfg.n, 2 * cfg.n)))
+    coarse, fine = one(cfg.n), one(2 * cfg.n)
     order = float(np.log2(coarse["velocity_error"] / fine["velocity_error"]))
     write_snapshot(coarse.pop("final"), out / "final_coarse")
     write_snapshot(fine.pop("final"), out / "final_fine")
@@ -144,7 +147,6 @@ def run_taylor_green(
 def run_k_sweep(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     quiet: bool = False,
 ) -> dict:
     """Bulk-modulus sweep against a matched incompressible reference.
@@ -179,11 +181,15 @@ def run_k_sweep(
         model="incompressible", re=cfg.model.re, convection=cfg.model.convection
     )
     ref = State(v0, ScalarField.zeros(grid), 0.0)
-    base = stable_dt(ref, cfg_ref, cfg.cfl)
-    ref_steps = max(1, int(np.ceil(cfg.t_final / base - 1e-12)))
-    ref_dt = cfg.t_final / ref_steps
+    ref_steps, ref_dt = fixed_step(ref, cfg_ref, cfg.t_final, cfl=cfg.cfl)
+
+    def ref_rates(y: tuple, t: float):
+        return projected_rhs(State(y[0], y[1], t), forcing, cfg_ref)
+
     for _ in range(ref_steps):
-        ref = step_rk4(projected_rhs, ref, forcing, cfg_ref, ref_dt)
+        with blowup_guard(ref, cfg_ref, ref_dt):
+            (v, p), _ = step_rk4(ref_rates, (ref.v, ref.p), ref.time, ref_dt)
+        ref = State(v, p, ref.time + ref_dt)
 
     def member(k: float) -> dict:
         cfg_k = replace(base_model, k=k)
@@ -206,8 +212,7 @@ def run_k_sweep(
             "terminal_velocity_diff": l2_norm(final.v - ref.v),
         }
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        members = list(pool.map(member, cfg.k_list))
+    members = [member(k) for k in cfg.k_list]
 
     ok = [m for m in members if "failed" not in m]
     divs = [m["max_div_norm"] for m in ok]
@@ -306,7 +311,6 @@ def audit_summary(rows_on: list[EnergyBudgetRow], rows_off: list[EnergyBudgetRow
 def run_energy_audit(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     quiet: bool = False,
 ) -> dict:
     """Paired budget audit of the relaxed model (extra force on vs off)."""
@@ -343,7 +347,6 @@ def run_energy_audit(
 def run_galilean(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     quiet: bool = False,
 ) -> dict:
     """Frame-change gaps, and the K-decay of the frame-indifferent force.
@@ -394,8 +397,7 @@ def run_galilean(
         force = galilean_alt_force(final, dv_dt, cfg_k)
         return {"k": k, "alt_force_norm": l2_norm(force)}
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        alts = list(pool.map(alt_member, cfg.k_list))
+    alts = [alt_member(k) for k in cfg.k_list]
     slope = _loglog_slope([a["k"] for a in alts], [a["alt_force_norm"] for a in alts])
 
     write_snapshot(state_r, out / "boost_source")
@@ -445,40 +447,19 @@ def simulate_with_density(
     1/rho along paths at matching accuracy.  Returns every step:
     ``(states, densities, dt_used)``.
     """
-    grid = state0.grid
-    span = t_final - state0.time
-    if span <= 0.0:
-        raise ValueError("t_final must exceed the state's current time")
-    base = dt if dt is not None else stable_dt(state0, cfg, cfl)
-    steps = max(1, int(np.ceil(span / base - 1e-12)))
-    dt_used = span / steps
+    steps, dt_used = fixed_step(state0, cfg, t_final, dt, cfl)
 
-    def full_rhs(s: State, rho: ScalarField):
-        dv, dp = temam_rhs(s, forcing, cfg)
-        return dv, dp, -divergence(rho * s.v)
+    def rates(y: tuple, t: float):
+        v, p, rho = y
+        dv, dp = temam_rhs(State(v, p, t), forcing, cfg)
+        return dv, dp, -divergence(rho * v)
 
-    state = state0
-    rho = ScalarField.constant(grid, 1.0)
-    states = [state]
-    densities = [rho]
+    state, rho = state0, ScalarField.constant(state0.grid, 1.0)
+    states, densities = [state], [rho]
     for _ in range(steps):
-        k1v, k1p, k1r = full_rhs(state, rho)
-        s2 = State(state.v + (0.5 * dt_used) * k1v, state.p + (0.5 * dt_used) * k1p,
-                   state.time + 0.5 * dt_used)
-        k2v, k2p, k2r = full_rhs(s2, rho + (0.5 * dt_used) * k1r)
-        s3 = State(state.v + (0.5 * dt_used) * k2v, state.p + (0.5 * dt_used) * k2p,
-                   state.time + 0.5 * dt_used)
-        k3v, k3p, k3r = full_rhs(s3, rho + (0.5 * dt_used) * k2r)
-        s4 = State(state.v + dt_used * k3v, state.p + dt_used * k3p,
-                   state.time + dt_used)
-        k4v, k4p, k4r = full_rhs(s4, rho + dt_used * k3r)
-        sixth = dt_used / 6.0
-        state = State(
-            state.v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-            state.p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-            state.time + dt_used,
-        )
-        rho = rho + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        with blowup_guard(state, cfg, dt_used):
+            (v, p, rho), _ = step_rk4(rates, (state.v, state.p, rho), state.time, dt_used)
+        state = State(v, p, state.time + dt_used)
         states.append(state)
         densities.append(rho)
     return states, densities, dt_used
@@ -603,8 +584,7 @@ DRIVERS = {
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     quiet: bool = False,
 ) -> dict:
     """Dispatch a config to its driver; returns the report dict."""
-    return DRIVERS[cfg.experiment](cfg, out_dir=out_dir, threads=threads, quiet=quiet)
+    return DRIVERS[cfg.experiment](cfg, out_dir=out_dir, quiet=quiet)

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..fields import Grid, ScalarField, VectorField
 from ..models import State
-from .config import InitialConditionSpec
+from .config import ConfigError, InitialConditionSpec
 from .io import read_snapshot
 
 
@@ -95,8 +95,6 @@ def initial_condition(spec: InitialConditionSpec, grid: Grid) -> State:
     if spec.kind == "from_snapshot":
         state = read_snapshot(spec.path)
         if state.grid != grid:
-            raise ValueError(
-                f"snapshot grid {state.grid} does not match requested {grid}"
-            )
+            raise ConfigError(f"snapshot grid {state.grid} does not match requested {grid}")
         return state
     raise ValueError(f"unknown initial condition kind {spec.kind!r}")

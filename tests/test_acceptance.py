@@ -7,8 +7,6 @@ makes this module the performance gate as well.  Tolerances live next
 to the checks themselves in ``qins.harness.acceptance``.
 """
 
-import os
-
 import pytest
 
 from qins.harness.acceptance import run_checks
@@ -17,8 +15,7 @@ from qins.harness.acceptance import run_checks
 @pytest.fixture(scope="session")
 def criteria(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance")
-    threads = min(4, os.cpu_count() or 1)
-    results = run_checks(out_root=out, profile="desk", threads=threads, quiet=True)
+    results = run_checks(out_root=out, profile="desk", quiet=True)
     return {r.cid: r for r in results}
 
 

@@ -17,7 +17,12 @@ from qins.harness.config import (
     config_from_dict,
     config_from_json,
 )
-from qins.harness.experiments import resolve_out_dir, run_experiment, run_k_sweep
+from qins.harness.experiments import (
+    resolve_out_dir,
+    run_experiment,
+    run_k_sweep,
+    simulate_with_density,
+)
 from qins.harness.initial_conditions import (
     compressive_pulse_state,
     initial_condition,
@@ -299,6 +304,29 @@ def test_free_run_is_deterministic(tmp_path):
     ).read_bytes()
 
 
+def test_density_run_shares_the_trajectory_of_simulate():
+    g = make_grid(16)
+    state0 = random_smooth_state(g, seed=3, modes=2, amplitude=0.3)
+    cfg = ModelConfig(model="temam", re=100.0, k=100.0)
+    forcing = qins.ForcingSpec.zero()
+    states, densities, dt_used = simulate_with_density(state0, cfg, forcing, 0.05, 0.4)
+    _, stored, dt_plain = qins.simulate(state0, cfg, forcing, 0.05, cfl=0.4, store_every=1)
+    assert dt_used == dt_plain
+    assert len(states) == len(stored) == len(densities)
+    for a, b in zip(states, stored):
+        assert a.time == b.time
+        np.testing.assert_array_equal(a.v.x, b.v.x)
+        np.testing.assert_array_equal(a.v.y, b.v.y)
+        np.testing.assert_array_equal(a.p.values, b.p.values)
+
+
+def test_density_run_names_a_blowup():
+    state0 = taylor_green_state(make_grid(16))
+    cfg = ModelConfig(model="temam", re=100.0, k=100.0)
+    with pytest.raises(qins.SimulationBlowupError, match="acoustic bound"):
+        simulate_with_density(state0, cfg, qins.ForcingSpec.zero(), 100.0, 0.4, dt=10.0)
+
+
 def test_k_sweep_report_structure(tmp_path):
     cfg = ExperimentConfig(
         experiment="k_sweep",
@@ -367,3 +395,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(bad)]) == 2
     assert main(["inspect", str(tmp_path / "nothing_here")]) == 1
     assert main(["inspect", str(tmp_path)]) == 1  # directory without a manifest
+
+
+def test_cli_snapshot_on_the_wrong_grid_is_a_config_error(tmp_path):
+    write_snapshot(taylor_green_state(make_grid(8)), tmp_path / "ic")
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2

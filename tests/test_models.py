@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qins import models
 from qins.fields import ScalarField, VectorField, l2_norm, make_grid
 from qins.models import (
     ForcingSpec,
@@ -312,15 +313,13 @@ def test_rk4_local_error_is_fifth_order():
     # dp/dt = -p from p = 1: one step against exp(-dt); halving dt must
     # shrink the one-step error by about 2^5
     g = make_grid(8)
-    cfg = TEMAM
 
-    def decay(state, forcing, _cfg):
-        return VectorField.zeros(state.grid), -1.0 * state.p
+    def decay(y, t):
+        return (-1.0 * y[0],)
 
     def one_step_err(dt: float) -> float:
-        state = State(VectorField.zeros(g), ScalarField.constant(g, 1.0), 0.0)
-        out = step_rk4(decay, state, ForcingSpec.zero(), cfg, dt)
-        return abs(float(out.p.values[0, 0]) - np.exp(-dt))
+        (p,), _ = step_rk4(decay, (ScalarField.constant(g, 1.0),), 0.0, dt)
+        return abs(float(p.values[0, 0]) - np.exp(-dt))
 
     ratio = one_step_err(0.2) / one_step_err(0.1)
     assert 25.0 < ratio < 40.0
@@ -379,6 +378,30 @@ def test_galilean_alt_runs_stably_with_the_lagged_acceleration():
     cfg = ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt")
     final, _, _ = simulate(state, cfg, ForcingSpec.zero(), 0.05)
     assert np.isfinite(final.v.x).all()
+
+
+def test_galilean_alt_reuses_the_first_stage_as_its_lag(monkeypatch):
+    # the lagged acceleration is the RK4 step's first stage, so a step
+    # costs exactly the four right-hand sides of the integrator
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return temam_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(models, "temam_rhs", counted)
+    g = make_grid(16)
+    cfg = ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt")
+    _, _, dt_used = simulate(_smooth_state(g), cfg, ForcingSpec.zero(), 0.05, dt=0.01)
+    assert len(calls) == 4 * round(0.05 / dt_used)
+
+
+def test_forcing_on_the_wrong_grid_is_an_input_error_not_a_blowup():
+    table = ForcingSpec.from_field(VectorField.zeros(make_grid(16)))
+    state = _smooth_state(make_grid(8))
+    for cfg in (TEMAM, ModelConfig(model="compressible", re=100.0, k=100.0)):
+        with pytest.raises(ValueError, match="wrong grid"):
+            simulate(state, cfg, table, 0.05)
 
 
 # -- scaling -------------------------------------------------------------------
