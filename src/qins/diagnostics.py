@@ -159,9 +159,8 @@ def _resample_shifted(values: np.ndarray, grid: Grid, sx: float, sy: float) -> n
     Integer shifts reduce to an exact roll; anything else falls back to
     cubic interpolation.
     """
-    mx, my = round(sx), round(sy)
-    if abs(sx - mx) < 1e-9 and abs(sy - my) < 1e-9:
-        return np.roll(values, (mx, my), axis=(0, 1))
+    if _is_on_grid(sx, sy):
+        return np.roll(values, (round(sx), round(sy)), axis=(0, 1))
     X, Y = grid.mesh()
     h = grid.spacing
     return _periodic_interp(values, X - sx * h, Y - sy * h, grid)
@@ -224,37 +223,29 @@ def galilean_invariance_report(
     force_here = temam_extra_force(v)
 
     sx, sy = _shift_cells(grid, wx, wy, state.time)
-    on_grid = _is_on_grid(sx, sy)
 
-    def shifted_vec(field: VectorField, add: tuple[float, float] = (0.0, 0.0)) -> VectorField:
+    def moved(field: VectorField, cx: float, cy: float) -> VectorField:
         return VectorField(
             grid,
-            _resample_shifted(field.x, grid, sx, sy) + add[0],
-            _resample_shifted(field.y, grid, sx, sy) + add[1],
+            _resample_shifted(field.x, grid, cx, cy),
+            _resample_shifted(field.y, grid, cx, cy),
         )
 
-    def unshifted_vec(field: VectorField) -> VectorField:
-        return VectorField(
-            grid,
-            _resample_shifted(field.x, grid, -sx, -sy),
-            _resample_shifted(field.y, grid, -sx, -sy),
-        )
-
-    v_boosted = shifted_vec(v, add=(wx, wy))
+    v_boosted = galilean_boost(state, (wx, wy)).v
     # chain rule: the boosted-frame Eulerian derivative loses (w . grad) v
-    dv_dt_boosted = shifted_vec(dv_dt - directional_derivative((wx, wy), v))
+    dv_dt_boosted = moved(dv_dt - directional_derivative((wx, wy), v), sx, sy)
     inertial_there = dv_dt_boosted + convection(v_boosted, cfg.convection)
     force_there = temam_extra_force(v_boosted)
 
-    standard_gap = l2_norm(unshifted_vec(inertial_there) - inertial_here)
-    temam_gap = l2_norm(unshifted_vec(force_there) - force_here)
+    standard_gap = l2_norm(moved(inertial_there, -sx, -sy) - inertial_here)
+    temam_gap = l2_norm(moved(force_there, -sx, -sy) - force_here)
     div_v = divergence(v)
     closed = 0.5 * l2_norm(VectorField(grid, div_v.values * wx, div_v.values * wy))
     return GalileanReport(
         standard_gap=float(standard_gap),
         temam_gap=float(temam_gap),
         temam_gap_closed_form=float(closed),
-        off_grid=not on_grid,
+        off_grid=not _is_on_grid(sx, sy),
     )
 
 

@@ -71,7 +71,6 @@ class ExperimentConfig:
     k_list: tuple[float, ...] = (1e2, 1e3, 1e4, 1e5)
     initial_condition: InitialConditionSpec = field(default_factory=InitialConditionSpec)
     snapshot_every: int = 0
-    seed: int = 0
     boost_w: tuple[float, float] = (1.0, 0.0)
     particles: int = 32
 

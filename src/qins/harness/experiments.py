@@ -27,6 +27,7 @@ import numpy as np
 from ..diagnostics import (
     EnergyBudgetRow,
     ParticleSet,
+    TransportReport,
     divergence_norm,
     energy_audit,
     galilean_invariance_report,
@@ -465,36 +466,51 @@ def simulate_with_density(
     return states, densities, dt_used
 
 
+def particle_transport(
+    state0: State,
+    model: ModelConfig,
+    t_final: float,
+    cfl: float,
+    particles: int,
+    dt: float | None = None,
+) -> tuple[TransportReport, int, float]:
+    """Density run plus the transport audit on ``particles``^2 paths.
+
+    Particles seed the centered quarter-area patch of the square, so the
+    audited region is a genuinely moving sub-body; on the whole torus
+    the boundary terms vanish and the check would be too easy.  Returns
+    ``(report, samples, dt_used)``.
+    """
+    states, densities, dt_used = simulate_with_density(
+        state0, model, ForcingSpec.zero(), t_final, cfl, dt=dt
+    )
+    period = state0.grid.period
+    seeds = ParticleSet.uniform(
+        period,
+        nx=particles,
+        ny=particles,
+        origin=(period / 4.0, period / 4.0),
+        extent=(period / 2.0, period / 2.0),
+    )
+    rep = transport_check(states, seeds, model, rho_fields=densities, rho_star=1.0)
+    return rep, len(states), dt_used
+
+
 def run_transport_check(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
     threads: int = 1,
     quiet: bool = False,
 ) -> dict:
-    """Referential transport audit along particle paths.
-
-    Particles seed the centered quarter-area patch of the square, so the
-    audited region is a genuinely moving sub-body; on the whole torus
-    the boundary terms vanish and the check would be too easy.
-    """
+    """Referential transport audit along particle paths (see particle_transport)."""
     out = resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timer = RunTimer.start()
-    grid = make_grid(cfg.n)
-    state0 = initial_condition(cfg.initial_condition, grid)
+    state0 = initial_condition(cfg.initial_condition, make_grid(cfg.n))
     model = replace(cfg.model, model="temam", k=cfg.model.k or 100.0)
-    states, densities, dt_used = simulate_with_density(
-        state0, model, ForcingSpec.zero(), cfg.t_final, cfg.cfl
+    rep, samples, dt_used = particle_transport(
+        state0, model, cfg.t_final, cfg.cfl, cfg.particles
     )
-    period = grid.period
-    particles = ParticleSet.uniform(
-        period,
-        nx=cfg.particles,
-        ny=cfg.particles,
-        origin=(period / 4.0, period / 4.0),
-        extent=(period / 2.0, period / 2.0),
-    )
-    rep = transport_check(states, particles, model, rho_fields=densities, rho_star=1.0)
     lines = ["time,lhs,rhs"]
     for t, a, b in zip(rep.times, rep.lhs, rep.rhs):
         lines.append(f"{t:.17g},{a:.17g},{b:.17g}")
@@ -504,7 +520,7 @@ def run_transport_check(
         "n": cfg.n,
         "t_final": cfg.t_final,
         "dt": dt_used,
-        "samples": len(states),
+        "samples": samples,
         "particles_per_side": cfg.particles,
         "gap": rep.gap,
         "jacobian_route_gap": rep.jacobian_route_gap,

@@ -379,20 +379,26 @@ def projected_rhs(
 # -- time stepping -----------------------------------------------------------
 
 
-def stable_dt(state: State, cfg: ModelConfig, cfl: float = DEFAULT_CFL) -> float:
-    """CFL-style step bound: advection, explicit diffusion, acoustics.
+def _step_bounds(state: State, cfg: ModelConfig) -> dict[str, float]:
+    """Explicit step bounds by name, for stable_dt and the blow-up message.
 
-    dt = cfl * min(h / |v|_inf, Re h^2 / 4, h / sqrt(K)); the acoustic
-    bound applies only to the models that carry a bulk modulus.
+    Advective h / |v|_inf (infinite at rest), diffusive Re h^2 / 4 and,
+    for the models that carry a bulk modulus, acoustic h / sqrt(K).
     """
     h = state.grid.spacing
     vmax = state.v.max_abs()
-    bounds = [cfg.re * h * h / 4.0]
-    if vmax > 0.0:
-        bounds.append(h / vmax)
+    bounds = {
+        "advective": h / vmax if vmax > 0.0 else np.inf,
+        "diffusive": cfg.re * h * h / 4.0,
+    }
     if cfg.model in ("temam", "compressible"):
-        bounds.append(h / np.sqrt(cfg.k))
-    return float(cfl * min(bounds))
+        bounds["acoustic"] = h / np.sqrt(cfg.k)
+    return bounds
+
+
+def stable_dt(state: State, cfg: ModelConfig, cfl: float = DEFAULT_CFL) -> float:
+    """CFL-style step bound: cfl times the smallest of the step bounds."""
+    return float(cfl * min(_step_bounds(state, cfg).values()))
 
 
 def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None = None,
@@ -417,16 +423,13 @@ def blowup_guard(state: State, cfg: ModelConfig, dt: float):
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except ValueError as exc:
-        h = state.grid.spacing
-        vmax = state.v.max_abs()
-        msg = (
-            f"non-finite samples at t={state.time:.6g} with dt={dt:.3e}; "
-            f"|v|_inf={vmax:.3e}, advective bound {h / max(vmax, 1e-300):.3e}, "
-            f"diffusive bound {cfg.re * h * h / 4.0:.3e}"
+        bounds = ", ".join(
+            f"{name} bound {value:.3e}" for name, value in _step_bounds(state, cfg).items()
         )
-        if cfg.model in ("temam", "compressible") and cfg.k:
-            msg += f", acoustic bound {h / np.sqrt(cfg.k):.3e}"
-        raise SimulationBlowupError(msg) from exc
+        raise SimulationBlowupError(
+            f"non-finite samples at t={state.time:.6g} with dt={dt:.3e}; "
+            f"|v|_inf={state.v.max_abs():.3e}, {bounds}"
+        ) from exc
 
 
 def step_rk4(rates, y: tuple, t: float, dt: float) -> tuple[tuple, tuple]:

@@ -7,8 +7,11 @@ makes this module the performance gate as well.  Tolerances live next
 to the checks themselves in ``qins.harness.acceptance``.
 """
 
+import time
+
 import pytest
 
+from qins.harness import acceptance
 from qins.harness.acceptance import run_checks
 
 
@@ -54,3 +57,16 @@ def test_c7_referential_transport_along_particles(criteria):
 
 def test_c8_bit_reproducibility(criteria):
     _require(criteria, "C8")
+
+
+def test_runner_enforces_budgets_only_in_the_desk_profile(tmp_path, monkeypatch):
+    def stub(prof, out, quiet):
+        time.sleep(0.01)
+        return True, "stub", {"value": 1.0}
+
+    monkeypatch.setattr(acceptance, "CHECKS", (("C0", "stub check", 0.0, stub),))
+    (desk,) = run_checks(out_root=tmp_path / "desk", profile="desk", quiet=True)
+    (quick,) = run_checks(out_root=tmp_path / "quick", profile="quick", quiet=True)
+    assert not desk.passed and desk.seconds > 0.0
+    assert quick.passed
+    assert desk.details == quick.details == {"value": 1.0, "budget_s": 0.0}

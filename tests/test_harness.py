@@ -64,6 +64,14 @@ def test_config_rejects_unknown_keys_by_name():
         config_from_dict({"experiment": "free_run", "initial_condition": {"amp": 0.1}})
 
 
+def test_config_rejects_a_top_level_seed():
+    # the seed that matters lives in the initial condition
+    with pytest.raises(ConfigError, match="unknown key.*seed"):
+        config_from_dict({"experiment": "free_run", "seed": 0})
+    cfg = config_from_dict({"experiment": "free_run", "initial_condition": {"seed": 3}})
+    assert cfg.initial_condition.seed == 3
+
+
 def test_config_initial_condition_shorthand():
     cfg = config_from_dict({"experiment": "free_run", "initial_condition": "random_smooth"})
     assert cfg.initial_condition.kind == "random_smooth"
