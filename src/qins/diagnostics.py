@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField, integrate, l2_norm
-from .models import ForcingSpec, ModelConfig, State, step_rk4, temam_extra_force, temam_rhs
+from .models import (
+    ForcingSpec,
+    ModelConfig,
+    State,
+    pack_state,
+    step_rk4,
+    temam_extra_force,
+    temam_rhs,
+    unpack_state,
+)
 from .operators import (
     convection,
     directional_derivative,
@@ -218,7 +227,7 @@ def galilean_invariance_report(
     grid = state.grid
     v = state.v
 
-    dv_dt, _ = temam_rhs(state, ForcingSpec.zero(), cfg)
+    dv_dt = unpack_state(temam_rhs(pack_state(state), 0.0, cfg, grid.spacing), grid).v  # unforced
     inertial_here = dv_dt + convection(v, cfg.convection)
     force_here = temam_extra_force(v)
 
@@ -360,23 +369,24 @@ def transport_check(
     def div_at(idx: int, pos: np.ndarray) -> np.ndarray:
         return _periodic_interp(div_fields[idx], pos[:, 0], pos[:, 1], grid)
 
-    def path_rates(y: tuple, t: float) -> tuple:
-        pos, jac = y
+    def path_rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
         idx = round(t / dt)  # every stage time is a sample time
-        return vel_at(idx, pos), jac * div_at(idx, pos)
+        out[:, :2] = vel_at(idx, y[:, :2])
+        out[:, 2] = y[:, 2] * div_at(idx, y[:, :2])
 
-    # advect with RK4 over pairs of intervals; positions live at even samples
-    pos, jac = particles.positions.copy(), particles.jacobians.copy()
-    even_positions, even_jacobians = [pos], [jac]
+    # advect (x, y, J) with RK4 over pairs of intervals; positions live at even samples
+    y = np.column_stack([particles.positions, particles.jacobians])
+    even_positions, even_jacobians = [y[:, :2]], [y[:, 2]]
     under_resolved = False
     big = 2.0 * dt
     for k in range(0, usable - 1, 2):
-        (moved, jac), _ = step_rk4(path_rates, (pos, jac), k * dt, big)
-        if np.abs(moved - pos).max() > h:
+        moved, _ = step_rk4(path_rates, y, k * dt, big)
+        if np.abs(moved[:, :2] - y[:, :2]).max() > h:
             under_resolved = True
-        pos = np.mod(moved, grid.period)
-        even_positions.append(pos)
-        even_jacobians.append(jac)
+        y = moved
+        np.mod(y[:, :2], grid.period, out=y[:, :2])
+        even_positions.append(y[:, :2])
+        even_jacobians.append(y[:, 2])
 
     half_rho = 0.5 * rho_star
 

@@ -4,8 +4,8 @@ Everything downstream (difference operators, flow models, diagnostics)
 works on the three types defined here: ``Grid``, ``ScalarField`` and
 ``VectorField``.  Fields are value types: construct them, then read them.
 Arithmetic returns new fields and every construction validates shape and
-finiteness, so a non-finite sample surfaces at the operation that
-produced it rather than three modules later.
+finiteness at the API boundary.  The marching loops step packed arrays
+instead and check finiteness once per step, on the new array.
 
 Sampling convention: ``n x n`` cell centers, ``x_i = (i + 1/2) h`` with
 ``h = period / n``, axis 0 running along x and axis 1 along y.  The

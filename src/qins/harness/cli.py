@@ -161,7 +161,11 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_run(args, force_experiment="k_sweep")
         if args.command == "verify":
             return verify(out_root=args.out, profile=args.profile, quiet=args.quiet)
-        return _cmd_inspect(args)
+        try:
+            return _cmd_inspect(args)
+        except (KeyError, ValueError) as exc:  # a table or header it cannot parse
+            print(f"cannot read {args.path}: {exc}", file=sys.stderr)
+            return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

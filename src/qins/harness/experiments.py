@@ -33,24 +33,27 @@ from ..diagnostics import (
     galilean_invariance_report,
     transport_check,
 )
-from ..fields import ScalarField, integrate, l2_norm, make_grid
+from ..fields import ScalarField, VectorField, integrate, l2_norm, make_grid
 from ..models import (
     ForcingSpec,
     ModelConfig,
     SimulationBlowupError,
     State,
+    _TEMAM_WORK,
+    _momentum_source,
     blowup_guard,
     consistent_pressure,
     fixed_step,
     galilean_alt_force,
+    pack_state,
     project_divergence_free,
-    projected_rhs,
     simulate,
     stable_dt,
     step_rk4,
     temam_rhs,
+    unpack_state,
 )
-from ..operators import divergence
+from ..operators import _ddx, _ddy, divergence
 from .config import ExperimentConfig, config_echo
 from .initial_conditions import initial_condition, taylor_green_exact, taylor_green_state
 from .io import RunTimer, write_json, write_manifest, write_snapshot, write_timeseries
@@ -181,16 +184,19 @@ def run_k_sweep(
     cfg_ref = ModelConfig(
         model="incompressible", re=cfg.model.re, convection=cfg.model.convection
     )
-    ref = State(v0, ScalarField.zeros(grid), 0.0)
-    ref_steps, ref_dt = fixed_step(ref, cfg_ref, cfg.t_final, cfl=cfg.cfl)
+    ref_steps, ref_dt = fixed_step(state0, cfg_ref, cfg.t_final, cfl=cfg.cfl)
 
-    def ref_rates(y: tuple, t: float):
-        return projected_rhs(State(y[0], y[1], t), forcing, cfg_ref)
+    def ref_rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
+        src = _momentum_source(VectorField(grid, y[0], y[1]), forcing.evaluate(grid, t), cfg_ref)
+        dv, _ = project_divergence_free(src)
+        out[0], out[1] = dv.x, dv.y
 
+    y, t = np.stack([v0.x, v0.y]), 0.0
     for _ in range(ref_steps):
-        with blowup_guard(ref, cfg_ref, ref_dt):
-            (v, p), _ = step_rk4(ref_rates, (ref.v, ref.p), ref.time, ref_dt)
-        ref = State(v, p, ref.time + ref_dt)
+        with blowup_guard(y, t, grid.spacing, cfg_ref, ref_dt):
+            y, _ = step_rk4(ref_rates, y, t, ref_dt)
+        t = t + ref_dt
+    ref_v = VectorField(grid, y[0], y[1])
 
     def member(k: float) -> dict:
         cfg_k = replace(base_model, k=k)
@@ -210,7 +216,7 @@ def run_k_sweep(
             "dt": dt_used,
             "steps": int(round(cfg.t_final / dt_used)),
             "max_div_norm": peak[0],
-            "terminal_velocity_diff": l2_norm(final.v - ref.v),
+            "terminal_velocity_diff": l2_norm(final.v - ref_v),
         }
 
     members = [member(k) for k in cfg.k_list]
@@ -394,8 +400,8 @@ def run_galilean(
         final, _, _ = simulate(prepared0, cfg_k, forcing, t_boost, cfl=cfg.cfl)
         # acceleration estimate without the alternative force itself; the
         # neglected feedback shifts the norm by O(1/k^2)
-        dv_dt, _ = temam_rhs(final, forcing, replace(cfg_k, extra_force="none"))
-        force = galilean_alt_force(final, dv_dt, cfg_k)
+        rates = temam_rhs(pack_state(final), 0.0, replace(cfg_k, extra_force="none"), h)
+        force = galilean_alt_force(final, unpack_state(rates, grid).v, cfg_k)
         return {"k": k, "alt_force_norm": l2_norm(force)}
 
     alts = [alt_member(k) for k in cfg.k_list]
@@ -449,20 +455,24 @@ def simulate_with_density(
     ``(states, densities, dt_used)``.
     """
     steps, dt_used = fixed_step(state0, cfg, t_final, dt, cfl)
+    grid, h = state0.grid, state0.grid.spacing
+    force = forcing.sampler(grid, state0.time)
+    rhs_work = np.empty((_TEMAM_WORK, grid.n, grid.n))
 
-    def rates(y: tuple, t: float):
-        v, p, rho = y
-        dv, dp = temam_rhs(State(v, p, t), forcing, cfg)
-        return dv, dp, -divergence(rho * v)
+    def rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
+        temam_rhs(y[:3], force(t), cfg, h, out[:3], work=rhs_work)
+        flux = y[3] * y[:2]
+        np.negative(_ddx(flux[0], h) + _ddy(flux[1], h), out=out[3])
 
-    state, rho = state0, ScalarField.constant(state0.grid, 1.0)
-    states, densities = [state], [rho]
+    y = np.concatenate([pack_state(state0), np.ones((1, grid.n, grid.n))])
+    t, work = state0.time, np.empty((5,) + y.shape)
+    states, densities = [state0], [ScalarField(grid, y[3])]
     for _ in range(steps):
-        with blowup_guard(state, cfg, dt_used):
-            (v, p, rho), _ = step_rk4(rates, (state.v, state.p, rho), state.time, dt_used)
-        state = State(v, p, state.time + dt_used)
-        states.append(state)
-        densities.append(rho)
+        with blowup_guard(y[:2], t, h, cfg, dt_used):
+            y, _ = step_rk4(rates, y, t, dt_used, work)
+        t = t + dt_used
+        states.append(unpack_state(y, grid, t))
+        densities.append(ScalarField(grid, y[3]))
     return states, densities, dt_used
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField
-from .operators import convection, divergence, grad_div, gradient, laplacian
+from .operators import _convection, _ddx, _ddy, _lap, convection, divergence, gradient, laplacian
 
 MODELS = ("incompressible", "temam", "compressible")
 EXTRA_FORCES = ("temam", "none", "galilean_alt")
@@ -124,6 +124,16 @@ class State:
         return cls(VectorField.zeros(grid), ScalarField.zeros(grid), time)
 
 
+def pack_state(state: State) -> np.ndarray:
+    """A state's samples copied into one C-contiguous (3, n, n) array: vx, vy, p."""
+    return np.stack([state.v.x, state.v.y, state.p.values])
+
+
+def unpack_state(y: np.ndarray, grid: Grid, time: float = 0.0) -> State:
+    """Validated State over channels 0-2 of a packed array; views, not copies."""
+    return State(VectorField(grid, y[0], y[1]), ScalarField(grid, y[2]), time)
+
+
 @dataclass(frozen=True)
 class ForcingSpec:
     """Analytic body force, evaluable on any grid at any time.
@@ -178,6 +188,15 @@ class ForcingSpec:
                                np.broadcast_to(np.asarray(fy, float), shape))
         raise ValueError(f"unknown forcing kind {self.kind!r}")
 
+    def sampler(self, grid: Grid, t0: float):
+        """(2, n, n) samples by time; evaluated once at t0 unless a callable."""
+        def at(t: float) -> np.ndarray:
+            f = self.evaluate(grid, t)
+            return np.stack([f.x, f.y])
+
+        fixed = at(t0)
+        return at if self.kind == "callable" else lambda t: fixed
+
 
 # -- equation of state -------------------------------------------------------
 
@@ -227,60 +246,69 @@ def galilean_alt_force(state: State, dv_dt: VectorField, cfg: ModelConfig) -> Ve
     return ((-1.0 / cfg.k) * state.p) * accel
 
 
-def temam_rhs(
-    state: State,
-    forcing: ForcingSpec,
-    cfg: ModelConfig,
-    dv_dt_prev: VectorField | None = None,
-) -> tuple[VectorField, ScalarField]:
-    """Right-hand side of the quasi-incompressible system.
+_TEMAM_WORK = 13  # channels of the work array temam_rhs needs
 
-    Momentum: -(v.grad)v - grad p + (1/Re) lap v + f + extra force.
-    Pressure: dp/dt = -K div v, plus the transport term -v.grad p when
-    the material form is configured.
+
+def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev=None,
+              work=None) -> np.ndarray:
+    """Right-hand side of the quasi-incompressible system on packed (vx, vy, p).
+
+    Momentum: -(v.grad)v - grad p + (1/Re) lap v + f + extra force, with f
+    of shape (2, n, n) or a scalar.  Pressure: dp/dt = -K div v, plus the
+    transport term -v.grad p when the material form is configured.
+    galilean_alt reads the lagged acceleration ``dv_dt_prev`` (None is zero).
+    Given ``out`` and ``work`` (13, n, n), it allocates nothing.
     """
     if cfg.model != "temam":
         raise ValueError(f"temam_rhs called with model {cfg.model!r}")
-    v, p, grid = state.v, state.p, state.grid
-    f = forcing.evaluate(grid, state.time)
-    dv = -convection(v, cfg.convection) - gradient(p) + (1.0 / cfg.re) * laplacian(v) + f
+    out = np.empty_like(y) if out is None else out
+    w = np.empty((_TEMAM_WORK,) + y.shape[1:]) if work is None else work
+    dx, dy, conv, t, lap, div = w[0:3], w[3:6], w[6:8], w[8:10], w[10:12], w[12]
+    v, p, dv, grad_p = y[:2], y[2], out[:2], w[2:6:3]  # grad_p: channels 2 of dx and dy
+    _ddx(y, h, dx)
+    _ddy(y, h, dy)
+    _convection(v, h, cfg.convection, conv, dx[:2], dy[:2], (t, lap, dv))
+    np.negative(conv, out=dv)
+    dv -= grad_p
+    dv += np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap)
+    dv += f
+    np.add(dx[0], dy[1], out=div)
     if cfg.extra_force == "temam":
-        dv = dv + temam_extra_force(v)
+        dv += np.multiply(v, np.multiply(div, -0.5, out=lap[0]), out=t)
     elif cfg.extra_force == "galilean_alt":
-        lag = dv_dt_prev if dv_dt_prev is not None else VectorField.zeros(grid)
-        dv = dv + galilean_alt_force(state, lag, cfg)
-    dp = (-cfg.k) * divergence(v)
+        accel = np.add(0.0 if dv_dt_prev is None else dv_dt_prev, conv, out=t)
+        dv += np.multiply(accel, np.multiply(p, -1.0 / cfg.k, out=lap[0]), out=t)
+    np.multiply(div, -cfg.k, out=out[2])
     if cfg.pressure_transport == "material":
-        dp = dp - v.dot(gradient(p))
-    return dv, dp
+        np.multiply(v, grad_p, out=t)
+        t[0] += t[1]
+        out[2] -= t[0]
+    return out
 
 
-def compressible_rhs(
-    state: State, forcing: ForcingSpec, cfg: ModelConfig
-) -> tuple[VectorField, ScalarField]:
-    """Right-hand side of the barotropic compressible system in (v, p).
+def compressible_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None) -> np.ndarray:
+    """Right-hand side of the barotropic compressible system on packed (v, p).
 
     The density never appears as a state variable: it is reconstructed
     pointwise as rho_hat = 1 + p/K.  Errors out if that ever dips to zero.
     """
     if cfg.model != "compressible":
         raise ValueError(f"compressible_rhs called with model {cfg.model!r}")
-    v, p, grid = state.v, state.p, state.grid
-    rho_hat_values = 1.0 + p.values / cfg.k
-    if not (rho_hat_values > 0.0).all():
+    v, p = y[:2], y[2]
+    rho_hat = 1.0 + p / cfg.k
+    if not (rho_hat > 0.0).all():
         raise ValueError("reconstructed density 1 + p/K reached zero")
-    rho_hat = ScalarField(grid, rho_hat_values)
-    f = forcing.evaluate(grid, state.time)
-    momentum = (
-        -(rho_hat * convection(v, cfg.convection))
-        - gradient(p)
-        + (1.0 / cfg.re) * laplacian(v)
-        + ((cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re) * grad_div(v)
-        + f
-    )
-    dv = momentum / rho_hat
-    dp = (-cfg.k) * divergence(rho_hat * v)
-    return dv, dp
+    div = _ddx(v[0], h) + _ddy(v[1], h)
+    momentum = -(rho_hat * _convection(v, h, cfg.convection))
+    momentum -= np.stack([_ddx(p, h), _ddy(p, h)])
+    momentum += (1.0 / cfg.re) * _lap(v, h)
+    momentum += ((cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re) * np.stack([_ddx(div, h), _ddy(div, h)])
+    momentum += f
+    out = np.empty_like(y) if out is None else out
+    np.divide(momentum, rho_hat, out=out[:2])
+    flux = rho_hat * v
+    np.multiply(_ddx(flux[0], h) + _ddy(flux[1], h), -cfg.k, out=out[2])
+    return out
 
 
 # -- pressure Poisson solve and projection -----------------------------------
@@ -360,33 +388,15 @@ def incompressible_step(
     return State(v_new, p, state.time + dt)
 
 
-def projected_rhs(
-    state: State, forcing: ForcingSpec, cfg: ModelConfig
-) -> tuple[VectorField, ScalarField]:
-    """Method-of-lines form of the incompressible system.
-
-    The momentum right-hand side is projected onto the discrete
-    divergence-free space each evaluation, so any explicit integrator
-    applied to it (the bulk-modulus sweep uses classical RK4) keeps the
-    velocity solenoidal to round-off while carrying the integrator's own
-    time accuracy.  The pressure slot is unused.
-    """
-    f = forcing.evaluate(state.grid, state.time)
-    projected, _ = project_divergence_free(_momentum_source(state.v, f, cfg))
-    return projected, ScalarField.zeros(state.grid)
-
-
 # -- time stepping -----------------------------------------------------------
 
 
-def _step_bounds(state: State, cfg: ModelConfig) -> dict[str, float]:
+def _step_bounds(h: float, vmax: float, cfg: ModelConfig) -> dict[str, float]:
     """Explicit step bounds by name, for stable_dt and the blow-up message.
 
     Advective h / |v|_inf (infinite at rest), diffusive Re h^2 / 4 and,
     for the models that carry a bulk modulus, acoustic h / sqrt(K).
     """
-    h = state.grid.spacing
-    vmax = state.v.max_abs()
     bounds = {
         "advective": h / vmax if vmax > 0.0 else np.inf,
         "diffusive": cfg.re * h * h / 4.0,
@@ -398,7 +408,7 @@ def _step_bounds(state: State, cfg: ModelConfig) -> dict[str, float]:
 
 def stable_dt(state: State, cfg: ModelConfig, cfl: float = DEFAULT_CFL) -> float:
     """CFL-style step bound: cfl times the smallest of the step bounds."""
-    return float(cfl * min(_step_bounds(state, cfg).values()))
+    return float(cfl * min(_step_bounds(state.grid.spacing, state.v.max_abs(), cfg).values()))
 
 
 def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None = None,
@@ -413,42 +423,43 @@ def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None 
 
 
 @contextmanager
-def blowup_guard(state: State, cfg: ModelConfig, dt: float):
-    """Re-raise a failed step from ``state`` as SimulationBlowupError naming each bound.
+def blowup_guard(v, t: float, h: float, cfg: ModelConfig, dt: float):
+    """Re-raise a failed step from time ``t`` as SimulationBlowupError naming each bound.
 
-    Overflow is no anomaly to warn about: the field constructors reject
+    ``v`` holds the velocity components the step starts from.  Overflow is
+    no anomaly to warn about: ``step_rk4`` and the field constructors reject
     non-finite samples with ``ValueError``, which is what is caught here.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except ValueError as exc:
+        vmax = max(float(np.abs(c).max()) for c in v)
         bounds = ", ".join(
-            f"{name} bound {value:.3e}" for name, value in _step_bounds(state, cfg).items()
+            f"{name} bound {value:.3e}" for name, value in _step_bounds(h, vmax, cfg).items()
         )
         raise SimulationBlowupError(
-            f"non-finite samples at t={state.time:.6g} with dt={dt:.3e}; "
-            f"|v|_inf={state.v.max_abs():.3e}, {bounds}"
+            f"non-finite samples at t={t:.6g} with dt={dt:.3e}; "
+            f"|v|_inf={vmax:.3e}, {bounds}"
         ) from exc
 
 
-def step_rk4(rates, y: tuple, t: float, dt: float) -> tuple[tuple, tuple]:
-    """One classical RK4 step of dy/dt = rates(y, t) for a tuple of fields.
+def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> tuple:
+    """One classical RK4 step of dy/dt = rates(y, t, out) for one array.
 
-    Returns ``(y_new, k1)``; galilean_alt reuses k1 = rates(y, t) as its lag.
+    ``work`` (shape ``(5,) + y.shape``) holds k1..k4 and the stage state, so
+    the stages allocate nothing.  The new array is checked finite once.
+    Returns ``(y_new, k1)``; k1 lives in ``work``, which the next step
+    overwrites.
     """
-
-    def shifted(k: tuple, frac: float) -> tuple:
-        return tuple(a + (frac * dt) * b for a, b in zip(y, k))
-
-    k1 = rates(y, t)
-    k2 = rates(shifted(k1, 0.5), t + 0.5 * dt)
-    k3 = rates(shifted(k2, 0.5), t + 0.5 * dt)
-    k4 = rates(shifted(k3, 1.0), t + dt)
-    y_new = tuple(
-        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    )
+    k1, k2, k3, k4, ys = np.empty((5,) + y.shape) if work is None else work
+    rates(y, t, k1)
+    rates(np.add(y, np.multiply(k1, 0.5 * dt, out=ys), out=ys), t + 0.5 * dt, k2)
+    rates(np.add(y, np.multiply(k2, 0.5 * dt, out=ys), out=ys), t + 0.5 * dt, k3)
+    rates(np.add(y, np.multiply(k3, dt, out=ys), out=ys), t + dt, k4)
+    y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(y_new).all():
+        raise ValueError("RK4 step produced non-finite samples")
     return y_new, k1
 
 
@@ -470,33 +481,40 @@ def simulate(
     every accepted step; ``store_every=m`` additionally collects every
     m-th state (plus the initial one) into the returned list.
 
+    The explicit models march one packed (3, n, n) array with buffers the
+    run owns; States are built only for the observer and the results.
+
     Returns ``(final_state, stored_states, dt_used)``.
     """
     steps, dt_used = fixed_step(state, cfg, t_final, dt, cfl)
-    forcing.evaluate(state.grid, state.time)  # input errors surface here, not as a blow-up
+    grid, h = state.grid, state.grid.spacing
+    force = forcing.sampler(grid, state.time)  # input errors surface here, not as a blow-up
+    y, t = pack_state(state), state.time
+    work, rhs_work = np.empty((5,) + y.shape), np.empty((_TEMAM_WORK,) + y.shape[1:])
+    lag = np.zeros_like(y[:2])  # last step's acceleration, read by galilean_alt only
 
-    def rates(y: tuple, t: float):
-        s = State(y[0], y[1], t)
+    def rates(ys: np.ndarray, ts: float, out: np.ndarray) -> np.ndarray:
         if cfg.model == "compressible":
-            return compressible_rhs(s, forcing, cfg)
-        return temam_rhs(s, forcing, cfg, dv_dt_prev=lag)
+            return compressible_rhs(ys, force(ts), cfg, h, out)
+        return temam_rhs(ys, force(ts), cfg, h, out, lag, rhs_work)
 
     stored: list[State] = []
-    if observer is not None:
-        observer(state)
-    if store_every:
-        stored.append(state)
-    lag = None  # last step's acceleration, read by galilean_alt only; None is zero
-    for i in range(steps):
-        with blowup_guard(state, cfg, dt_used):
-            if cfg.model == "incompressible":
+    for i in range(steps + 1):
+        if i and cfg.model == "incompressible":
+            with blowup_guard((state.v.x, state.v.y), t, h, cfg, dt_used):
                 state = incompressible_step(state, forcing, cfg, dt_used)
-            else:
-                (v, p), (lag, _) = step_rk4(rates, (state.v, state.p), state.time, dt_used)
-                state = State(v, p, state.time + dt_used)
+        elif i:
+            with blowup_guard(y[:2], t, h, cfg, dt_used):
+                y, k1 = step_rk4(rates, y, t, dt_used, work)
+            np.copyto(lag, k1[:2])
+            state = None  # built below only when it is read
+        t = state.time if state is not None else t + dt_used
+        keep = store_every and (i % store_every == 0 or i == steps)
+        if state is None and (keep or observer is not None or i == steps):
+            state = unpack_state(y, grid, t)
         if observer is not None:
             observer(state)
-        if store_every and ((i + 1) % store_every == 0 or i + 1 == steps):
+        if keep:
             stored.append(state)
     return state, stored, dt_used
 

@@ -405,6 +405,17 @@ def test_cli_exit_codes(tmp_path):
     assert main(["inspect", str(tmp_path)]) == 1  # directory without a manifest
 
 
+def test_cli_inspect_reports_a_malformed_table_or_header(tmp_path, capsys):
+    table = tmp_path / "bad.csv"
+    table.write_text("a,b\n1,2\n")
+    write_snapshot(taylor_green_state(make_grid(8)), tmp_path / "snap")
+    (tmp_path / "snap.v.json").write_text("{not json")
+    for path in (table, tmp_path / "snap"):
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_cli_snapshot_on_the_wrong_grid_is_a_config_error(tmp_path):
     write_snapshot(taylor_green_state(make_grid(8)), tmp_path / "ic")
     ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}

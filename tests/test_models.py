@@ -20,6 +20,7 @@ from qins.models import (
     incompressible_step,
     nondimensional_time,
     nondimensionalize,
+    pack_state,
     project_divergence_free,
     redimensionalize,
     simulate,
@@ -28,8 +29,10 @@ from qins.models import (
     step_rk4,
     temam_extra_force,
     temam_rhs,
+    unpack_state,
 )
-from qins.operators import divergence, grad_div, gradient, laplacian
+from qins.harness.experiments import simulate_with_density
+from qins.operators import convection, divergence, grad_div, gradient, laplacian
 
 
 TEMAM = ModelConfig(model="temam", re=100.0, k=100.0)
@@ -41,6 +44,14 @@ def _taylor_green(grid):
     )
     p = ScalarField.from_function(grid, lambda X, Y: 0.25 * (np.cos(2 * X) + np.cos(2 * Y)))
     return State(v, p, 0.0)
+
+
+def _rates(rhs, state, forcing, cfg):
+    """(dv, dp) of a packed right-hand side, as fields."""
+    g = state.grid
+    y = rhs(pack_state(state), forcing.sampler(g, state.time)(state.time), cfg, g.spacing)
+    rates = unpack_state(y, g)
+    return rates.v, rates.p
 
 
 def _smooth_state(grid, amp=0.3):
@@ -152,8 +163,8 @@ def test_rhs_extra_force_toggle_is_exactly_the_closed_form():
     g = make_grid(16)
     state = _smooth_state(g)
     forcing = ForcingSpec.zero()
-    on, dp_on = temam_rhs(state, forcing, TEMAM)
-    off, dp_off = temam_rhs(state, forcing, ModelConfig(model="temam", re=100.0, k=100.0, extra_force="none"))
+    on, dp_on = _rates(temam_rhs, state, forcing, TEMAM)
+    off, dp_off = _rates(temam_rhs, state, forcing, ModelConfig(model="temam", re=100.0, k=100.0, extra_force="none"))
     extra = temam_extra_force(state.v)
     np.testing.assert_allclose((on - off).x, extra.x, atol=1e-14)
     np.testing.assert_allclose((on - off).y, extra.y, atol=1e-14)
@@ -163,7 +174,7 @@ def test_rhs_extra_force_toggle_is_exactly_the_closed_form():
 def test_pressure_rate_is_minus_k_times_divergence():
     g = make_grid(16)
     state = _smooth_state(g)
-    _, dp = temam_rhs(state, ForcingSpec.zero(), TEMAM)
+    _, dp = _rates(temam_rhs, state, ForcingSpec.zero(), TEMAM)
     np.testing.assert_allclose(dp.values, -TEMAM.k * divergence(state.v).values, atol=1e-12)
 
 
@@ -172,8 +183,8 @@ def test_material_pressure_transport_adds_advection():
     state = _smooth_state(g)
     partial = ModelConfig(model="temam", re=100.0, k=100.0, pressure_transport="partial")
     material = ModelConfig(model="temam", re=100.0, k=100.0, pressure_transport="material")
-    _, dp_partial = temam_rhs(state, ForcingSpec.zero(), partial)
-    _, dp_material = temam_rhs(state, ForcingSpec.zero(), material)
+    _, dp_partial = _rates(temam_rhs, state, ForcingSpec.zero(), partial)
+    _, dp_material = _rates(temam_rhs, state, ForcingSpec.zero(), material)
     advected = state.v.dot(gradient(state.p))
     np.testing.assert_allclose(
         dp_material.values, dp_partial.values - advected.values, atol=1e-12
@@ -190,8 +201,8 @@ def test_compressible_reduces_to_temam_at_reference_density():
     forcing = ForcingSpec.zero()
     comp = ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.0)
     plain = ModelConfig(model="temam", re=100.0, k=100.0, extra_force="none")
-    dv_c, dp_c = compressible_rhs(state, forcing, comp)
-    dv_t, dp_t = temam_rhs(state, forcing, plain)
+    dv_c, dp_c = _rates(compressible_rhs, state, forcing, comp)
+    dv_t, dp_t = _rates(temam_rhs, state, forcing, plain)
     extra = (1.0 / (3.0 * comp.re)) * grad_div(v)
     np.testing.assert_allclose(dv_c.x, (dv_t + extra).x, atol=1e-13)
     np.testing.assert_allclose(dv_c.y, (dv_t + extra).y, atol=1e-13)
@@ -202,16 +213,16 @@ def test_compressible_rejects_vacuum_pressure():
     g = make_grid(8)
     state = State(VectorField.zeros(g), ScalarField.constant(g, -200.0), 0.0)
     with pytest.raises(ValueError):
-        compressible_rhs(state, ForcingSpec.zero(), ModelConfig(model="compressible", re=100.0, k=100.0))
+        _rates(compressible_rhs, state, ForcingSpec.zero(), ModelConfig(model="compressible", re=100.0, k=100.0))
 
 
 def test_rhs_model_guards():
     g = make_grid(8)
     state = State.rest(g)
     with pytest.raises(ValueError):
-        temam_rhs(state, ForcingSpec.zero(), ModelConfig(model="compressible", re=10.0, k=1.0))
+        _rates(temam_rhs, state, ForcingSpec.zero(), ModelConfig(model="compressible", re=10.0, k=1.0))
     with pytest.raises(ValueError):
-        compressible_rhs(state, ForcingSpec.zero(), TEMAM)
+        _rates(compressible_rhs, state, ForcingSpec.zero(), TEMAM)
     with pytest.raises(ValueError):
         incompressible_step(state, ForcingSpec.zero(), TEMAM, 0.01)
 
@@ -314,12 +325,12 @@ def test_rk4_local_error_is_fifth_order():
     # shrink the one-step error by about 2^5
     g = make_grid(8)
 
-    def decay(y, t):
-        return (-1.0 * y[0],)
+    def decay(y, t, out):
+        np.multiply(y, -1.0, out=out)
 
     def one_step_err(dt: float) -> float:
-        (p,), _ = step_rk4(decay, (ScalarField.constant(g, 1.0),), 0.0, dt)
-        return abs(float(p.values[0, 0]) - np.exp(-dt))
+        p, _ = step_rk4(decay, np.ones((1, g.n, g.n)), 0.0, dt)
+        return abs(float(p[0, 0, 0]) - np.exp(-dt))
 
     ratio = one_step_err(0.2) / one_step_err(0.1)
     assert 25.0 < ratio < 40.0
@@ -372,6 +383,28 @@ def test_out_of_stability_projection_step_raises_blowup():
         simulate(state, cfg, ForcingSpec.zero(), 50.0, dt=0.5)
 
 
+# Messages of runs at 20x the acoustic bound, as the per-construction
+# finiteness scans reported them: the once-per-step check must fail at the
+# same step and name the same bounds.
+BLOWUP_MESSAGES = (
+    (ModelConfig(model="temam", re=100.0, k=100.0),
+     "non-finite samples at t=1.5708 with dt=7.854e-01; |v|_inf=2.833e+48, "
+     "advective bound 1.386e-49, diffusive bound 3.855e+00, acoustic bound 3.927e-02"),
+    (ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5),
+     "non-finite samples at t=0 with dt=7.854e-01; |v|_inf=9.734e-01, "
+     "advective bound 4.034e-01, diffusive bound 3.855e+00, acoustic bound 3.927e-02"),
+)
+
+
+@pytest.mark.parametrize("cfg, message", BLOWUP_MESSAGES)
+def test_blowup_message_names_the_failing_step_and_every_bound(cfg, message):
+    g = make_grid(16)
+    dt = 20.0 * g.spacing / np.sqrt(cfg.k)
+    with pytest.raises(SimulationBlowupError) as info:
+        simulate(_smooth_state(g), cfg, ForcingSpec.zero(), 1000 * dt, dt=dt)
+    assert str(info.value) == message
+
+
 def test_galilean_alt_runs_stably_with_the_lagged_acceleration():
     g = make_grid(16)
     state = _smooth_state(g)
@@ -402,6 +435,128 @@ def test_forcing_on_the_wrong_grid_is_an_input_error_not_a_blowup():
     for cfg in (TEMAM, ModelConfig(model="compressible", re=100.0, k=100.0)):
         with pytest.raises(ValueError, match="wrong grid"):
             simulate(state, cfg, table, 0.05)
+
+
+# -- packed core against a field-level oracle ------------------------------------
+
+
+def _field_rates(state, f, cfg, lag):
+    """The right-hand sides written with the public field operators."""
+    v, p = state.v, state.p
+    if cfg.model == "compressible":
+        rho = ScalarField(state.grid, 1.0 + p.values / cfg.k)
+        momentum = (
+            -(rho * convection(v, cfg.convection))
+            - gradient(p)
+            + (1.0 / cfg.re) * laplacian(v)
+            + ((cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re) * grad_div(v)
+            + f
+        )
+        return momentum / rho, (-cfg.k) * divergence(rho * v)
+    dv = -convection(v, cfg.convection) - gradient(p) + (1.0 / cfg.re) * laplacian(v) + f
+    if cfg.extra_force == "temam":
+        dv = dv + temam_extra_force(v)
+    elif cfg.extra_force == "galilean_alt":
+        dv = dv + galilean_alt_force(state, lag, cfg)
+    dp = (-cfg.k) * divergence(v)
+    if cfg.pressure_transport == "material":
+        dp = dp - v.dot(gradient(p))
+    return dv, dp
+
+
+def _field_rk4(rates, y, t, dt):
+    """Classical RK4 over a tuple of fields, stage by stage."""
+
+    def shifted(k, frac):
+        return tuple(a + (frac * dt) * b for a, b in zip(y, k))
+
+    k1 = rates(y, t)
+    k2 = rates(shifted(k1, 0.5), t + 0.5 * dt)
+    k3 = rates(shifted(k2, 0.5), t + 0.5 * dt)
+    k4 = rates(shifted(k3, 1.0), t + dt)
+    y_new = tuple(
+        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+    return y_new, k1
+
+
+def _same_bits(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+def _arrays(item):
+    if isinstance(item, State):
+        return [item.v.x, item.v.y, item.p.values]
+    return [item.values]
+
+
+def _share_no_memory(items):
+    arrays = [_arrays(item) for item in items]
+    return not any(
+        np.shares_memory(a, b)
+        for i, first in enumerate(arrays) for second in arrays[i + 1:]
+        for a in first for b in second
+    )
+
+
+ORACLE_CONFIGS = (
+    ModelConfig(model="temam", re=100.0, k=100.0, extra_force="temam"),
+    ModelConfig(model="temam", re=100.0, k=100.0, extra_force="none"),
+    ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt"),
+    ModelConfig(model="temam", re=100.0, k=100.0, convection="skew"),
+    ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt",
+                convection="skew", pressure_transport="material"),
+    ModelConfig(model="temam", re=100.0, k=100.0, pressure_transport="material"),
+    ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5),
+    ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5, convection="skew"),
+)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+def test_simulate_matches_the_field_level_rk4_bitwise(cfg, n):
+    g = make_grid(n)
+    forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
+    state0 = _smooth_state(g)
+    _, stored, dt = simulate(state0, cfg, forcing, 0.06, store_every=1)
+    assert len(stored) > 3
+
+    expected, lag = [state0], VectorField.zeros(g)
+    for _ in stored[1:]:
+        s = expected[-1]
+
+        def rates(y, t):
+            return _field_rates(State(y[0], y[1], t), forcing.evaluate(g, t), cfg, lag)
+
+        (v, p), (lag, _) = _field_rk4(rates, (s.v, s.p), s.time, dt)
+        expected.append(State(v, p, s.time + dt))
+    for got, want in zip(stored, expected):
+        assert got.time == want.time
+        assert all(_same_bits(a, b) for a, b in zip(_arrays(got), _arrays(want)))
+    assert _share_no_memory(stored)
+
+
+@pytest.mark.parametrize("extra_force", ["temam", "galilean_alt"])
+def test_density_run_matches_the_field_level_rk4_bitwise(extra_force):
+    g = make_grid(17)
+    cfg = ModelConfig(model="temam", re=100.0, k=100.0, extra_force=extra_force)
+    forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
+    states, densities, dt = simulate_with_density(_smooth_state(g), cfg, forcing, 0.06, 0.4)
+
+    def rates(y, t):
+        v, p, rho = y
+        dv, dp = _field_rates(State(v, p, t), forcing.evaluate(g, t), cfg, VectorField.zeros(g))
+        return dv, dp, -divergence(rho * v)
+
+    s, rho = states[0], ScalarField.constant(g, 1.0)
+    for got, got_rho in zip(states, densities):
+        assert got.time == s.time
+        assert all(_same_bits(a, b) for a, b in zip(_arrays(got), _arrays(s)))
+        assert _same_bits(got_rho.values, rho.values)
+        (v, p, rho), _ = _field_rk4(rates, (s.v, s.p, rho), s.time, dt)
+        s = State(v, p, s.time + dt)
+    assert _share_no_memory([*states, *densities])
 
 
 # -- scaling -------------------------------------------------------------------

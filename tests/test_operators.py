@@ -8,9 +8,14 @@ smooth periodic function that is not a trig polynomial.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qins.fields import ScalarField, VectorField, inner_product, l2_norm, make_grid
+from qins.fields import ScalarField, VectorField, integrate, inner_product, l2_norm, make_grid
 from qins.operators import (
+    _ddx,
+    _ddy,
+    _lap,
     convection,
     directional_derivative,
     divergence,
@@ -104,7 +109,7 @@ def test_vector_laplacian_applies_componentwise():
 
 
 def test_summation_by_parts_holds_for_rough_data():
-    # the roll-based central difference is exactly skew-adjoint under the
+    # the periodic central difference is exactly skew-adjoint under the
     # uniform inner product, so the identity needs no smoothness at all
     g = make_grid(24)
     s = _noise_scalar(g)
@@ -178,3 +183,53 @@ def test_strain_frobenius_sq_on_single_mode():
     X, _ = g.mesh()
     expected = (np.sin(h) / h * np.cos(X)) ** 2
     np.testing.assert_allclose(strain_frobenius_sq(v).values, expected, atol=1e-13)
+
+
+# -- slice kernels against the np.roll stencils --------------------------------
+
+# The np.roll forms the slice kernels replaced, applied over the last two
+# axes; the kernels must reproduce them bit for bit.
+
+
+def _roll_ddx(a, h):
+    return (np.roll(a, -1, axis=-2) - np.roll(a, 1, axis=-2)) / (2.0 * h)
+
+
+def _roll_ddy(a, h):
+    return (np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)) / (2.0 * h)
+
+
+def _roll_lap(a, h):
+    return (
+        np.roll(a, -1, axis=-2) + np.roll(a, 1, axis=-2)
+        + np.roll(a, -1, axis=-1) + np.roll(a, 1, axis=-1)
+        - 4.0 * a
+    ) / (h * h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    lead=st.lists(st.integers(1, 3), min_size=0, max_size=2),
+    h=st.floats(1e-3, 10.0),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slice_kernels_equal_the_roll_stencils_bitwise(n, lead, h, scale, seed):
+    a = scale * np.random.default_rng(seed).standard_normal((*lead, n, n))
+    for kernel, oracle in ((_ddx, _roll_ddx), (_ddy, _roll_ddy), (_lap, _roll_lap)):
+        expected = oracle(a, h).tobytes()
+        assert kernel(a, h).tobytes() == expected
+        out = np.full_like(a, np.nan)
+        assert kernel(a, h, out) is out
+        assert out.tobytes() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+def test_summation_by_parts_on_random_grids(n, seed):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    s = ScalarField(g, rng.standard_normal((n, n)))
+    v = VectorField(g, rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    assert abs(integrate(s * divergence(v)) + inner_product(gradient(s), v)) < 1e-12
