@@ -33,7 +33,6 @@ from .inertia import (
     kinetic_density_spatial,
     kinetic_density_star,
     material_derivative_v,
-    power_balance_residual_standard,
 )
 from .models import (
     ForcingSpec,
@@ -41,12 +40,8 @@ from .models import (
     SimulationBlowupError,
     State,
     consistent_pressure,
-    eos,
-    eos_inverse,
     galilean_alt_force,
-    nondimensionalize,
     project_divergence_free,
-    redimensionalize,
     simulate,
     stable_dt,
     temam_extra_force,
@@ -74,8 +69,6 @@ __all__ = [
     "divergence",
     "divergence_norm",
     "energy_audit",
-    "eos",
-    "eos_inverse",
     "galilean_alt_force",
     "galilean_boost",
     "galilean_invariance_report",
@@ -93,10 +86,7 @@ __all__ = [
     "laplacian",
     "make_grid",
     "material_derivative_v",
-    "nondimensionalize",
-    "power_balance_residual_standard",
     "project_divergence_free",
-    "redimensionalize",
     "simulate",
     "stable_dt",
     "temam_extra_force",

@@ -179,13 +179,12 @@ def _is_on_grid(sx: float, sy: float) -> bool:
     return abs(sx - round(sx)) < 1e-9 and abs(sy - round(sy)) < 1e-9
 
 
-def galilean_boost(state: State, w: tuple[float, float], tau: float = 0.0) -> State:
+def galilean_boost(state: State, w: tuple[float, float]) -> State:
     """View a state from a frame moving with velocity -w.
 
     Positions transform as x* = x + w t and the velocity gains +w; the
     pressure rides along unchanged.  Samples are rolled exactly when
-    w * time lands on whole cells and interpolated otherwise.  ``tau``
-    relabels the clock; it does not move the samples.
+    w * time lands on whole cells and interpolated otherwise.
     """
     wx, wy = float(w[0]), float(w[1])
     grid = state.grid
@@ -193,7 +192,7 @@ def galilean_boost(state: State, w: tuple[float, float], tau: float = 0.0) -> St
     v_x = _resample_shifted(state.v.x, grid, sx, sy) + wx
     v_y = _resample_shifted(state.v.y, grid, sx, sy) + wy
     p = _resample_shifted(state.p.values, grid, sx, sy)
-    return State(VectorField(grid, v_x, v_y), ScalarField(grid, p), state.time + tau)
+    return State(VectorField(grid, v_x, v_y), ScalarField(grid, p), state.time)
 
 
 @dataclass(frozen=True)

@@ -85,11 +85,15 @@ def _inspect_dir(path: Path) -> int:
 def _inspect_csv(path: Path) -> int:
     if path.name == "transport.csv" or path.name == "members.csv":
         lines = path.read_text().strip().splitlines()
+        if not lines:
+            raise ValueError("empty table, no header")
         print(f"{path}: {len(lines) - 1} rows, columns {lines[0]}")
         if len(lines) > 1:
             print(f"  last: {lines[-1]}")
         return 0
     rows = read_timeseries(path)
+    if not rows:
+        raise ValueError("budget table has a header but no rows")
     print(f"{path}: {len(rows)} budget rows, t in [{rows[0].time:g}, {rows[-1].time:g}]")
     last = rows[-1]
     print(

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fields import ScalarField, VectorField, l2_norm
 from .operators import convection, divergence
 
@@ -94,19 +92,6 @@ def inertial_force_star(sample: KinematicSample) -> VectorField:
     mdv = material_derivative_v(sample)
     correction = (0.5 * divergence(sample.v)) * sample.v
     return (-sample.rho_star) * (mdv + correction)
-
-
-def power_balance_residual_standard(sample: KinematicSample) -> float:
-    """Residual of the standard power identity; zero by construction.
-
-    The identity -f . v = rho dv/dt|material . v is an algebraic
-    rearrangement, so this computes (f + rho dv/dt) . v and reduces it.
-    Useful only to confirm the harness is wired correctly.
-    """
-    mdv = material_derivative_v(sample)
-    f = inertial_force_standard(sample)
-    residual = (f + sample.rho * mdv).dot(sample.v)
-    return l2_norm(residual)
 
 
 def kappa_r_star_rate_identity_residual(

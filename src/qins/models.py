@@ -10,10 +10,8 @@ Three systems share one state (velocity, pressure, time):
 * ``compressible``    - barotropic system in (v, p) with density
   1 + p/K and a dilatational viscous term.
 
-Everything is dimensionless.  ``nondimensionalize`` maps dimensional
-fields into this setting (velocity scale V, length scale L, reference
-density rho*, reference pressure p*), and ``eos`` / ``eos_inverse``
-convert between dimensional density and pressure.
+The systems are posed in dimensionless form, as in the paper, with the
+Reynolds number Re and the bulk modulus K as their parameters.
 """
 
 from __future__ import annotations
@@ -40,12 +38,10 @@ class SimulationBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model selection plus the physical and numerical parameters.
+    """Model selection plus the dimensionless parameters.
 
-    ``re`` and the dimensional group (rho_star, l_char, v_char, mu) are
-    tied by re = rho_star * l_char * v_char / mu; ``mu`` is derived when
-    omitted and cross-checked when supplied.  ``k`` is the dimensionless
-    bulk modulus and is required by the temam and compressible models.
+    ``re`` is the Reynolds number.  ``k`` is the bulk modulus and is
+    required by the temam and compressible models.
     """
 
     model: str
@@ -55,11 +51,6 @@ class ModelConfig:
     extra_force: str = "temam"
     convection: str = "advective"
     pressure_transport: str = "partial"
-    rho_star: float = 1.0
-    p_star: float = 0.0
-    v_char: float = 1.0
-    l_char: float = 1.0
-    mu: float | None = None
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -79,28 +70,6 @@ class ModelConfig:
             raise ValueError(f"unknown convection form {self.convection!r}")
         if self.pressure_transport not in PRESSURE_TRANSPORT:
             raise ValueError(f"unknown pressure_transport {self.pressure_transport!r}")
-        for name in ("rho_star", "v_char", "l_char"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        derived_mu = self.rho_star * self.l_char * self.v_char / self.re
-        if self.mu is None:
-            object.__setattr__(self, "mu", derived_mu)
-        else:
-            if not self.mu > 0.0:
-                raise ValueError(f"mu must be positive, got {self.mu}")
-            re_from_mu = self.rho_star * self.l_char * self.v_char / self.mu
-            if abs(re_from_mu - self.re) > 1e-12 * abs(self.re):
-                raise ValueError(
-                    "inconsistent dimensional group: "
-                    f"re={self.re} but rho_star*l_char*v_char/mu={re_from_mu}"
-                )
-
-    @property
-    def k_dimensional(self) -> float:
-        """Dimensional bulk modulus, k * rho_star * v_char**2."""
-        if self.k is None:
-            raise ValueError("this config has no bulk modulus")
-        return self.k * self.rho_star * self.v_char**2
 
 
 @dataclass(frozen=True)
@@ -196,31 +165,6 @@ class ForcingSpec:
 
         fixed = at(t0)
         return at if self.kind == "callable" else lambda t: fixed
-
-
-# -- equation of state -------------------------------------------------------
-
-
-def eos(rho: ScalarField, cfg: ModelConfig) -> ScalarField:
-    """Dimensional pressure from density: p = K (rho/rho* - 1) + p*."""
-    if not (rho.values > 0.0).all():
-        worst = float(rho.values.min())
-        raise ValueError(f"density must be positive everywhere, worst sample {worst}")
-    k_dim = cfg.k_dimensional
-    return ScalarField(rho.grid, k_dim * (rho.values / cfg.rho_star - 1.0) + cfg.p_star)
-
-
-def eos_inverse(p: ScalarField, cfg: ModelConfig) -> ScalarField:
-    """Dimensional density from pressure: rho = rho* (1 + (p - p*)/K)."""
-    k_dim = cfg.k_dimensional
-    ratio = 1.0 + (p.values - cfg.p_star) / k_dim
-    if not (ratio > 0.0).all():
-        i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
-        raise ValueError(
-            "pressure implies non-positive density: "
-            f"worst sample p={p.values[i, j]} at cell ({i}, {j})"
-        )
-    return ScalarField(p.grid, cfg.rho_star * ratio)
 
 
 # -- right-hand sides --------------------------------------------------------
@@ -518,49 +462,3 @@ def simulate(
             stored.append(state)
     return state, stored, dt_used
 
-
-# -- scaling -----------------------------------------------------------------
-
-
-def nondimensionalize(
-    v_dim: VectorField, p_dim: ScalarField, f_dim: VectorField, cfg: ModelConfig
-) -> tuple[VectorField, ScalarField, VectorField]:
-    """Map dimensional (v, p, f) to the dimensionless setting.
-
-    v -> v/V, p -> (p - p*)/(rho* V^2), f -> L f/(rho* V^2); the carrier
-    grid is rescaled to period/L so positions are measured in units of L.
-    """
-    if v_dim.grid != p_dim.grid or v_dim.grid != f_dim.grid:
-        raise ValueError("fields to nondimensionalize must share a grid")
-    g = Grid(v_dim.grid.n, v_dim.grid.period / cfg.l_char)
-    dyn = cfg.rho_star * cfg.v_char**2
-    v = VectorField(g, v_dim.x / cfg.v_char, v_dim.y / cfg.v_char)
-    p = ScalarField(g, (p_dim.values - cfg.p_star) / dyn)
-    f = VectorField(g, cfg.l_char * f_dim.x / dyn, cfg.l_char * f_dim.y / dyn)
-    return v, p, f
-
-
-def redimensionalize(
-    v: VectorField, p: ScalarField, f: VectorField, cfg: ModelConfig
-) -> tuple[VectorField, ScalarField, VectorField]:
-    """Inverse of :func:`nondimensionalize`."""
-    if v.grid != p.grid or v.grid != f.grid:
-        raise ValueError("fields to redimensionalize must share a grid")
-    g = Grid(v.grid.n, v.grid.period * cfg.l_char)
-    dyn = cfg.rho_star * cfg.v_char**2
-    v_dim = VectorField(g, v.x * cfg.v_char, v.y * cfg.v_char)
-    p_dim = ScalarField(g, p.values * dyn + cfg.p_star)
-    f_dim = VectorField(g, f.x * dyn / cfg.l_char, f.y * dyn / cfg.l_char)
-    return v_dim, p_dim, f_dim
-
-
-def nondimensional_time(t_dim: float, cfg: ModelConfig) -> float:
-    return cfg.v_char * t_dim / cfg.l_char
-
-
-def dimensional_time(t: float, cfg: ModelConfig) -> float:
-    return cfg.l_char * t / cfg.v_char
-
-
-def dimensionless_bulk_modulus(k_dim: float, cfg: ModelConfig) -> float:
-    return k_dim / (cfg.rho_star * cfg.v_char**2)

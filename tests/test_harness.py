@@ -1,13 +1,17 @@
 """Configs, initial states, on-disk formats, experiment drivers, CLI."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qins
-from qins.diagnostics import EnergyBudgetRow
-from qins.fields import integrate, l2_norm, make_grid
+from qins.diagnostics import CSV_HEADER, EnergyBudgetRow
+from qins.fields import ScalarField, VectorField, integrate, l2_norm, make_grid
 from qins.harness.cli import main
 from qins.harness.config import (
     ConfigError,
@@ -62,6 +66,15 @@ def test_config_rejects_unknown_keys_by_name():
         config_from_dict({"experiment": "free_run", "model": {"model": "temam", "reynolds": 10}})
     with pytest.raises(ConfigError, match="amp"):
         config_from_dict({"experiment": "free_run", "initial_condition": {"amp": 0.1}})
+
+
+def test_config_rejects_the_removed_dimensional_keys(tmp_path):
+    for key in ("rho_star", "p_star", "v_char", "l_char", "mu"):
+        model = {"model": "temam", "re": 100.0, "k": 100.0, key: 1.0}
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            config_from_dict({"experiment": "free_run", "model": model})
+        cfg_path = _write_config(tmp_path, model=model)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / key), "--quiet"]) == 2
 
 
 def test_config_rejects_a_top_level_seed():
@@ -211,6 +224,25 @@ def test_field_snapshot_detects_truncation(tmp_path):
     (tmp_path / "phi.bin").write_bytes(blob[:-8])
     with pytest.raises(ValueError):
         read_field_snapshot(tmp_path / "phi")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(4, 32),
+    exponent=st.integers(-300, 150),
+    time=st.floats(0.0, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_snapshot_round_trip_is_bitwise_on_random_samples(n, exponent, time, seed):
+    g = make_grid(n)
+    a = 10.0**exponent * np.random.default_rng(seed).standard_normal((3, n, n))
+    state = State(VectorField(g, a[0], a[1]), ScalarField(g, a[2]), time)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_snapshot(state, Path(tmp) / "s")
+        back = read_snapshot(Path(tmp) / "s")
+    for got, want in zip((back.v.x, back.v.y, back.p.values), a):
+        assert got.tobytes() == want.tobytes()
+    assert back.time == time
 
 
 def test_state_snapshot_round_trip_and_time_check(tmp_path):
@@ -411,6 +443,17 @@ def test_cli_inspect_reports_a_malformed_table_or_header(tmp_path, capsys):
     write_snapshot(taylor_green_state(make_grid(8)), tmp_path / "snap")
     (tmp_path / "snap.v.json").write_text("{not json")
     for path in (table, tmp_path / "snap"):
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
+
+
+def test_cli_inspect_reports_an_empty_table(tmp_path, capsys):
+    (tmp_path / "budget.csv").write_text(CSV_HEADER + "\n")
+    (tmp_path / "transport.csv").write_text("")
+    (tmp_path / "members.csv").write_text("\n")
+    for name in ("budget.csv", "transport.csv", "members.csv"):
+        path = tmp_path / name
         assert main(["inspect", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1

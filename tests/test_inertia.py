@@ -13,7 +13,6 @@ from qins.inertia import (
     kinetic_density_spatial,
     kinetic_density_star,
     material_derivative_v,
-    power_balance_residual_standard,
 )
 from qins.operators import convection, divergence
 
@@ -110,8 +109,3 @@ def test_rate_identity_rejects_mismatched_grids():
     s = _sample(16)
     with pytest.raises(ValueError):
         kappa_r_star_rate_identity_residual(s, ScalarField.zeros(make_grid(8)))
-
-
-def test_standard_power_balance_is_a_tautology():
-    s = _sample(16)
-    assert power_balance_residual_standard(s) < 1e-15

@@ -1,7 +1,9 @@
-"""Model right-hand sides, the pressure solve, time stepping, scaling."""
+"""Model right-hand sides, the pressure solve, time stepping."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qins import models
 from qins.fields import ScalarField, VectorField, l2_norm, make_grid
@@ -12,17 +14,10 @@ from qins.models import (
     State,
     compressible_rhs,
     consistent_pressure,
-    dimensional_time,
-    dimensionless_bulk_modulus,
-    eos,
-    eos_inverse,
     galilean_alt_force,
     incompressible_step,
-    nondimensional_time,
-    nondimensionalize,
     pack_state,
     project_divergence_free,
-    redimensionalize,
     simulate,
     solve_pressure_poisson,
     stable_dt,
@@ -85,21 +80,6 @@ def test_bulk_modulus_required_by_compressible_models():
     ModelConfig(model="incompressible", re=100.0)
 
 
-def test_dimensional_group_cross_check():
-    # re = rho* L V / mu must hold when mu is supplied
-    ModelConfig(model="incompressible", re=50.0, rho_star=2.0, l_char=5.0, v_char=5.0, mu=1.0)
-    with pytest.raises(ValueError):
-        ModelConfig(model="incompressible", re=50.0, rho_star=2.0, l_char=5.0, v_char=5.0, mu=2.0)
-    derived = ModelConfig(model="incompressible", re=50.0, rho_star=2.0, l_char=5.0, v_char=5.0)
-    assert derived.mu == pytest.approx(1.0)
-
-
-def test_k_dimensional_property():
-    cfg = ModelConfig(model="temam", re=100.0, k=2.0, rho_star=2.0, v_char=3.0)
-    assert cfg.k_dimensional == pytest.approx(36.0)
-    assert dimensionless_bulk_modulus(cfg.k_dimensional, cfg) == pytest.approx(cfg.k)
-
-
 # -- forcing -------------------------------------------------------------------
 
 
@@ -120,29 +100,6 @@ def test_forcing_catalog():
     fn = ForcingSpec.from_callable(lambda X, Y, t: (0.0 * X + t, np.sin(X)))
     out = fn.evaluate(g, 2.0)
     np.testing.assert_allclose(out.x, 2.0)
-
-
-# -- equation of state ---------------------------------------------------------
-
-
-def test_eos_round_trip():
-    g = make_grid(8)
-    cfg = ModelConfig(model="temam", re=100.0, k=2.0, rho_star=2.0, v_char=3.0, p_star=5.0)
-    rho = ScalarField.constant(g, 2.2)
-    p = eos(rho, cfg)
-    # k_dim = 36: p = 36 (2.2/2 - 1) + 5
-    np.testing.assert_allclose(p.values, 8.6, rtol=1e-14)
-    back = eos_inverse(p, cfg)
-    np.testing.assert_allclose(back.values, rho.values, rtol=1e-14)
-
-
-def test_eos_rejects_non_positive_density():
-    g = make_grid(8)
-    with pytest.raises(ValueError):
-        eos(ScalarField.constant(g, -0.5), TEMAM)
-    # pressure far below -K implies vacuum
-    with pytest.raises(ValueError):
-        eos_inverse(ScalarField.constant(g, -2.0 * TEMAM.k_dimensional), TEMAM)
 
 
 # -- right-hand sides ----------------------------------------------------------
@@ -277,6 +234,32 @@ def test_projection_leaves_solenoidal_fields_alone():
     clean, _ = project_divergence_free(v)
     np.testing.assert_allclose(clean.x, v.x, atol=1e-12)
     np.testing.assert_allclose(clean.y, v.y, atol=1e-12)
+
+
+def _random_velocity(n, seed):
+    rng = np.random.default_rng(seed)
+    return VectorField(make_grid(n), rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+def test_poisson_solve_stencil_residual_is_round_off_on_random_grids(n, seed):
+    v = _random_velocity(n, seed)  # a divergence lies in the stencil's range
+    rhs = divergence(v).values
+    p = ScalarField(v.grid, solve_pressure_poisson(rhs, v.grid.spacing))
+    residual = divergence(gradient(p)).values - rhs
+    assert np.abs(residual).max() < 1e-12 * np.abs(rhs).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+def test_projection_is_idempotent_on_random_grids(n, seed):
+    v = _random_velocity(n, seed)
+    clean, _ = project_divergence_free(v)
+    assert np.abs(divergence(clean).values).max() < 1e-12 * v.max_abs() / v.grid.spacing
+    again, _ = project_divergence_free(clean)
+    np.testing.assert_allclose(again.x, clean.x, rtol=0.0, atol=1e-12 * v.max_abs())
+    np.testing.assert_allclose(again.y, clean.y, rtol=0.0, atol=1e-12 * v.max_abs())
 
 
 def test_consistent_pressure_recovers_the_vortex_pressure():
@@ -557,30 +540,3 @@ def test_density_run_matches_the_field_level_rk4_bitwise(extra_force):
         (v, p, rho), _ = _field_rk4(rates, (s.v, s.p, rho), s.time, dt)
         s = State(v, p, s.time + dt)
     assert _share_no_memory([*states, *densities])
-
-
-# -- scaling -------------------------------------------------------------------
-
-
-def test_nondimensionalize_round_trip():
-    cfg = ModelConfig(
-        model="temam", re=50.0, k=2.0, rho_star=2.0, p_star=5.0, v_char=3.0, l_char=0.5
-    )
-    g = make_grid(16, period=2.0 * np.pi)
-    v_dim = VectorField.from_function(g, lambda X, Y: 3.0 * np.sin(X), lambda X, Y: np.cos(Y))
-    p_dim = ScalarField.from_function(g, lambda X, Y: 5.0 + 18.0 * np.cos(X))
-    f_dim = VectorField.constant(g, 0.5, -0.25)
-
-    v, p, f = nondimensionalize(v_dim, p_dim, f_dim, cfg)
-    assert v.grid.period == pytest.approx(g.period / cfg.l_char)
-    # p = (p_dim - p*) / (rho* V^2)
-    np.testing.assert_allclose(p.values, np.cos(g.mesh()[0]), atol=1e-13)
-
-    v2, p2, f2 = redimensionalize(v, p, f, cfg)
-    assert v2.grid.period == pytest.approx(g.period)
-    np.testing.assert_allclose(v2.x, v_dim.x, rtol=1e-14)
-    np.testing.assert_allclose(p2.values, p_dim.values, rtol=1e-14)
-    np.testing.assert_allclose(f2.y, f_dim.y, rtol=1e-14)
-
-    t = nondimensional_time(4.0, cfg)
-    assert dimensional_time(t, cfg) == pytest.approx(4.0)

@@ -233,3 +233,17 @@ def test_summation_by_parts_on_random_grids(n, seed):
     s = ScalarField(g, rng.standard_normal((n, n)))
     v = VectorField(g, rng.standard_normal((n, n)), rng.standard_normal((n, n)))
     assert abs(integrate(s * divergence(v)) + inner_product(gradient(s), v)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skew_convection_is_energy_neutral_on_random_grids(n, scale, seed):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    v = VectorField(g, scale * rng.standard_normal((n, n)), scale * rng.standard_normal((n, n)))
+    power = inner_product(v, convection(v, form="skew"))
+    assert abs(power) < 1e-12 * l2_norm(v) ** 2 * v.max_abs() / g.spacing
