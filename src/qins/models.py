@@ -12,6 +12,12 @@ Three systems share one state (velocity, pressure, time):
 
 The systems are posed in dimensionless form, as in the paper, with the
 Reynolds number Re and the bulk modulus K as their parameters.
+
+``simulate`` picks the integrator from the step.  The temam model past
+its acoustic bound h / sqrt(K) steps ETDRK4 (``ETDRK4``), which takes the
+stiff linear part exactly per Fourier mode of the stencils, so by default
+only the advective and diffusive bounds limit its step.  Every other run,
+and every sound-resolved temam run, steps classical RK4 (``step_rk4``).
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField
-from .operators import _convection, _ddx, _ddy, _lap, convection, divergence, gradient, laplacian
+from .operators import (
+    _convection, _ddx, _ddy, _lap, convection, divergence, gradient, laplacian, stencil_symbols,
+)
 
 MODELS = ("incompressible", "temam", "compressible")
 EXTRA_FORCES = ("temam", "none", "galilean_alt")
@@ -272,10 +280,8 @@ def solve_pressure_poisson(rhs: np.ndarray, h: float) -> np.ndarray:
     about 1e-32 rather than 0, and dividing by it would swamp the solution.
     """
     n = rhs.shape[0]
-    sym = -(
-        np.sin(2.0 * np.pi * np.fft.fftfreq(n))[:, None] ** 2
-        + np.sin(2.0 * np.pi * np.fft.rfftfreq(n))[None, :] ** 2
-    ) / (h * h)
+    sin_x, sin_y, _ = stencil_symbols(n, h)
+    sym = -(sin_x**2 + sin_y**2) / (h * h)
     null = (2 * np.arange(n) % n == 0)[:, None] & (2 * np.arange(n // 2 + 1) % n == 0)[None, :]
     sym[null] = 1.0
     p_hat = np.fft.rfft2(rhs) / sym
@@ -371,21 +377,40 @@ def blowup_guard(v, t: float, h: float, cfg: ModelConfig, dt: float):
     """Re-raise a failed step from time ``t`` as SimulationBlowupError naming each bound.
 
     ``v`` holds the velocity components the step starts from.  Overflow is
-    no anomaly to warn about: ``step_rk4`` and the field constructors reject
+    no anomaly to warn about: the steppers and the field constructors reject
     non-finite samples with ``ValueError``, which is what is caught here.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except ValueError as exc:
-        vmax = max(float(np.abs(c).max()) for c in v)
-        bounds = ", ".join(
-            f"{name} bound {value:.3e}" for name, value in _step_bounds(h, vmax, cfg).items()
-        )
-        raise SimulationBlowupError(
-            f"non-finite samples at t={t:.6g} with dt={dt:.3e}; "
-            f"|v|_inf={vmax:.3e}, {bounds}"
-        ) from exc
+        raise _blowup_error("non-finite samples", _vmax(v), t, h, cfg, dt) from exc
+
+
+def _advective_guard(v, t: float, h: float, cfg: ModelConfig, dt: float) -> None:
+    """Refuse a step from time ``t`` whose dt exceeds the advective bound h / |v|_inf.
+
+    Once the acoustic bound no longer limits the step, the advective bound,
+    fixed from the initial state, is what a run could outgrow; this names it
+    before any sample turns non-finite.
+    """
+    vmax = _vmax(v)
+    if dt > _step_bounds(h, vmax, cfg)["advective"]:
+        raise _blowup_error("step past the advective bound", vmax, t, h, cfg, dt)
+
+
+def _vmax(v) -> float:
+    return max(float(np.abs(c).max()) for c in v)
+
+
+def _blowup_error(what: str, vmax: float, t: float, h: float, cfg: ModelConfig,
+                  dt: float) -> SimulationBlowupError:
+    bounds = ", ".join(
+        f"{name} bound {value:.3e}" for name, value in _step_bounds(h, vmax, cfg).items()
+    )
+    return SimulationBlowupError(
+        f"{what} at t={t:.6g} with dt={dt:.3e}; |v|_inf={vmax:.3e}, {bounds}"
+    )
 
 
 def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> tuple:
@@ -407,6 +432,185 @@ def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> tuple:
     return y_new, k1
 
 
+# 1/(j+3)! for j = 0..17: the series of phi_3 where |z| < 1
+_PHI3_SERIES = np.cumprod([1.0 / 6.0] + [1.0 / (j + 3) for j in range(1, 18)])
+
+
+def _phi(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """exp(z) and phi_1..phi_3(z), phi_k(z) = 1/k! + z phi_{k+1}(z), for complex z.
+
+    The closed forms lose digits where |z| < 1; there phi_3 is summed as a
+    series and phi_2, phi_1 follow by the recurrence.
+    """
+    e = np.exp(z)
+    small = np.abs(z) < 1.0
+    zs = np.where(small, 1.0, z)
+    p1 = (e - 1.0) / zs
+    p2 = (p1 - 1.0) / zs
+    p3 = (p2 - 0.5) / zs
+    if small.any():
+        w, s3 = z[small], 0.0
+        for c in _PHI3_SERIES[::-1]:
+            s3 = s3 * w + c
+        p3[small] = s3
+        p2[small] = 0.5 + w * s3
+        p1[small] = 1.0 + w * p2[small]
+    return e, p1, p2, p3
+
+
+def _etd_functions(z: np.ndarray, dt: float) -> np.ndarray:
+    """E, E_1/2, Q, f1, 2 f2, f3 of ETDRK4 at eigenvalues z of L dt, stacked on axis 0.
+
+    Kassam & Trefethen (2005): Q = dt (e^{z/2} - 1)/z and f1..f3 are the
+    stage weights, written with the phi functions so they hold at z = 0.
+    f2 only ever weighs N(a) + N(b) twice, so it comes doubled.
+    """
+    e, p1, p2, p3 = _phi(z)
+    e_half, q1, _, _ = _phi(0.5 * z)
+    return np.stack([e, e_half, (0.5 * dt) * q1, dt * (p1 - 3.0 * p2 + 4.0 * p3),
+                     (2.0 * dt) * (p2 - 2.0 * p3), dt * (4.0 * p3 - p2)])
+
+
+_CONTOUR = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)  # unit circle, 32 points
+
+
+def etd_coefficients(cfg: ModelConfig, n: int, h: float, dt: float) -> np.ndarray:
+    """ETDRK4 coefficients of the temam model's linear part, per rfft2 mode.
+
+    L(v, p) = (-grad p + lap v / Re, -K div v).  With s the symbol vector
+    (sin theta_x, sin theta_y) / h and sigma = |s|, a mode splits into the
+    transverse velocity, which only decays (eigenvalue lap dt / Re = 2c),
+    and the longitudinal velocity u = s.v / sigma with p, whose block of
+    L dt is c I + B, B = [[c, -i sigma dt], [-i K sigma dt, -c]], B^2 =
+    delta^2 I, delta^2 = c^2 - K sigma^2 dt^2.  So any function of it is
+    g0 I + g1 B with real g0, g1: half sum and half divided difference of
+    the function at c +- delta, or, where |delta| < 1/4 and the divided
+    difference would cancel, a contour mean on the unit circle around c.
+
+    Returns (6, 4, n, n//2 + 1) reals: for each function of
+    ``_etd_functions``, a (transverse factor), m ((uu entry - a) / sigma^2),
+    g (g1 dt) and d (pp entry), so that the function maps a mode (v, p) to
+    (a v + s (m s.v - i g p), d p - i K g s.v).
+    """
+    sin_x, sin_y, lap = stencil_symbols(n, h)
+    sigma2 = (sin_x**2 + sin_y**2) / (h * h)
+    c = (0.5 * dt / cfg.re) * lap
+    delta2 = c * c - cfg.k * dt * dt * sigma2
+    coef = np.zeros((6, 4) + lap.shape)
+    half = n // 2 + 1  # theta_x and -theta_x share their symbols, so mirror those rows
+    block = max(1, 512 // lap.shape[1])  # rows per block: small temporaries, few calls
+    for i in range(0, half, block):
+        rows = slice(i, min(i + block, half))
+        _coefficient_block(c[rows], delta2[rows], sigma2[rows], dt, coef[:, :, rows])
+    coef[:, :, half:] = coef[:, :, n - half:0:-1]
+    return coef
+
+
+def _coefficient_block(c, delta2, sigma2, dt: float, coef: np.ndarray) -> None:
+    coef[:, 0] = _etd_functions(2.0 * c + 0j, dt).real
+    g1, g0 = coef[:, 2], coef[:, 3]  # turned into g and d at the end
+    near = np.abs(delta2) < 1.0 / 16.0
+    far = ~near
+    delta = np.sqrt(delta2[far] + 0j)
+    for sign in (1.0, -1.0):
+        values = _etd_functions(c[far] + sign * delta, dt)
+        g0[:, far] += 0.5 * values.real
+        g1[:, far] += (values * (0.5 * sign / delta)).real
+    # (zI - cI - B)^-1 = ((z - c) I + B) / ((z - c)^2 - delta^2) on z = c + r
+    r = _CONTOUR
+    w = r / (r * r - delta2[near][:, None])
+    values = _etd_functions(c[near][:, None] + r, dt)
+    g0[:, near] = (values * w * r).mean(axis=-1).real
+    g1[:, near] = (values * w).mean(axis=-1).real
+    np.divide(g0 + c * g1 - coef[:, 0], sigma2, out=coef[:, 1], where=sigma2 > 0.0)
+    g0 -= c * g1
+    g1 *= dt
+
+
+class ETDRK4:
+    """ETDRK4 for the temam model: its linear part exact per Fourier mode.
+
+    On the torus the stiff part of the temam model is linear with
+    constant coefficients, L(v, p) = (-grad p + lap v / Re, -K div v), and
+    the stencils' Fourier symbols diagonalise it (``etd_coefficients``).
+    Everything else is N = rate - L: convection, the extra force,
+    galilean_alt, the forcing and material pressure transport.  N comes
+    from the full right-hand side minus L applied to the same stage in
+    Fourier space, so there is one right-hand side to keep.  Scheme: Cox &
+    Matthews, J. Comput. Phys. 176 (2002), with the coefficients built as
+    in Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005).
+
+    Coefficients depend on dt, so one stepper serves one fixed step.  It
+    owns its buffers; ``step`` allocates only its stage arrays.
+    """
+
+    def __init__(self, cfg: ModelConfig, n: int, h: float, dt: float) -> None:
+        sin_x, sin_y, lap = stencil_symbols(n, h)
+        self.sx, self.sy, self.nu_lap = sin_x / h, sin_y / h, lap / cfg.re
+        self.k, self.dt = cfg.k, dt
+        self.coef = etd_coefficients(cfg, n, h, dt)
+        self.spectral = np.empty((5, 3) + lap.shape, dtype=complex)
+        # the first stage's rate outlives the step only as galilean_alt's lag
+        self.lagged = cfg.extra_force == "galilean_alt"
+        self.rates = np.empty((2 if self.lagged else 1, 3, n, n))
+
+    def _apply(self, which: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = (function ``which``)(L dt) z, mode by mode; ``out`` may be z."""
+        a, m, g, d = self.coef[which]
+        sv = self.sx * z[0] + self.sy * z[1]
+        t = m * sv - (1j * g) * z[2]
+        np.multiply(a, z[0], out=out[0])
+        out[0] += self.sx * t
+        np.multiply(a, z[1], out=out[1])
+        out[1] += self.sy * t
+        np.multiply(d, z[2], out=out[2])
+        out[2] -= (1j * self.k * g) * sv
+        return out
+
+    def _nonlinear(self, rate: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = rfft2(rate) - L z: N of a stage whose transform is z."""
+        out[...] = np.fft.rfft2(rate)
+        out[0] += (1j * self.sx) * z[2] - self.nu_lap * z[0]
+        out[1] += (1j * self.sy) * z[2] - self.nu_lap * z[1]
+        out[2] += (1j * self.k) * (self.sx * z[0] + self.sy * z[1])
+        return out
+
+    def step(self, rates, y: np.ndarray, t: float) -> tuple:
+        """One step of dy/dt = rates(y, t, out) from packed (vx, vy, p).
+
+        Returns ``(y_new, r1)`` like ``step_rk4``: r1 is the full rate at
+        (y, t), which lives in a buffer the next step overwrites, or None
+        unless the model reads it as galilean_alt's lag.
+        """
+        E, E_HALF, Q, F1, F2, F3 = range(6)
+        dt, shape = self.dt, y.shape[1:]
+        z, acc, nv, nx, a = self.spectral  # z: scratch and the b stage
+        r1, r = self.rates[0], self.rates[-1]
+        z[...] = np.fft.rfft2(y)
+        self._nonlinear(rates(y, t, r1), z, nv)
+        self._apply(E, z, acc)
+        self._apply(E_HALF, z, a)
+        a += self._apply(Q, nv, z)  # a = E_1/2 y + Q N(y)
+        acc += self._apply(F1, nv, z)
+        self._nonlinear(rates(np.fft.irfft2(a, s=shape), t + 0.5 * dt, r), a, nx)
+        acc += self._apply(F2, nx, z)
+        np.subtract(nx, nv, out=z)
+        self._apply(Q, z, z)
+        z += a  # b = E_1/2 y + Q N(a) = a + Q (N(a) - N(y))
+        self._nonlinear(rates(np.fft.irfft2(z, s=shape), t + 0.5 * dt, r), z, nx)
+        acc += self._apply(F2, nx, z)
+        np.multiply(nx, 2.0, out=z)
+        z -= nv
+        self._apply(E_HALF, a, a)
+        a += self._apply(Q, z, z)  # c = E_1/2 a + Q (2 N(b) - N(y))
+        self._nonlinear(rates(np.fft.irfft2(a, s=shape), t + dt, r), a, nx)
+        acc += self._apply(F3, nx, z)
+        y_new = np.fft.irfft2(acc, s=shape)
+        if not np.isfinite(y_new).all():
+            raise ValueError("ETDRK4 step produced non-finite samples")
+        return y_new, r1 if self.lagged else None
+
+
 def simulate(
     state: State,
     cfg: ModelConfig,
@@ -425,16 +629,30 @@ def simulate(
     every accepted step; ``store_every=m`` additionally collects every
     m-th state (plus the initial one) into the returned list.
 
+    The step picks the integrator.  The temam model past its acoustic
+    bound, dt > h / sqrt(K), steps ETDRK4, which treats the stiff linear
+    part exactly, and refuses any step past the advective bound; so its
+    default step is ``cfl`` times the advective and diffusive bounds only.
+    Every other explicit run steps classical RK4 (``step_rk4``), by default
+    at ``stable_dt``; the incompressible model takes projection steps.
+
     The explicit models march one packed (3, n, n) array with buffers the
     run owns; States are built only for the observer and the results.
 
     Returns ``(final_state, stored_states, dt_used)``.
     """
-    steps, dt_used = fixed_step(state, cfg, t_final, dt, cfl)
     grid, h = state.grid, state.grid.spacing
+    if dt is None and cfg.model == "temam":
+        bounds = _step_bounds(h, state.v.max_abs(), cfg)
+        dt = cfl * min(bounds["advective"], bounds["diffusive"])
+    steps, dt_used = fixed_step(state, cfg, t_final, dt, cfl)
     force = forcing.sampler(grid, state.time)  # input errors surface here, not as a blow-up
     y, t = pack_state(state), state.time
-    work, rhs_work = np.empty((5,) + y.shape), np.empty((_TEMAM_WORK,) + y.shape[1:])
+    etd = None
+    if cfg.model == "temam" and dt_used > h / np.sqrt(cfg.k):
+        etd = ETDRK4(cfg, grid.n, h, dt_used)
+    work = None if etd else np.empty((5,) + y.shape)
+    rhs_work = np.empty((_TEMAM_WORK,) + y.shape[1:])
     lag = np.zeros_like(y[:2])  # last step's acceleration, read by galilean_alt only
 
     def rates(ys: np.ndarray, ts: float, out: np.ndarray) -> np.ndarray:
@@ -448,9 +666,12 @@ def simulate(
             with blowup_guard((state.v.x, state.v.y), t, h, cfg, dt_used):
                 state = incompressible_step(state, forcing, cfg, dt_used)
         elif i:
+            if etd:
+                _advective_guard(y[:2], t, h, cfg, dt_used)
             with blowup_guard(y[:2], t, h, cfg, dt_used):
-                y, k1 = step_rk4(rates, y, t, dt_used, work)
-            np.copyto(lag, k1[:2])
+                y, k1 = etd.step(rates, y, t) if etd else step_rk4(rates, y, t, dt_used, work)
+            if k1 is not None:
+                np.copyto(lag, k1[:2])
             state = None  # built below only when it is read
         t = state.time if state is not None else t + dt_used
         keep = store_every and (i % store_every == 0 or i == steps)

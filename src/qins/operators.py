@@ -53,6 +53,21 @@ def _lap(a: np.ndarray, h: float, out=None, tmp=None) -> np.ndarray:
     return out
 
 
+def stencil_symbols(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fourier symbols of the stencils on the ``rfft2`` half plane of an n grid.
+
+    With theta = 2 pi m / n on each axis (x is axis -2, the full one),
+    ``_ddx`` and ``_ddy`` multiply a mode by i sin(theta_x) / h and
+    i sin(theta_y) / h, and ``_lap`` by (2 cos theta_x + 2 cos theta_y - 4)
+    / h^2.  Returns ``(sin theta_x, sin theta_y, lap)`` shaped (n, 1),
+    (1, n//2 + 1) and (n, n//2 + 1).
+    """
+    theta_x = 2.0 * np.pi * np.fft.fftfreq(n)[:, None]
+    theta_y = 2.0 * np.pi * np.fft.rfftfreq(n)[None, :]
+    lap = (2.0 * np.cos(theta_x) + 2.0 * np.cos(theta_y) - 4.0) / (h * h)
+    return np.sin(theta_x), np.sin(theta_y), lap
+
+
 def _convection(v: np.ndarray, h: float, form: str, out=None, dx=None, dy=None, work=None):
     """(v . grad) v of packed (2, n, n) v; dx, dy = _ddx(v), _ddy(v); work 3 of v's shape."""
     t, s, u = (None, None, None) if work is None else work

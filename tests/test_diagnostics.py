@@ -14,7 +14,7 @@ from qins.diagnostics import (
     transport_check,
 )
 from qins.fields import ScalarField, VectorField, l2_norm, make_grid
-from qins.models import ForcingSpec, ModelConfig, State, simulate
+from qins.models import ForcingSpec, ModelConfig, State, simulate, stable_dt
 from qins.operators import divergence
 
 TEMAM = ModelConfig(model="temam", re=100.0, k=100.0)
@@ -41,7 +41,9 @@ def test_divergence_norm_matches_operator_norm():
 def test_energy_audit_covers_the_interior_samples():
     g = make_grid(16)
     state = _taylor_green_with_pulse(g, amp=0.1)
-    _, stored, dt = simulate(state, TEMAM, ForcingSpec.zero(), 0.05, store_every=1)
+    # sound-resolved RK4 steps: the ETD default step would give a single step
+    dt = stable_dt(state, TEMAM)
+    _, stored, dt = simulate(state, TEMAM, ForcingSpec.zero(), 0.05, dt=dt, store_every=1)
     rows = energy_audit(stored, ForcingSpec.zero(), TEMAM)
     assert len(rows) == len(stored) - 2
     assert rows[0].time == pytest.approx(stored[1].time)

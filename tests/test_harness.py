@@ -350,7 +350,8 @@ def test_density_run_shares_the_trajectory_of_simulate():
     cfg = ModelConfig(model="temam", re=100.0, k=100.0)
     forcing = qins.ForcingSpec.zero()
     states, densities, dt_used = simulate_with_density(state0, cfg, forcing, 0.05, 0.4)
-    _, stored, dt_plain = qins.simulate(state0, cfg, forcing, 0.05, cfl=0.4, store_every=1)
+    dt = qins.stable_dt(state0, cfg, 0.4)  # the RK4 step simulate_with_density takes
+    _, stored, dt_plain = qins.simulate(state0, cfg, forcing, 0.05, dt=dt, store_every=1)
     assert dt_used == dt_plain
     assert len(states) == len(stored) == len(densities)
     for a, b in zip(states, stored):

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from qins import models
 from qins.fields import ScalarField, VectorField, l2_norm, make_grid
 from qins.models import (
+    ETDRK4,
     ForcingSpec,
     ModelConfig,
     SimulationBlowupError,
     State,
     compressible_rhs,
     consistent_pressure,
+    etd_coefficients,
     galilean_alt_force,
     incompressible_step,
     pack_state,
@@ -27,7 +29,8 @@ from qins.models import (
     unpack_state,
 )
 from qins.harness.experiments import simulate_with_density
-from qins.operators import convection, divergence, grad_div, gradient, laplacian
+from qins.harness.initial_conditions import random_smooth_state
+from qins.operators import convection, divergence, grad_div, gradient, laplacian, stencil_symbols
 
 
 TEMAM = ModelConfig(model="temam", re=100.0, k=100.0)
@@ -366,13 +369,14 @@ def test_out_of_stability_projection_step_raises_blowup():
         simulate(state, cfg, ForcingSpec.zero(), 50.0, dt=0.5)
 
 
-# Messages of runs at 20x the acoustic bound, as the per-construction
-# finiteness scans reported them: the once-per-step check must fail at the
-# same step and name the same bounds.
+# Messages of runs at 20x the acoustic bound.  The compressible row is the
+# one the per-construction finiteness scans reported: the once-per-step
+# check must fail at the same step and name the same bounds.  The temam row
+# takes the ETD path, whose advective guard refuses the very first step.
 BLOWUP_MESSAGES = (
     (ModelConfig(model="temam", re=100.0, k=100.0),
-     "non-finite samples at t=1.5708 with dt=7.854e-01; |v|_inf=2.833e+48, "
-     "advective bound 1.386e-49, diffusive bound 3.855e+00, acoustic bound 3.927e-02"),
+     "step past the advective bound at t=0 with dt=7.854e-01; |v|_inf=9.734e-01, "
+     "advective bound 4.034e-01, diffusive bound 3.855e+00, acoustic bound 3.927e-02"),
     (ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5),
      "non-finite samples at t=0 with dt=7.854e-01; |v|_inf=9.734e-01, "
      "advective bound 4.034e-01, diffusive bound 3.855e+00, acoustic bound 3.927e-02"),
@@ -502,7 +506,8 @@ def test_simulate_matches_the_field_level_rk4_bitwise(cfg, n):
     g = make_grid(n)
     forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
     state0 = _smooth_state(g)
-    _, stored, dt = simulate(state0, cfg, forcing, 0.06, store_every=1)
+    # stable_dt keeps the temam rows on RK4, which the oracle writes out
+    _, stored, dt = simulate(state0, cfg, forcing, 0.06, dt=stable_dt(state0, cfg), store_every=1)
     assert len(stored) > 3
 
     expected, lag = [state0], VectorField.zeros(g)
@@ -540,3 +545,172 @@ def test_density_run_matches_the_field_level_rk4_bitwise(extra_force):
         (v, p, rho), _ = _field_rk4(rates, (s.v, s.p, rho), s.time, dt)
         s = State(v, p, s.time + dt)
     assert _share_no_memory([*states, *densities])
+
+
+# -- ETDRK4 past the acoustic bound -------------------------------------------------
+
+
+def _expm(a):
+    """Matrix exponential: Taylor series after scaling by 2^-s, then s squarings."""
+    s = max(0, int(np.ceil(np.log2(np.abs(a).sum(axis=1).max()))) + 1)
+    x, term = a / 2.0**s, np.eye(len(a), dtype=complex)
+    out = term
+    for k in range(1, 30):
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _reference_functions(lin, dt):
+    """E, E_1/2, Q, f1, 2 f2, f3 of the 3x3 matrix lin dt, from augmented exponentials.
+
+    The top block row of exp([[A, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0])
+    is (e^A, phi_1(A), phi_2(A), phi_3(A)).
+    """
+    eye = np.eye(3)
+    w = np.zeros((12, 12), complex)
+    w[:3, :3] = lin * dt
+    for j in range(3):
+        w[3 * j:3 * j + 3, 3 * j + 3:3 * j + 6] = eye
+    e, p1, p2, p3 = np.split(_expm(w)[:3], 4, axis=1)
+    half = np.zeros((6, 6), complex)
+    half[:3, :3], half[:3, 3:] = 0.5 * lin * dt, eye
+    e_half, q1 = np.split(_expm(half)[:3], 2, axis=1)
+    return [e, e_half, 0.5 * dt * q1, dt * (p1 - 3 * p2 + 4 * p3), 2 * dt * (p2 - 2 * p3),
+            dt * (4 * p3 - p2)]
+
+
+def _critical_k(n, re, dt):
+    """The K at which mode (1, 0) of an n grid is critically damped: delta = 0."""
+    h = 2 * np.pi / n
+    c = 0.5 * dt / re * (2 * np.cos(2 * np.pi / n) - 2) / h**2
+    return c * c / (np.sin(2 * np.pi / n) / h * dt) ** 2
+
+
+# (n, re, k, dt): oscillatory modes with |delta| up to ~30, critical damping
+# (delta -> 0) and both sides of the switch to the contour mean at |delta| =
+# 1/4, and overdamped modes whose slow eigenvalue is near zero
+COEFFICIENT_CASES = (
+    (8, 100.0, 1e5, 0.05),
+    (9, 100.0, 1e4, 0.05),
+    *((8, 1.0, _critical_k(8, 1.0, 2.0) * f, 2.0) for f in (1.0, 1 + 1e-9, 0.93, 1.07, 1.5)),
+    (8, 0.01, 1.0, 0.1),
+)
+
+
+@pytest.mark.parametrize("n, re, k, dt", COEFFICIENT_CASES)
+def test_etd_coefficients_match_a_matrix_exponential_on_every_mode(n, re, k, dt):
+    # every mode of a small grid: the constant mode and, on even n, the
+    # checkerboard modes with sigma = 0 are among them
+    h = 2 * np.pi / n
+    coef = etd_coefficients(ModelConfig(model="temam", re=re, k=k), n, h, dt)
+    sin_x, sin_y, lap = stencil_symbols(n, h)
+    for i in range(n):
+        for j in range(n // 2 + 1):
+            sx, sy, nu_lap = sin_x[i, 0] / h, sin_y[0, j] / h, lap[i, j] / re
+            lin = np.array([[nu_lap, 0, -1j * sx], [0, nu_lap, -1j * sy],
+                            [-1j * k * sx, -1j * k * sy, 0]])
+            for (a, m, g, d), want in zip(coef[:, :, i, j], _reference_functions(lin, dt)):
+                got = np.array([[a + m * sx * sx, m * sx * sy, -1j * g * sx],
+                                [m * sx * sy, a + m * sy * sy, -1j * g * sy],
+                                [-1j * k * g * sx, -1j * k * g * sy, d]])
+                assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def _etd_run(state0, cfg, forcing, steps, dt):
+    """Packed (vx, vy, p) after ``steps`` ETDRK4 steps, whatever the size of dt."""
+    g, h = state0.grid, state0.grid.spacing
+    etd, force = ETDRK4(cfg, g.n, h, dt), forcing.sampler(g, state0.time)
+    lag = np.zeros((2, g.n, g.n))
+
+    def rates(y, t, out):
+        return temam_rhs(y, force(t), cfg, h, out, lag)
+
+    y, t = pack_state(state0), state0.time
+    for _ in range(steps):
+        y, r1 = etd.step(rates, y, t)
+        t += dt
+        if r1 is not None:
+            np.copyto(lag, r1[:2])
+    return y
+
+
+@pytest.mark.parametrize("cfg", [c for c in ORACLE_CONFIGS if c.model == "temam"])
+def test_etd_agrees_with_rk4_at_a_sound_resolved_step(cfg):
+    # same step for both, so galilean_alt lags the same acceleration;
+    # RK4's own time error at stable_dt / 8 is about 2e-9 here.  The force
+    # varies in time, so the stage times count.
+    g = make_grid(16)
+    forcing = ForcingSpec.from_callable(
+        lambda X, Y, t: (np.cos(20 * t) * np.sin(X) * np.cos(2 * Y), np.sin(20 * t) * np.cos(Y)))
+    state0 = _smooth_state(g)
+    dt = stable_dt(state0, cfg) / 8.0
+    steps = round(0.1 / dt)
+    etd = _etd_run(state0, cfg, forcing, steps, dt)
+    rk4 = pack_state(simulate(state0, cfg, forcing, steps * dt, dt=dt)[0])
+    assert np.abs(etd[:2] - rk4[:2]).max() < 1e-8
+    assert np.abs(etd[2] - rk4[2]).max() < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(8, 24), log_k=st.floats(1.0, 4.5), seed=st.integers(0, 2**32 - 1),
+       extra_force=st.sampled_from(("temam", "none")),
+       transport=st.sampled_from(("partial", "material")))
+def test_etd_is_within_rk4s_own_time_error_on_random_grids(n, log_k, seed, extra_force, transport):
+    # ETD treats the stiff part exactly, so at a step RK4 resolves it is off
+    # RK4 by at most RK4's own error, estimated against RK4 at half the step
+    cfg = ModelConfig(model="temam", re=100.0, k=10.0**log_k, extra_force=extra_force,
+                      pressure_transport=transport)
+    state0 = random_smooth_state(make_grid(n), seed=seed, modes=3, amplitude=0.3)
+    forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
+    dt = stable_dt(state0, cfg) / 8.0
+    etd = _etd_run(state0, cfg, forcing, 16, dt)[:2]
+    rk4, rk4_half = (pack_state(simulate(state0, cfg, forcing, 16 * dt, dt=d)[0])[:2]
+                     for d in (dt, dt / 2.0))
+    assert np.abs(etd - rk4).max() <= 2.0 * np.abs(rk4_half - rk4).max() + 1e-13
+
+
+def test_a_step_up_to_the_acoustic_bound_is_still_bitwise_rk4(monkeypatch):
+    g = make_grid(16)
+    forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
+    state0 = _smooth_state(g)
+    cfg = ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt")
+    h, acoustic = g.spacing, g.spacing / np.sqrt(cfg.k)
+    final, _, dt = simulate(state0, cfg, forcing, 4 * acoustic, dt=acoustic)
+    assert dt == acoustic
+
+    force, lag = forcing.sampler(g, 0.0), np.zeros((2, 16, 16))
+    y, work = pack_state(state0), np.empty((5, 3, 16, 16))
+    for i in range(4):
+        y, k1 = step_rk4(lambda ys, t, out: temam_rhs(ys, force(t), cfg, h, out, lag),
+                         y, i * dt, dt, work)
+        np.copyto(lag, k1[:2])
+    assert all(_same_bits(a, b) for a, b in zip(_arrays(final), y))
+
+    # one ulp past the bound, the same run takes ETD steps
+    etd_steps, etd_step = [], ETDRK4.step
+
+    def counted(self, *args):
+        etd_steps.append(1)
+        return etd_step(self, *args)
+
+    monkeypatch.setattr(ETDRK4, "step", counted)
+    above = np.nextafter(acoustic, np.inf)
+    simulate(state0, cfg, forcing, 4 * above, dt=above)
+    assert len(etd_steps) == 4
+
+
+def test_etd_run_names_the_advective_bound_before_any_sample_is_non_finite():
+    # from rest, a uniform force A accelerates the mean flow only, so the
+    # step from t = i dt starts at |v| = A i dt; with dt = 0.1 > h / sqrt(K)
+    # and A = 10 the first step past h / |v| is the one from t = 0.4
+    g = make_grid(16)
+    push = ForcingSpec.from_callable(lambda X, Y, t: (10.0 + 0.0 * X, 0.0 * X))
+    seen = []
+    with pytest.raises(SimulationBlowupError, match="advective bound") as info:
+        simulate(State.rest(g), TEMAM, push, 2.0, dt=0.1, observer=seen.append)
+    assert str(info.value).startswith("step past the advective bound at t=0.4 with dt=1.000e-01")
+    assert [round(s.time, 12) for s in seen] == [0.0, 0.1, 0.2, 0.3, 0.4]
+    assert all(np.isfinite(_arrays(s)).all() for s in seen)
