@@ -126,15 +126,49 @@ def _shift_cells(grid: Grid, wx: float, wy: float, t: float) -> tuple[float, flo
     return wx * t / h, wy * t / h
 
 
-def _cubic_weights(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _cubic_weights(f: np.ndarray) -> np.ndarray:
     f2 = f * f
     f3 = f2 * f
-    return (
+    return np.array([
         0.5 * (-f3 + 2.0 * f2 - f),
         0.5 * (3.0 * f3 - 5.0 * f2 + 2.0),
         0.5 * (-3.0 * f3 + 4.0 * f2 + f),
         0.5 * (f3 - f2),
-    )
+    ])
+
+
+def _interp_taps(px: np.ndarray, py: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and weights, each (16, m), of the Catmull-Rom taps at m positions.
+
+    Tap 4a + b is node (i - 1 + a, j - 1 + b), wrapped periodically,
+    where node (i, j) is the nearest one below and left of the position;
+    positions are in physical units.
+    """
+    u = np.array([np.ravel(px), np.ravel(py)]) / grid.spacing - 0.5
+    i = np.floor(u).astype(int)
+    nodes = np.mod(i + np.arange(-1, 3)[:, None, None], grid.n)  # (4, 2, m)
+    w = _cubic_weights(u - i)
+    flat = (nodes[:, None, 0] * grid.n + nodes[None, :, 1]).reshape(16, -1)
+    weights = (w[:, None, 0] * w[None, :, 1]).reshape(16, -1)
+    return flat, weights
+
+
+def _gather(taps: tuple[np.ndarray, np.ndarray], *fields: np.ndarray) -> list[np.ndarray]:
+    """Each (n, n) field interpolated through one set of taps.
+
+    The taps are summed in order from zero, one row at a time; a single
+    reduction would switch to pairwise summation when m is one.
+    """
+    flat, weights = taps
+    out = []
+    for values in fields:
+        terms = np.take(values.ravel(), flat)
+        terms *= weights
+        total = np.zeros(flat.shape[1])
+        for term in terms:
+            total += term
+        out.append(total)
+    return out
 
 
 def _periodic_interp(values: np.ndarray, px: np.ndarray, py: np.ndarray, grid: Grid) -> np.ndarray:
@@ -145,34 +179,20 @@ def _periodic_interp(values: np.ndarray, px: np.ndarray, py: np.ndarray, grid: G
     interpolated samples in time, and the kinks of a merely continuous
     interpolant would contribute an error that does not refine.
     """
-    h = grid.spacing
-    n = grid.n
-    ux = px / h - 0.5
-    uy = py / h - 0.5
-    ix = np.floor(ux).astype(int)
-    iy = np.floor(uy).astype(int)
-    wx = _cubic_weights(ux - ix)
-    wy = _cubic_weights(uy - iy)
-    out = np.zeros_like(ux, dtype=np.float64)
-    for a in range(4):
-        rows = np.mod(ix - 1 + a, n)
-        for b in range(4):
-            cols = np.mod(iy - 1 + b, n)
-            out += wx[a] * wy[b] * values[rows, cols]
-    return out
+    return _gather(_interp_taps(px, py, grid), values)[0].reshape(np.shape(px))
 
 
-def _resample_shifted(values: np.ndarray, grid: Grid, sx: float, sy: float) -> np.ndarray:
-    """Sample a field at positions displaced by (-sx, -sy) grid cells.
+def _resample_shifted(grid: Grid, sx: float, sy: float, *fields: np.ndarray) -> list[np.ndarray]:
+    """Sample each field at positions displaced by (-sx, -sy) grid cells.
 
     Integer shifts reduce to an exact roll; anything else falls back to
-    cubic interpolation.
+    cubic interpolation through one set of taps.
     """
     if _is_on_grid(sx, sy):
-        return np.roll(values, (round(sx), round(sy)), axis=(0, 1))
+        return [np.roll(values, (round(sx), round(sy)), axis=(0, 1)) for values in fields]
     X, Y = grid.mesh()
-    h = grid.spacing
-    return _periodic_interp(values, X - sx * h, Y - sy * h, grid)
+    taps = _interp_taps(X - sx * grid.spacing, Y - sy * grid.spacing, grid)
+    return [values.reshape(X.shape) for values in _gather(taps, *fields)]
 
 
 def _is_on_grid(sx: float, sy: float) -> bool:
@@ -189,10 +209,8 @@ def galilean_boost(state: State, w: tuple[float, float]) -> State:
     wx, wy = float(w[0]), float(w[1])
     grid = state.grid
     sx, sy = _shift_cells(grid, wx, wy, state.time)
-    v_x = _resample_shifted(state.v.x, grid, sx, sy) + wx
-    v_y = _resample_shifted(state.v.y, grid, sx, sy) + wy
-    p = _resample_shifted(state.p.values, grid, sx, sy)
-    return State(VectorField(grid, v_x, v_y), ScalarField(grid, p), state.time)
+    v_x, v_y, p = _resample_shifted(grid, sx, sy, state.v.x, state.v.y, state.p.values)
+    return State(VectorField(grid, v_x + wx, v_y + wy), ScalarField(grid, p), state.time)
 
 
 @dataclass(frozen=True)
@@ -233,11 +251,7 @@ def galilean_invariance_report(
     sx, sy = _shift_cells(grid, wx, wy, state.time)
 
     def moved(field: VectorField, cx: float, cy: float) -> VectorField:
-        return VectorField(
-            grid,
-            _resample_shifted(field.x, grid, cx, cy),
-            _resample_shifted(field.y, grid, cx, cy),
-        )
+        return VectorField(grid, *_resample_shifted(grid, cx, cy, field.x, field.y))
 
     v_boosted = galilean_boost(state, (wx, wy)).v
     # chain rule: the boosted-frame Eulerian derivative loses (w . grad) v
@@ -282,6 +296,9 @@ class ParticleSet:
         m = pos.shape[0]
         if jac.shape != (m,) or wts.shape != (m,):
             raise ValueError("jacobians and weights must match the particle count")
+        for name, arr in (("positions", pos), ("jacobians", jac), ("weights", wts)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if not (jac > 0.0).all():
             raise ValueError("jacobians must be positive")
         object.__setattr__(self, "positions", pos)
@@ -341,7 +358,9 @@ def transport_check(
     largest pointwise discrepancy.  When ``rho_fields`` holds a density
     co-evolved under the full mass balance (starting from rho_star),
     the Jacobian is also recovered as rho*/rho at the particles and the
-    worst disagreement between the two routes is reported.
+    worst disagreement between the two routes is reported.  Each set of
+    positions (an RK4 stage, an even sample) builds its interpolation
+    taps once and gathers every field it needs through them.
     """
     if len(trajectory) < 5:
         raise ValueError("transport check needs at least five samples")
@@ -358,20 +377,12 @@ def transport_check(
     dt = _uniform_dt(times)
     div_fields = [divergence(s.v).values for s in trajectory]
 
-    def vel_at(idx: int, pos: np.ndarray) -> np.ndarray:
-        s = trajectory[idx]
-        return np.column_stack([
-            _periodic_interp(s.v.x, pos[:, 0], pos[:, 1], grid),
-            _periodic_interp(s.v.y, pos[:, 0], pos[:, 1], grid),
-        ])
-
-    def div_at(idx: int, pos: np.ndarray) -> np.ndarray:
-        return _periodic_interp(div_fields[idx], pos[:, 0], pos[:, 1], grid)
-
     def path_rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
         idx = round(t / dt)  # every stage time is a sample time
-        out[:, :2] = vel_at(idx, y[:, :2])
-        out[:, 2] = y[:, 2] * div_at(idx, y[:, :2])
+        v = trajectory[idx].v
+        taps = _interp_taps(y[:, 0], y[:, 1], grid)
+        out[:, 0], out[:, 1], div_at = _gather(taps, v.x, v.y, div_fields[idx])
+        out[:, 2] = y[:, 2] * div_at
 
     # advect (x, y, J) with RK4 over pairs of intervals; positions live at even samples
     y = np.column_stack([particles.positions, particles.jacobians])
@@ -388,56 +399,41 @@ def transport_check(
         even_jacobians.append(y[:, 2])
 
     half_rho = 0.5 * rho_star
-
-    def region_energy(eidx: int) -> float:
-        pos_e = even_positions[eidx]
-        jac_e = even_jacobians[eidx]
-        vel = vel_at(2 * eidx, pos_e)
-        speed_sq = vel[:, 0] ** 2 + vel[:, 1] ** 2
-        return float(np.sum(particles.weights * jac_e * half_rho * speed_sq))
-
-    def region_power(eidx: int) -> float:
-        idx = 2 * eidx
-        s = trajectory[idx]
-        before, after = trajectory[idx - 1], trajectory[idx + 1]
-        conv = convection(s.v)
-        accel_x = (after.v.x - before.v.x) / (2.0 * dt) + conv.x
-        accel_y = (after.v.y - before.v.y) / (2.0 * dt) + conv.y
-        pos_e = even_positions[eidx]
-        jac_e = even_jacobians[eidx]
-        vel = vel_at(idx, pos_e)
-        ax = _periodic_interp(accel_x, pos_e[:, 0], pos_e[:, 1], grid)
-        ay = _periodic_interp(accel_y, pos_e[:, 0], pos_e[:, 1], grid)
-        dv = div_at(idx, pos_e)
-        fx = rho_star * ax + half_rho * dv * vel[:, 0]
-        fy = rho_star * ay + half_rho * dv * vel[:, 1]
-        power = fx * vel[:, 0] + fy * vel[:, 1]
-        return float(np.sum(particles.weights * jac_e * power))
-
     n_even = len(even_positions)
-    lhs_list, rhs_list, t_list = [], [], []
-    for e in range(1, n_even - 1):
-        lhs_list.append((region_energy(e + 1) - region_energy(e - 1)) / (2.0 * big))
-        rhs_list.append(region_power(e))
-        t_list.append(times[2 * e])
-    lhs = np.array(lhs_list)
-    rhs = np.array(rhs_list)
+    energy, power = np.empty(n_even), np.empty(n_even)
+    worst = 0.0
+    for e, (pos_e, jac_e) in enumerate(zip(even_positions, even_jacobians)):
+        idx = 2 * e
+        v = trajectory[idx].v
+        fields = [v.x, v.y]
+        interior = 0 < e < n_even - 1
+        if interior:
+            before, after = trajectory[idx - 1].v, trajectory[idx + 1].v
+            conv = convection(v)
+            fields += [
+                (after.x - before.x) / (2.0 * dt) + conv.x,
+                (after.y - before.y) / (2.0 * dt) + conv.y,
+                div_fields[idx],
+            ]
+        if rho_fields is not None:
+            fields.append(rho_fields[idx].values)
+        vx, vy, *at = _gather(_interp_taps(pos_e[:, 0], pos_e[:, 1], grid), *fields)
+        energy[e] = np.sum(particles.weights * jac_e * half_rho * (vx**2 + vy**2))
+        if interior:
+            ax, ay, dv = at[:3]
+            fx = rho_star * ax + half_rho * dv * vx
+            fy = rho_star * ay + half_rho * dv * vy
+            power[e] = np.sum(particles.weights * jac_e * (fx * vx + fy * vy))
+        if rho_fields is not None:
+            worst = max(worst, float(np.abs(jac_e - rho_star / at[-1]).max()))
 
-    j_gap = None
-    if rho_fields is not None:
-        worst = 0.0
-        for e in range(n_even):
-            rho_vals = rho_fields[2 * e].values
-            pos_e = even_positions[e]
-            rho_at = _periodic_interp(rho_vals, pos_e[:, 0], pos_e[:, 1], grid)
-            worst = max(worst, float(np.abs(even_jacobians[e] - rho_star / rho_at).max()))
-        j_gap = worst
-
+    lhs = (energy[2:] - energy[:-2]) / (2.0 * big)
+    rhs = power[1:-1]
     return TransportReport(
-        times=np.array(t_list),
+        times=times[2:-2:2],
         lhs=lhs,
         rhs=rhs,
-        gap=float(np.abs(lhs - rhs).max()) if len(lhs) else 0.0,
-        jacobian_route_gap=j_gap,
+        gap=float(np.abs(lhs - rhs).max()),
+        jacobian_route_gap=worst if rho_fields is not None else None,
         under_resolved=under_resolved,
     )

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qins import diagnostics
 from qins.diagnostics import (
     GalileanReport,
     ParticleSet,
+    _gather,
+    _interp_taps,
     _periodic_interp,
     divergence_norm,
     energy_audit,
@@ -14,6 +19,7 @@ from qins.diagnostics import (
     transport_check,
 )
 from qins.fields import ScalarField, VectorField, l2_norm, make_grid
+from qins.harness.experiments import simulate_with_density
 from qins.models import ForcingSpec, ModelConfig, State, simulate, stable_dt
 from qins.operators import divergence
 
@@ -206,6 +212,61 @@ def test_interpolation_wraps_periodically():
     np.testing.assert_allclose(shifted, inside, atol=1e-12)
 
 
+# The 16-tap loop that the shared taps replaced; the gather must
+# reproduce it bit for bit.
+
+
+def _loop_interp(values, px, py, grid):
+    def cubic(f):
+        f2 = f * f
+        f3 = f2 * f
+        return (
+            0.5 * (-f3 + 2.0 * f2 - f),
+            0.5 * (3.0 * f3 - 5.0 * f2 + 2.0),
+            0.5 * (-3.0 * f3 + 4.0 * f2 + f),
+            0.5 * (f3 - f2),
+        )
+
+    h = grid.spacing
+    n = grid.n
+    ux = px / h - 0.5
+    uy = py / h - 0.5
+    ix = np.floor(ux).astype(int)
+    iy = np.floor(uy).astype(int)
+    wx = cubic(ux - ix)
+    wy = cubic(uy - iy)
+    out = np.zeros_like(ux, dtype=np.float64)
+    for a in range(4):
+        rows = np.mod(ix - 1 + a, n)
+        for b in range(4):
+            cols = np.mod(iy - 1 + b, n)
+            out += wx[a] * wy[b] * values[rows, cols]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    m=st.integers(1, 300),
+    channels=st.integers(1, 6),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tap_gather_equals_the_16_tap_loop_bitwise(n, m, channels, scale, seed):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    free = rng.uniform(-3.0 * g.period, 3.0 * g.period, (2, m))
+    edges = rng.integers(-3 * n, 3 * n, (2, m)) * g.spacing
+    # per coordinate: anywhere, on a node, or on a cell edge, in any period
+    kind = rng.integers(0, 3, (2, m))
+    px, py = np.where(kind == 0, free, np.where(kind == 1, edges + 0.5 * g.spacing, edges))
+    fields = scale * rng.standard_normal((channels, n, n))
+    gathered = _gather(_interp_taps(px, py, g), *fields)
+    assert len(gathered) == channels
+    for values, out in zip(fields, gathered):
+        assert out.tobytes() == _loop_interp(values, px, py, g).tobytes()
+
+
 # -- particle transport -------------------------------------------------------------
 
 
@@ -225,6 +286,15 @@ def test_particle_set_validation():
         ParticleSet(np.zeros((4, 2)), np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         ParticleSet(np.zeros((4, 2)), np.zeros(4), np.ones(4))
+
+
+@pytest.mark.parametrize("name", ["positions", "jacobians", "weights"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_particle_set_rejects_non_finite_values(name, bad):
+    arrays = {"positions": np.ones((4, 2)), "jacobians": np.ones(4), "weights": np.ones(4)}
+    arrays[name][-1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ParticleSet(**arrays)
 
 
 def _rigid_translation_trajectory(grid, speed, dt, samples):
@@ -272,3 +342,47 @@ def test_transport_check_drops_a_trailing_even_sample():
     rep = transport_check(traj, ps, TEMAM)
     # six samples truncate to five: one usable interior evaluation
     assert len(rep.times) == 1
+
+
+def _pinned_transport_inputs():
+    g = make_grid(16)
+    states, densities, _ = simulate_with_density(
+        _taylor_green_with_pulse(g), TEMAM, ForcingSpec.zero(), 0.2, 0.4
+    )
+    q = g.period / 4.0
+    seeds = ParticleSet.uniform(g.period, nx=8, ny=8, origin=(q, q), extent=(2.0 * q, 2.0 * q))
+    return states, seeds, densities
+
+
+def test_transport_check_report_is_pinned_bitwise():
+    states, seeds, densities = _pinned_transport_inputs()
+    assert len(states) == 14  # the trailing even sample is dropped
+    rep = transport_check(states, seeds, TEMAM, rho_fields=densities)
+    hexes = {
+        "times": ["0x1.f81f81f81f820p-6", "0x1.f81f81f81f820p-5", "0x1.7a17a17a17a18p-4",
+                  "0x1.f81f81f81f820p-4", "0x1.3b13b13b13b14p-3"],
+        "lhs": ["-0x1.11fc3b143b32ap+1", "-0x1.64a73d32f082dp+1", "-0x1.9c3d59017a02dp+0",
+                "0x1.28cedc05876a2p-1", "0x1.252a1f27cf698p+1"],
+        "rhs": ["-0x1.303f0c1d2f73cp+1", "-0x1.8bed95afb220cp+1", "-0x1.c4b3a4f9e59edp+0",
+                "0x1.623e89574a9e2p-1", "0x1.4e27b2c487cb1p+1"],
+    }
+    for name, expected in hexes.items():
+        assert [float(x).hex() for x in getattr(rep, name)] == expected
+    assert rep.gap.hex() == "0x1.47ec9ce5c30c8p-2"
+    assert rep.jacobian_route_gap.hex() == "0x1.fe33e011cc000p-15"
+    assert not rep.under_resolved
+
+
+def test_transport_check_builds_taps_once_per_position_set(monkeypatch):
+    states, seeds, densities = _pinned_transport_inputs()
+    built = []
+    real = diagnostics._interp_taps
+
+    def counted(px, py, grid):
+        built.append(np.size(px))
+        return real(px, py, grid)
+
+    monkeypatch.setattr(diagnostics, "_interp_taps", counted)
+    transport_check(states, seeds, TEMAM, rho_fields=densities)
+    # 13 usable samples: 6 RK4 steps of 4 stages, then 7 even samples
+    assert built == [seeds.positions.shape[0]] * (6 * 4 + 7)
