@@ -462,11 +462,13 @@ def simulate_with_density(
     grid, h = state0.grid, state0.grid.spacing
     force = forcing.sampler(grid, state0.time)
     rhs_work = np.empty((_TEMAM_WORK, grid.n, grid.n))
+    flux, dflux = np.empty((2, 2, grid.n, grid.n))
 
     def rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
         temam_rhs(y[:3], force(t), cfg, h, out[:3], work=rhs_work)
-        flux = y[3] * y[:2]
-        np.negative(_ddx(flux[0], h) + _ddy(flux[1], h), out=out[3])
+        np.multiply(y[3], y[:2], out=flux)
+        np.add(_ddx(flux[0], h, dflux[0]), _ddy(flux[1], h, dflux[1]), out=out[3])
+        np.negative(out[3], out=out[3])
 
     y = np.concatenate([pack_state(state0), np.ones((1, grid.n, grid.n))])
     t, work = state0.time, np.empty((5,) + y.shape)

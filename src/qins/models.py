@@ -417,16 +417,19 @@ def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> tuple:
     """One classical RK4 step of dy/dt = rates(y, t, out) for one array.
 
     ``work`` (shape ``(5,) + y.shape``) holds k1..k4 and the stage state, so
-    the stages allocate nothing.  The new array is checked finite once.
-    Returns ``(y_new, k1)``; k1 lives in ``work``, which the next step
-    overwrites.
+    the stages and the combination allocate nothing but ``y_new``.  The new
+    array is checked finite once.  Returns ``(y_new, k1)``; k1 lives in
+    ``work``, which the next step overwrites.
     """
     k1, k2, k3, k4, ys = np.empty((5,) + y.shape) if work is None else work
     rates(y, t, k1)
     rates(np.add(y, np.multiply(k1, 0.5 * dt, out=ys), out=ys), t + 0.5 * dt, k2)
     rates(np.add(y, np.multiply(k2, 0.5 * dt, out=ys), out=ys), t + 0.5 * dt, k3)
     rates(np.add(y, np.multiply(k3, dt, out=ys), out=ys), t + dt, k4)
-    y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)  # (dt/6)(k1 + 2k2 + 2k3 + k4) in k2
+    k2 += np.multiply(k3, 2.0, out=k3)
+    k2 += k4
+    y_new = y + np.multiply(k2, dt / 6.0, out=k2)
     if not np.isfinite(y_new).all():
         raise ValueError("RK4 step produced non-finite samples")
     return y_new, k1
@@ -646,14 +649,16 @@ def simulate(
         bounds = _step_bounds(h, state.v.max_abs(), cfg)
         dt = cfl * min(bounds["advective"], bounds["diffusive"])
     steps, dt_used = fixed_step(state, cfg, t_final, dt, cfl)
+    if forcing.kind != "callable":  # steady: evaluated once, for either path
+        forcing = ForcingSpec.from_field(forcing.evaluate(grid, state.time))
     force = forcing.sampler(grid, state.time)  # input errors surface here, not as a blow-up
-    y, t = pack_state(state), state.time
-    etd = None
-    if cfg.model == "temam" and dt_used > h / np.sqrt(cfg.k):
-        etd = ETDRK4(cfg, grid.n, h, dt_used)
-    work = None if etd else np.empty((5,) + y.shape)
-    rhs_work = np.empty((_TEMAM_WORK,) + y.shape[1:])
-    lag = np.zeros_like(y[:2])  # last step's acceleration, read by galilean_alt only
+    if cfg.model != "incompressible":  # the packed explicit path and its buffers
+        y, etd = pack_state(state), None
+        if cfg.model == "temam" and dt_used > h / np.sqrt(cfg.k):
+            etd = ETDRK4(cfg, grid.n, h, dt_used)
+        work = None if etd else np.empty((5,) + y.shape)
+        rhs_work = np.empty((_TEMAM_WORK,) + y.shape[1:])
+        lag = np.zeros_like(y[:2])  # last step's acceleration, read by galilean_alt only
 
     def rates(ys: np.ndarray, ts: float, out: np.ndarray) -> np.ndarray:
         if cfg.model == "compressible":

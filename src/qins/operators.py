@@ -2,7 +2,10 @@
 
 The stencils are slice kernels over the last two axes of any array (x,
 then y), so one call serves every channel of a packed ``(c, n, n)``
-state; they wrap with edge slices and write into ``out`` when given.
+state.  Along x they wrap with edge slices; along y each shift is one
+pass over the flattened array, after which the two wrap columns are
+written exactly.  They write into ``out`` when given, which the y
+kernels require C-contiguous (``ValueError`` otherwise).
 The field functions are thin façades over them.  The first-derivative
 operator is antisymmetric under the discrete inner product, which gives
 summation by parts exactly (up to round-off):
@@ -35,19 +38,40 @@ def _ddx(a: np.ndarray, h: float, out=None) -> np.ndarray:
     return out
 
 
-def _ddy(a: np.ndarray, h: float, out=None) -> np.ndarray:
+def _flat(a: np.ndarray, out) -> tuple:
+    """``a`` made C-contiguous, ``out`` (new if None), and the 1-D views of both."""
+    a = np.ascontiguousarray(a)
     out = np.empty_like(a) if out is None else out
-    _ddx(a.swapaxes(-1, -2), h, out.swapaxes(-1, -2))
+    if not out.flags.c_contiguous:  # its reshape would be a copy, losing the writes
+        raise ValueError("out must be C-contiguous")
+    return a, out, a.reshape(-1), out.reshape(-1)
+
+
+def _ddy(a: np.ndarray, h: float, out=None) -> np.ndarray:
+    """(a[j+1] - a[j-1]) / (2h): one pass over the flat array, then the wrap columns."""
+    a, out, af, of = _flat(a, out)
+    np.subtract(af[2:], af[:-2], out=of[1:-1])
+    np.subtract(a[..., 1], a[..., -1], out=out[..., 0])
+    np.subtract(a[..., 0], a[..., -2], out=out[..., -1])
+    out /= 2.0 * h
     return out
 
 
 def _lap(a: np.ndarray, h: float, out=None, tmp=None) -> np.ndarray:
-    """((((a[i+1] + a[i-1]) + a[j+1]) + a[j-1]) - 4a) / h^2; ``tmp`` holds 4a."""
-    out = _neighbours(np.add, a, np.empty_like(a) if out is None else out)
-    out[..., :-1] += a[..., 1:]
-    out[..., -1:] += a[..., :1]
-    out[..., 1:] += a[..., :-1]
-    out[..., :1] += a[..., -1:]
+    """((((a[i+1] + a[i-1]) + a[j+1]) + a[j-1]) - 4a) / h^2; ``tmp`` holds 4a.
+
+    Each y term is a flat pass; its wrap column is summed beforehand in
+    ``tmp`` and written back after it.
+    """
+    a, out, af, of = _flat(a, out)
+    _neighbours(np.add, a, out)
+    tmp = np.empty_like(a) if tmp is None else tmp
+    edge = np.add(out[..., -1], a[..., 0], out=tmp[..., 0])
+    of[:-1] += af[1:]
+    out[..., -1] = edge
+    edge = np.add(out[..., 0], a[..., -1], out=tmp[..., 0])
+    of[1:] += af[:-1]
+    out[..., 0] = edge
     out -= np.multiply(a, 4.0, out=tmp)
     out /= h * h
     return out

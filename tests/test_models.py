@@ -322,6 +322,41 @@ def test_rk4_local_error_is_fifth_order():
     assert 25.0 < ratio < 40.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    dt=st.floats(1e-6, 1.0),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_rk4_combines_the_stages_as_written(shape, dt, scale, seed):
+    rng = np.random.default_rng(seed)
+    y = scale * rng.standard_normal(shape)
+    c = rng.standard_normal(shape)
+
+    def rates(ys, t, out):
+        np.multiply(np.sin(ys), ys, out=out)
+        out += c * np.cos(t)
+
+    def rate(ys, t):
+        out = np.empty_like(ys)
+        rates(ys, t, out)
+        return out
+
+    t = 0.3
+    k1 = rate(y, t)
+    k2 = rate(y + k1 * (0.5 * dt), t + 0.5 * dt)
+    k3 = rate(y + k2 * (0.5 * dt), t + 0.5 * dt)
+    k4 = rate(y + k3 * dt, t + dt)
+    expected = (y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tobytes()
+    work = np.empty((5,) + y.shape)
+    y_new, first = step_rk4(rates, y, t, dt, work)
+    assert y_new.tobytes() == expected
+    assert first.tobytes() == k1.tobytes()  # galilean_alt lags this rate
+    assert step_rk4(rates, y, t, dt, work)[0].tobytes() == expected
+    assert step_rk4(rates, y, t, dt)[0].tobytes() == expected
+
+
 def test_simulate_trims_dt_to_land_on_t_final():
     g = make_grid(16)
     state = _taylor_green(g)

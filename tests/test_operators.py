@@ -8,7 +8,7 @@ smooth periodic function that is not a trig polynomial.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qins.fields import ScalarField, VectorField, integrate, inner_product, l2_norm, make_grid
@@ -215,14 +215,31 @@ def _roll_lap(a, h):
     scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=4, lead=[], h=1.0, scale=1.0, seed=0)
+@example(n=5, lead=[3], h=0.1, scale=1e8, seed=1)
 def test_slice_kernels_equal_the_roll_stencils_bitwise(n, lead, h, scale, seed):
-    a = scale * np.random.default_rng(seed).standard_normal((*lead, n, n))
-    for kernel, oracle in ((_ddx, _roll_ddx), (_ddy, _roll_ddy), (_lap, _roll_lap)):
-        expected = oracle(a, h).tobytes()
-        assert kernel(a, h).tobytes() == expected
-        out = np.full_like(a, np.nan)
-        assert kernel(a, h, out) is out
-        assert out.tobytes() == expected
+    rng = np.random.default_rng(seed)
+    a = scale * rng.standard_normal((*lead, n, n))
+    stack = scale * rng.standard_normal((6, n, n))
+    # contiguous, a transposed view, a strided stack, one channel of a packed (3, n, n)
+    for src in (a, a.swapaxes(-1, -2), stack[::2], stack[:3][1]):
+        for kernel, oracle in ((_ddx, _roll_ddx), (_ddy, _roll_ddy), (_lap, _roll_lap)):
+            expected = oracle(src, h).tobytes()
+            assert kernel(src, h).tobytes() == expected
+            out = np.full(src.shape, np.nan)
+            assert kernel(src, h, out) is out
+            assert out.tobytes() == expected
+
+
+@pytest.mark.parametrize("kernel", [_ddy, _lap])
+@pytest.mark.parametrize("view", ["transposed", "strided"])
+def test_y_kernels_refuse_a_non_contiguous_out(kernel, view):
+    # writing through reshape would land in a copy, so the kernel must refuse
+    a = np.random.default_rng(0).standard_normal((3, 8, 8))
+    out = np.zeros((3, 8, 8)).swapaxes(-1, -2) if view == "transposed" else np.zeros((6, 8, 8))[::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel(a, 0.5, out)
+    assert not out.any()
 
 
 @settings(max_examples=40, deadline=None)
