@@ -54,7 +54,7 @@ from ..models import (
     unpack_state,
 )
 from ..operators import _ddx, _ddy, divergence
-from .config import ExperimentConfig, config_echo
+from .config import ConfigError, ExperimentConfig, config_echo
 from .initial_conditions import initial_condition, taylor_green_exact, taylor_green_state
 from .io import RunTimer, write_json, write_manifest, write_snapshot, write_timeseries
 
@@ -71,6 +71,14 @@ def resolve_out_dir(cfg: ExperimentConfig, override: str | Path | None = None) -
 def _say(quiet: bool, msg: str) -> None:
     if not quiet:
         print(msg, flush=True)
+
+
+def _initial_state(spec, grid, t_final: float) -> State:
+    """The configured initial state, which must start before ``t_final``."""
+    state = initial_condition(spec, grid)
+    if state.time >= t_final:
+        raise ConfigError(f"initial state at t={state.time:g} is not before t_final={t_final:g}")
+    return state
 
 
 def _strictly_decreasing(seq) -> bool:
@@ -189,10 +197,11 @@ def run_k_sweep(
         model="incompressible", re=cfg.model.re, convection=cfg.model.convection
     )
     ref_steps, ref_dt = fixed_step(state0, cfg_ref, cfg.t_final, cfl=cfg.cfl)
+    force = forcing.sampler(grid, 0.0)
 
     def ref_rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
-        src = _momentum_source(VectorField(grid, y[0], y[1]), forcing.evaluate(grid, t), cfg_ref)
-        dv, _ = project_divergence_free(src)
+        src = _momentum_source(y, force(t), cfg_ref, grid.spacing)
+        dv, _ = project_divergence_free(VectorField(grid, src[0], src[1]))
         out[0], out[1] = dv.x, dv.y
 
     y, t = np.stack([v0.x, v0.y]), 0.0
@@ -282,11 +291,11 @@ def paired_energy_audit(
     the off-variant's residual can be compared directly against the
     dilatational defect the extra force exists to cancel.
     """
-    grid = make_grid(n)
-    state0 = initial_condition(ic_spec, grid)
+    state0 = _initial_state(ic_spec, make_grid(n), t_final)
     forcing = ForcingSpec.zero()
-    cfg_on = replace(model, model="temam", extra_force="temam")
-    cfg_off = replace(model, model="temam", extra_force="none")
+    base = replace(model, model="temam", k=model.k or 100.0)
+    cfg_on = replace(base, extra_force="temam")
+    cfg_off = replace(base, extra_force="none")
     dt_used = dt if dt is not None else stable_dt(state0, cfg_on, cfl)
     _, stored_on, dt_on = simulate(state0, cfg_on, forcing, t_final, dt=dt_used, store_every=1)
     _, stored_off, _ = simulate(state0, cfg_off, forcing, t_final, dt=dt_used, store_every=1)
@@ -385,7 +394,7 @@ def run_galilean(
         t_boost = cfg.t_final
     forcing = ForcingSpec.zero()
     base_model = replace(cfg.model, model="temam", k=cfg.model.k or 100.0)
-    state0 = initial_condition(cfg.initial_condition, grid)
+    state0 = _initial_state(cfg.initial_condition, grid, t_boost)
     state_r, _, dt_used = simulate(state0, base_model, forcing, t_boost, cfl=cfg.cfl)
     rep = galilean_invariance_report(state_r, cfg.boost_w, base_model)
     rel_gap_err = abs(rep.temam_gap - rep.temam_gap_closed_form) / max(
@@ -522,7 +531,7 @@ def run_transport_check(
     out = resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timer = RunTimer.start()
-    state0 = initial_condition(cfg.initial_condition, make_grid(cfg.n))
+    state0 = _initial_state(cfg.initial_condition, make_grid(cfg.n), cfg.t_final)
     model = replace(cfg.model, model="temam", k=cfg.model.k or 100.0)
     rep, samples, dt_used = particle_transport(
         state0, model, cfg.t_final, cfg.cfl, cfg.particles
@@ -570,8 +579,7 @@ def run_free_run(
     out = resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timer = RunTimer.start()
-    grid = make_grid(cfg.n)
-    state0 = initial_condition(cfg.initial_condition, grid)
+    state0 = _initial_state(cfg.initial_condition, make_grid(cfg.n), cfg.t_final)
     forcing = ForcingSpec.zero()
     # the budget differences the samples in time, so keep every run sound-resolved
     final, stored, dt_used = simulate(

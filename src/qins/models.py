@@ -2,7 +2,7 @@
 
 Three systems share one state (velocity, pressure, time):
 
-* ``incompressible``  - advanced by a Chorin-style projection step; the
+* ``incompressible``  - advanced by a Chorin projection step; the
   pressure is the Lagrange multiplier of the divergence constraint.
 * ``temam``           - quasi-incompressible relaxation: the pressure
   evolves by dp/dt = -K div v and the momentum equation may carry an
@@ -13,11 +13,12 @@ Three systems share one state (velocity, pressure, time):
 The systems are posed in dimensionless form, as in the paper, with the
 Reynolds number Re and the bulk modulus K as their parameters.
 
-``simulate`` picks the integrator from the step.  The temam model past
-its acoustic bound h / sqrt(K) steps ETDRK4 (``ETDRK4``), which takes the
-stiff linear part exactly per Fourier mode of the stencils, so by default
-only the advective and diffusive bounds limit its step.  Every other run,
-and every sound-resolved temam run, steps classical RK4 (``step_rk4``).
+``simulate`` marches every model as one packed (3, n, n) array.  The
+temam model past its acoustic bound h / sqrt(K) steps ETDRK4 (``ETDRK4``),
+which takes the stiff linear part exactly per Fourier mode of the
+stencils, so by default only the advective and diffusive bounds limit its
+step.  The incompressible model takes projection steps, and every other
+run classical RK4 (``step_rk4``).
 """
 
 from __future__ import annotations
@@ -199,6 +200,7 @@ def galilean_alt_force(state: State, dv_dt: VectorField, cfg: ModelConfig) -> Ve
 
 
 _TEMAM_WORK = 13  # channels of the work array temam_rhs needs
+_SOURCE_WORK = 6  # and those _momentum_source and incompressible_step need
 
 
 def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev=None,
@@ -291,18 +293,19 @@ def solve_pressure_poisson(rhs: np.ndarray, h: float) -> np.ndarray:
 
 def project_divergence_free(v: VectorField) -> tuple[VectorField, ScalarField]:
     """Remove the discrete-gradient part of v; returns (solenoidal v, potential)."""
-    phi = solve_pressure_poisson(divergence(v).values, v.grid.spacing)
-    phi_field = ScalarField(v.grid, phi)
-    return v - gradient(phi_field), phi_field
+    phi = ScalarField(v.grid, solve_pressure_poisson(divergence(v).values, v.grid.spacing))
+    return v - gradient(phi), phi
 
 
-def _momentum_source(v: VectorField, f: VectorField, cfg: ModelConfig) -> VectorField:
-    """Momentum right-hand side without the pressure: -(v.grad)v + (1/Re) lap v + f.
-
-    Callers evaluate f and keep it until their step ends: freed any earlier,
-    its arrays made a projection run at n = 128 page-fault five times as often.
-    """
-    return -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f
+def _momentum_source(v: np.ndarray, f, cfg: ModelConfig, h: float, out=None,
+                     work=None) -> np.ndarray:
+    """-(v.grad)v + (1/Re) lap v + f of packed (2, n, n) v; ``work`` is (6, n, n)."""
+    t, s, u = np.empty((3,) + v.shape) if work is None else (work[0:2], work[2:4], work[4:6])
+    out = _convection(v, h, cfg.convection, out, work=(t, s, u))
+    np.negative(out, out=out)
+    out += np.multiply(_lap(v, h, s, t), 1.0 / cfg.re, out=s)
+    out += f
+    return out
 
 
 def consistent_pressure(
@@ -315,27 +318,35 @@ def consistent_pressure(
     artificial acoustic transient.
     """
     f = forcing.evaluate(v.grid, t)
-    rhs = divergence(_momentum_source(v, f, cfg)).values
+    # field operators, not _momentum_source: the relaxed-stiff trace expects both in set-up
+    rhs = divergence(-convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f).values
     return ScalarField(v.grid, solve_pressure_poisson(rhs, v.grid.spacing))
 
 
-def incompressible_step(
-    state: State, forcing: ForcingSpec, cfg: ModelConfig, dt: float
-) -> State:
-    """One Chorin projection step of the incompressible system.
+def incompressible_step(y: np.ndarray, f, cfg: ModelConfig, h: float, dt: float,
+                        work=None) -> np.ndarray:
+    """One Chorin projection step of the incompressible system on packed (vx, vy, p).
 
-    Explicit advection-diffusion predictor, pressure Poisson solve
-    div(grad p) = div(v*) / dt, then correction v = v* - dt grad p.  The
-    returned pressure is the projection multiplier with mean zero.
+    Explicit advection-diffusion predictor v* = v + dt (-(v.grad)v + (1/Re)
+    lap v + f), pressure Poisson solve div(grad p) = div(v*) / dt, then
+    correction v = v* - dt grad p.  The new pressure is the projection
+    multiplier with mean zero; the old one is not read.  With ``work``
+    (6, n, n) only the new array and the solve allocate; it is checked finite once.
     """
     if cfg.model != "incompressible":
         raise ValueError(f"incompressible_step called with model {cfg.model!r}")
-    v, grid = state.v, state.grid
-    f = forcing.evaluate(grid, state.time)
-    v_star = v + dt * _momentum_source(v, f, cfg)
-    p = ScalarField(grid, solve_pressure_poisson(divergence(v_star).values / dt, grid.spacing))
-    v_new = v_star - dt * gradient(p)
-    return State(v_new, p, state.time + dt)
+    w = np.empty((_SOURCE_WORK,) + y.shape[1:]) if work is None else work
+    y_new = np.empty_like(y)
+    v_star = np.multiply(_momentum_source(y[:2], f, cfg, h, y_new[:2], w), dt, out=y_new[:2])
+    v_star += y[:2]
+    div = np.add(_ddx(v_star[0], h, w[0]), _ddy(v_star[1], h, w[1]), out=w[0])
+    y_new[2] = solve_pressure_poisson(np.divide(div, dt, out=div), h)
+    _ddx(y_new[2], h, w[0])
+    _ddy(y_new[2], h, w[1])
+    v_star -= np.multiply(w[:2], dt, out=w[:2])  # dt grad p
+    if not np.isfinite(y_new).all():
+        raise ValueError("projection step produced non-finite samples")
+    return y_new
 
 
 # -- time stepping -----------------------------------------------------------
@@ -376,15 +387,15 @@ def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None 
 def blowup_guard(v, t: float, h: float, cfg: ModelConfig, dt: float):
     """Re-raise a failed step from time ``t`` as SimulationBlowupError naming each bound.
 
-    ``v`` holds the velocity components the step starts from.  Overflow is
-    no anomaly to warn about: the steppers and the field constructors reject
+    ``v`` is the (2, n, n) velocity the step starts from.  Overflow is no
+    anomaly to warn about: the steppers and the field constructors reject
     non-finite samples with ``ValueError``, which is what is caught here.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except ValueError as exc:
-        raise _blowup_error("non-finite samples", _vmax(v), t, h, cfg, dt) from exc
+        raise _blowup_error("non-finite samples", float(np.abs(v).max()), t, h, cfg, dt) from exc
 
 
 def _advective_guard(v, t: float, h: float, cfg: ModelConfig, dt: float) -> None:
@@ -394,13 +405,9 @@ def _advective_guard(v, t: float, h: float, cfg: ModelConfig, dt: float) -> None
     fixed from the initial state, is what a run could outgrow; this names it
     before any sample turns non-finite.
     """
-    vmax = _vmax(v)
+    vmax = float(np.abs(v).max())
     if dt > _step_bounds(h, vmax, cfg)["advective"]:
         raise _blowup_error("step past the advective bound", vmax, t, h, cfg, dt)
-
-
-def _vmax(v) -> float:
-    return max(float(np.abs(c).max()) for c in v)
 
 
 def _blowup_error(what: str, vmax: float, t: float, h: float, cfg: ModelConfig,
@@ -636,11 +643,12 @@ def simulate(
     bound, dt > h / sqrt(K), steps ETDRK4, which treats the stiff linear
     part exactly, and refuses any step past the advective bound; so its
     default step is ``cfl`` times the advective and diffusive bounds only.
-    Every other explicit run steps classical RK4 (``step_rk4``), by default
-    at ``stable_dt``; the incompressible model takes projection steps.
+    The incompressible model takes projection steps (``incompressible_step``)
+    and every other run classical RK4 (``step_rk4``), by default at
+    ``stable_dt``.  A forcing that cannot be sampled raises before any step.
 
-    The explicit models march one packed (3, n, n) array with buffers the
-    run owns; States are built only for the observer and the results.
+    Every model marches one packed (3, n, n) array with buffers the run
+    owns; States are built only for the observer and the results.
 
     Returns ``(final_state, stored_states, dt_used)``.
     """
@@ -649,16 +657,15 @@ def simulate(
         bounds = _step_bounds(h, state.v.max_abs(), cfg)
         dt = cfl * min(bounds["advective"], bounds["diffusive"])
     steps, dt_used = fixed_step(state, cfg, t_final, dt, cfl)
-    if forcing.kind != "callable":  # steady: evaluated once, for either path
-        forcing = ForcingSpec.from_field(forcing.evaluate(grid, state.time))
     force = forcing.sampler(grid, state.time)  # input errors surface here, not as a blow-up
-    if cfg.model != "incompressible":  # the packed explicit path and its buffers
-        y, etd = pack_state(state), None
-        if cfg.model == "temam" and dt_used > h / np.sqrt(cfg.k):
-            etd = ETDRK4(cfg, grid.n, h, dt_used)
-        work = None if etd else np.empty((5,) + y.shape)
-        rhs_work = np.empty((_TEMAM_WORK,) + y.shape[1:])
-        lag = np.zeros_like(y[:2])  # last step's acceleration, read by galilean_alt only
+    y, t, etd, work = pack_state(state), state.time, None, None
+    projection = cfg.model == "incompressible"
+    if cfg.model == "temam" and dt_used > h / np.sqrt(cfg.k):
+        etd = ETDRK4(cfg, grid.n, h, dt_used)
+    elif not projection:
+        work = np.empty((5,) + y.shape)
+    rhs_work = np.empty((_SOURCE_WORK if projection else _TEMAM_WORK,) + y.shape[1:])
+    lag = None if projection else np.zeros_like(y[:2])  # last step's acceleration, for galilean_alt
 
     def rates(ys: np.ndarray, ts: float, out: np.ndarray) -> np.ndarray:
         if cfg.model == "compressible":
@@ -667,18 +674,17 @@ def simulate(
 
     stored: list[State] = []
     for i in range(steps + 1):
-        if i and cfg.model == "incompressible":
-            with blowup_guard((state.v.x, state.v.y), t, h, cfg, dt_used):
-                state = incompressible_step(state, forcing, cfg, dt_used)
-        elif i:
+        if i:
             if etd:
                 _advective_guard(y[:2], t, h, cfg, dt_used)
             with blowup_guard(y[:2], t, h, cfg, dt_used):
-                y, k1 = etd.step(rates, y, t) if etd else step_rk4(rates, y, t, dt_used, work)
+                if projection:
+                    y, k1 = incompressible_step(y, force(t), cfg, h, dt_used, rhs_work), None
+                else:
+                    y, k1 = etd.step(rates, y, t) if etd else step_rk4(rates, y, t, dt_used, work)
             if k1 is not None:
                 np.copyto(lag, k1[:2])
-            state = None  # built below only when it is read
-        t = state.time if state is not None else t + dt_used
+            t, state = t + dt_used, None  # the state is built below only when it is read
         keep = store_every and (i % store_every == 0 or i == steps)
         if state is None and (keep or observer is not None or i == steps):
             state = unpack_state(y, grid, t)

@@ -94,9 +94,10 @@ def stencil_symbols(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _convection(v: np.ndarray, h: float, form: str, out=None, dx=None, dy=None, work=None):
     """(v . grad) v of packed (2, n, n) v; dx, dy = _ddx(v), _ddy(v); work 3 of v's shape."""
-    t, s, u = (None, None, None) if work is None else work
-    out = np.multiply(_ddx(v, h) if dx is None else dx, v[0], out=out)
-    out += np.multiply(_ddy(v, h) if dy is None else dy, v[1], out=t)
+    # one block if missing: separate (2, n, n) temporaries page-fault afresh at n = 128
+    t, s, u = np.empty((3,) + v.shape) if work is None else work
+    out = np.multiply(_ddx(v, h, s) if dx is None else dx, v[0], out=out)
+    out += np.multiply(_ddy(v, h, u) if dy is None else dy, v[1], out=t)
     if form == "advective":
         return out
     if form != "skew":
@@ -136,18 +137,8 @@ def convection(v: VectorField, form: str = "advective") -> VectorField:
     vanishes identically, which makes it the right choice when a kinetic
     energy budget has to close without a convective contribution.
     """
-    # per component, not through _convection: its stacked (2, n, n)
-    # temporaries made an n = 128 projection run page-fault 100x as often
-    h = v.grid.spacing
-    adv_x = v.x * _ddx(v.x, h) + v.y * _ddy(v.x, h)
-    adv_y = v.x * _ddx(v.y, h) + v.y * _ddy(v.y, h)
-    if form == "advective":
-        return VectorField(v.grid, adv_x, adv_y)
-    if form == "skew":
-        div_x = _ddx(v.x * v.x, h) + _ddy(v.y * v.x, h)
-        div_y = _ddx(v.x * v.y, h) + _ddy(v.y * v.y, h)
-        return VectorField(v.grid, 0.5 * (adv_x + div_x), 0.5 * (adv_y + div_y))
-    raise ValueError(f"unknown convection form {form!r}")
+    out = _convection(np.stack([v.x, v.y]), v.grid.spacing, form)
+    return VectorField(v.grid, out[0], out[1])
 
 
 def grad_div(v: VectorField) -> VectorField:
@@ -157,21 +148,14 @@ def grad_div(v: VectorField) -> VectorField:
 
 def strain_frobenius_sq(v: VectorField) -> ScalarField:
     """Squared Frobenius norm of the velocity gradient, |grad v|^2."""
-    h = v.grid.spacing
-    return ScalarField(
-        v.grid,
-        _ddx(v.x, h) ** 2 + _ddy(v.x, h) ** 2 + _ddx(v.y, h) ** 2 + _ddy(v.y, h) ** 2,
-    )
+    a, h = np.stack([v.x, v.y]), v.grid.spacing
+    dx, dy = _ddx(a, h) ** 2, _ddy(a, h) ** 2
+    return ScalarField(v.grid, dx[0] + dy[0] + dx[1] + dy[1])
 
 
 def directional_derivative(w: tuple[float, float], s) -> "ScalarField | VectorField":
     """(w . grad) of a field for a constant direction w."""
-    h = s.grid.spacing
-    wx, wy = float(w[0]), float(w[1])
-    if isinstance(s, ScalarField):
-        return ScalarField(s.grid, wx * _ddx(s.values, h) + wy * _ddy(s.values, h))
-    return VectorField(
-        s.grid,
-        wx * _ddx(s.x, h) + wy * _ddy(s.x, h),
-        wx * _ddx(s.y, h) + wy * _ddy(s.y, h),
-    )
+    h, scalar = s.grid.spacing, isinstance(s, ScalarField)
+    a = s.values if scalar else np.stack([s.x, s.y])
+    d = float(w[0]) * _ddx(a, h) + float(w[1]) * _ddy(a, h)
+    return ScalarField(s.grid, d) if scalar else VectorField(s.grid, d[0], d[1])

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -465,3 +466,24 @@ def test_cli_snapshot_on_the_wrong_grid_is_a_config_error(tmp_path):
     ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
     cfg_path = _write_config(tmp_path, initial_condition=ic)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+
+
+def test_cli_energy_audit_without_a_bulk_modulus_falls_back_to_k_100(tmp_path):
+    # as the galilean and transport_check drivers do for the same model block
+    cfg_path = _write_config(tmp_path, experiment="energy_audit",
+                             model={"model": "incompressible", "re": 100.0})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert (out / MANIFEST_NAME).exists()
+
+
+def test_cli_snapshot_at_or_past_t_final_is_a_config_error(tmp_path, capsys):
+    state = taylor_green_state(make_grid(16))
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    for time in (0.05, 0.5):  # t_final is 0.05
+        write_snapshot(replace(state, time=time), tmp_path / "ic")
+        cfg_path = _write_config(tmp_path, initial_condition=ic)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"t={time:g}" in err and "t_final=0.05" in err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qins import models
 from qins.fields import ScalarField, VectorField, l2_norm, make_grid
 from qins.models import (
+    CONVECTION_FORMS,
     ETDRK4,
     ForcingSpec,
     ModelConfig,
@@ -184,7 +185,7 @@ def test_rhs_model_guards():
     with pytest.raises(ValueError):
         _rates(compressible_rhs, state, ForcingSpec.zero(), TEMAM)
     with pytest.raises(ValueError):
-        incompressible_step(state, ForcingSpec.zero(), TEMAM, 0.01)
+        incompressible_step(pack_state(state), 0.0, TEMAM, g.spacing, 0.01)
 
 
 def test_galilean_alt_force_scales_inversely_with_k():
@@ -285,9 +286,11 @@ def test_incompressible_step_keeps_divergence_at_round_off():
     g = make_grid(32)
     state = _smooth_state(g)  # compressive content on purpose
     cfg = ModelConfig(model="incompressible", re=100.0)
-    out = incompressible_step(state, ForcingSpec.zero(), cfg, dt=1e-3)
-    assert l2_norm(divergence(out.v)) < 1e-12
-    assert out.time == pytest.approx(1e-3)
+    y0 = pack_state(state)
+    y = incompressible_step(y0, 0.0, cfg, g.spacing, dt=1e-3)
+    assert l2_norm(divergence(unpack_state(y, g).v)) < 1e-12
+    assert np.abs(y[2].mean()) < 1e-15  # the projection multiplier, at mean zero
+    assert _same_bits(y0, pack_state(state))  # the input is left alone
 
 
 # -- time stepping -------------------------------------------------------------
@@ -452,11 +455,18 @@ def test_galilean_alt_reuses_the_first_stage_as_its_lag(monkeypatch):
 
 
 def test_forcing_on_the_wrong_grid_is_an_input_error_not_a_blowup():
+    # the forcing is sampled once before the first step, so input errors
+    # surface as ValueError there and never reach the blow-up guard
     table = ForcingSpec.from_field(VectorField.zeros(make_grid(16)))
+    wrong_shape = ForcingSpec.from_callable(lambda X, Y, t: (np.zeros((3, 3)), np.zeros((3, 3))))
     state = _smooth_state(make_grid(8))
-    for cfg in (TEMAM, ModelConfig(model="compressible", re=100.0, k=100.0)):
-        with pytest.raises(ValueError, match="wrong grid"):
-            simulate(state, cfg, table, 0.05)
+    for cfg in (TEMAM, ModelConfig(model="compressible", re=100.0, k=100.0),
+                ModelConfig(model="incompressible", re=100.0)):
+        for forcing, message in ((table, "wrong grid"), (wrong_shape, "broadcast")):
+            seen = []
+            with pytest.raises(ValueError, match=message):
+                simulate(state, cfg, forcing, 0.05, observer=seen.append)
+            assert not seen
 
 
 # -- packed core against a field-level oracle ------------------------------------
@@ -484,6 +494,14 @@ def _field_rates(state, f, cfg, lag):
     if cfg.pressure_transport == "material":
         dp = dp - v.dot(gradient(p))
     return dv, dp
+
+
+def _field_chorin(state, f, cfg, dt):
+    """The Chorin projection step over fields: predictor, pressure solve, correction."""
+    v, g = state.v, state.grid
+    v_star = v + dt * (-convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f)
+    p = ScalarField(g, solve_pressure_poisson(divergence(v_star).values / dt, g.spacing))
+    return State(v_star - dt * gradient(p), p, state.time + dt)
 
 
 def _field_rk4(rates, y, t, dt):
@@ -554,6 +572,35 @@ def test_simulate_matches_the_field_level_rk4_bitwise(cfg, n):
 
         (v, p), (lag, _) = _field_rk4(rates, (s.v, s.p), s.time, dt)
         expected.append(State(v, p, s.time + dt))
+    for got, want in zip(stored, expected):
+        assert got.time == want.time
+        assert all(_same_bits(a, b) for a, b in zip(_arrays(got), _arrays(want)))
+    assert _share_no_memory(stored)
+
+
+ORACLE_FORCINGS = {
+    "trig": ForcingSpec.trig(0.7, kx=1, ky=2),
+    "callable": ForcingSpec.from_callable(
+        lambda X, Y, t: (np.cos(20 * t) * np.sin(X) * np.cos(2 * Y), np.sin(20 * t) * np.cos(Y))),
+}
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("forcing", sorted(ORACLE_FORCINGS))
+@pytest.mark.parametrize("form", CONVECTION_FORMS)
+def test_incompressible_simulate_matches_the_field_level_chorin_step_bitwise(form, forcing, n):
+    g = make_grid(n)
+    cfg = ModelConfig(model="incompressible", re=100.0, convection=form)
+    forcing = ORACLE_FORCINGS[forcing]
+    state0 = _smooth_state(g)
+    _, stored, dt = simulate(state0, cfg, forcing, 0.2, dt=stable_dt(state0, cfg) / 4.0,
+                             store_every=1)
+    assert len(stored) > 3
+
+    expected = [state0]
+    for _ in stored[1:]:
+        s = expected[-1]
+        expected.append(_field_chorin(s, forcing.evaluate(g, s.time), cfg, dt))
     for got, want in zip(stored, expected):
         assert got.time == want.time
         assert all(_same_bits(a, b) for a, b in zip(_arrays(got), _arrays(want)))
