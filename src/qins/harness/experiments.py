@@ -169,7 +169,8 @@ def run_k_sweep(
     develops is the model's own O(1/K) response, not a decaying acoustic
     transient of the data; without this preparation the sweep measures
     the (nearly K-independent) decay of the initial sound content
-    instead.  The reference trajectory integrates the projected
+    instead.  Every run starts at the initial state's time.  The
+    reference trajectory integrates the projected
     right-hand side with classical RK4 at its stable step, keeping its time
     error orders of magnitude below the K effects being compared.  The
     members take ``simulate``'s default step, so those past the acoustic
@@ -182,12 +183,12 @@ def run_k_sweep(
     timer = RunTimer.start()
     forcing = ForcingSpec.zero()
     grid = make_grid(cfg.n)
-    raw = initial_condition(cfg.initial_condition, grid)
+    raw = _initial_state(cfg.initial_condition, grid, cfg.t_final)
     base_model = replace(cfg.model, model="temam", k=cfg.model.k or cfg.k_list[0])
 
     v0, _ = project_divergence_free(raw.v)
-    p0 = consistent_pressure(v0, forcing, base_model)
-    state0 = State(v0, p0, 0.0)
+    p0 = consistent_pressure(v0, forcing, base_model, raw.time)
+    state0 = State(v0, p0, raw.time)
     preparation = {
         "div_norm_raw": l2_norm(divergence(raw.v)),
         "div_norm_prepared": l2_norm(divergence(v0)),
@@ -197,14 +198,14 @@ def run_k_sweep(
         model="incompressible", re=cfg.model.re, convection=cfg.model.convection
     )
     ref_steps, ref_dt = fixed_step(state0, cfg_ref, cfg.t_final, cfl=cfg.cfl)
-    force = forcing.sampler(grid, 0.0)
+    force = forcing.sampler(grid, state0.time)
 
     def ref_rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
         src = _momentum_source(y, force(t), cfg_ref, grid.spacing)
         dv, _ = project_divergence_free(VectorField(grid, src[0], src[1]))
         out[0], out[1] = dv.x, dv.y
 
-    y, t = np.stack([v0.x, v0.y]), 0.0
+    y, t = np.stack([v0.x, v0.y]), state0.time
     for _ in range(ref_steps):
         with blowup_guard(y, t, grid.spacing, cfg_ref, ref_dt):
             y, _ = step_rk4(ref_rates, y, t, ref_dt)
@@ -227,7 +228,7 @@ def run_k_sweep(
         return {
             "k": k,
             "dt": dt_used,
-            "steps": int(round(cfg.t_final / dt_used)),
+            "steps": int(round((cfg.t_final - state0.time) / dt_used)),
             "max_div_norm": peak[0],
             "terminal_velocity_diff": l2_norm(final.v - ref_v),
         }

@@ -204,7 +204,7 @@ _SOURCE_WORK = 6  # and those _momentum_source and incompressible_step need
 
 
 def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev=None,
-              work=None) -> np.ndarray:
+              work=None, _linear: bool = True) -> np.ndarray:
     """Right-hand side of the quasi-incompressible system on packed (vx, vy, p).
 
     Momentum: -(v.grad)v - grad p + (1/Re) lap v + f + extra force, with f
@@ -212,6 +212,8 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     transport term -v.grad p when the material form is configured.
     galilean_alt reads the lagged acceleration ``dv_dt_prev`` (None is zero).
     Given ``out`` and ``work`` (13, n, n), it allocates nothing.
+    ``_linear=False`` drops -grad p, (1/Re) lap v and -K div v, the linear
+    part ETDRK4 integrates exactly, and gives its N.
     """
     if cfg.model != "temam":
         raise ValueError(f"temam_rhs called with model {cfg.model!r}")
@@ -219,12 +221,14 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     w = np.empty((_TEMAM_WORK,) + y.shape[1:]) if work is None else work
     dx, dy, conv, t, lap, div = w[0:3], w[3:6], w[6:8], w[8:10], w[10:12], w[12]
     v, p, dv, grad_p = y[:2], y[2], out[:2], w[2:6:3]  # grad_p: channels 2 of dx and dy
-    _ddx(y, h, dx)
-    _ddy(y, h, dy)
+    c = 3 if _linear or cfg.pressure_transport == "material" else 2  # gradients read
+    _ddx(y[:c], h, dx[:c])
+    _ddy(y[:c], h, dy[:c])
     _convection(v, h, cfg.convection, conv, dx[:2], dy[:2], (t, lap, dv))
     np.negative(conv, out=dv)
-    dv -= grad_p
-    dv += np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap)
+    if _linear:
+        dv -= grad_p
+        dv += np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap)
     dv += f
     np.add(dx[0], dy[1], out=div)
     if cfg.extra_force == "temam":
@@ -232,7 +236,7 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     elif cfg.extra_force == "galilean_alt":
         accel = np.add(0.0 if dv_dt_prev is None else dv_dt_prev, conv, out=t)
         dv += np.multiply(accel, np.multiply(p, -1.0 / cfg.k, out=lap[0]), out=t)
-    np.multiply(div, -cfg.k, out=out[2])
+    np.multiply(div, -cfg.k if _linear else 0.0, out=out[2])
     if cfg.pressure_transport == "material":
         np.multiply(v, grad_p, out=t)
         t[0] += t[1]
@@ -447,7 +451,7 @@ _PHI3_SERIES = np.cumprod([1.0 / 6.0] + [1.0 / (j + 3) for j in range(1, 18)])
 
 
 def _phi(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """exp(z) and phi_1..phi_3(z), phi_k(z) = 1/k! + z phi_{k+1}(z), for complex z.
+    """exp(z) and phi_1..phi_3(z), phi_k(z) = 1/k! + z phi_{k+1}(z), for real or complex z.
 
     The closed forms lose digits where |z| < 1; there phi_3 is summed as a
     series and phi_2, phi_1 follow by the recurrence.
@@ -482,9 +486,10 @@ def _etd_functions(z: np.ndarray, dt: float) -> np.ndarray:
 
 
 _CONTOUR = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)  # unit circle, 32 points
+_MODES_PER_BLOCK = 4096  # modes per coefficient block: bounded temporaries, few calls
 
 
-def etd_coefficients(cfg: ModelConfig, n: int, h: float, dt: float) -> np.ndarray:
+def etd_coefficients(cfg: ModelConfig, symbols: tuple, h: float, dt: float) -> np.ndarray:
     """ETDRK4 coefficients of the temam model's linear part, per rfft2 mode.
 
     L(v, p) = (-grad p + lap v / Re, -K div v).  With s the symbol vector
@@ -492,40 +497,43 @@ def etd_coefficients(cfg: ModelConfig, n: int, h: float, dt: float) -> np.ndarra
     transverse velocity, which only decays (eigenvalue lap dt / Re = 2c),
     and the longitudinal velocity u = s.v / sigma with p, whose block of
     L dt is c I + B, B = [[c, -i sigma dt], [-i K sigma dt, -c]], B^2 =
-    delta^2 I, delta^2 = c^2 - K sigma^2 dt^2.  So any function of it is
-    g0 I + g1 B with real g0, g1: half sum and half divided difference of
-    the function at c +- delta, or, where |delta| < 1/4 and the divided
-    difference would cancel, a contour mean on the unit circle around c.
+    delta^2 I, delta^2 = c^2 - K sigma^2 dt^2.  So any function f of it is
+    g0 I + g1 B with real g0, g1: the half sum and the divided difference
+    of f at c +- delta, which for an oscillatory pair c +- i omega are
+    Re f(c + i omega) and Im f(c + i omega) / omega.  Where |delta| < 1/4
+    they are contour means around c.
 
-    Returns (6, 4, n, n//2 + 1) reals: for each function of
-    ``_etd_functions``, a (transverse factor), m ((uu entry - a) / sigma^2),
-    g (g1 dt) and d (pp entry), so that the function maps a mode (v, p) to
-    (a v + s (m s.v - i g p), d p - i K g s.v).
+    ``symbols`` is ``stencil_symbols(n, h)``.  Returns (6, 4, n, n//2 + 1)
+    reals: for each function of ``_etd_functions``, a (transverse factor),
+    m ((uu entry - a) / sigma^2), g (g1 dt) and d (pp entry), so that the
+    function maps a mode (v, p) to (a v + s (m s.v - i g p), d p - i K g s.v).
     """
-    sin_x, sin_y, lap = stencil_symbols(n, h)
-    sigma2 = (sin_x**2 + sin_y**2) / (h * h)
-    c = (0.5 * dt / cfg.re) * lap
+    sin_x, sin_y, lap = symbols
+    half = len(lap) // 2 + 1  # theta_x and -theta_x share their symbols, so mirror those rows
+    sigma2 = ((sin_x[:half] ** 2 + sin_y**2) / (h * h)).ravel()
+    c = ((0.5 * dt / cfg.re) * lap[:half]).ravel()
     delta2 = c * c - cfg.k * dt * dt * sigma2
     coef = np.zeros((6, 4) + lap.shape)
-    half = n // 2 + 1  # theta_x and -theta_x share their symbols, so mirror those rows
-    block = max(1, 512 // lap.shape[1])  # rows per block: small temporaries, few calls
-    for i in range(0, half, block):
-        rows = slice(i, min(i + block, half))
-        _coefficient_block(c[rows], delta2[rows], sigma2[rows], dt, coef[:, :, rows])
-    coef[:, :, half:] = coef[:, :, n - half:0:-1]
+    modes = coef[:, :, :half].reshape(6, 4, -1)  # a view
+    for i in range(0, c.size, _MODES_PER_BLOCK):
+        b = slice(i, i + _MODES_PER_BLOCK)
+        _coefficient_block(c[b], delta2[b], sigma2[b], dt, modes[:, :, b])
+    coef[:, :, half:] = coef[:, :, len(lap) - half:0:-1]
     return coef
 
 
 def _coefficient_block(c, delta2, sigma2, dt: float, coef: np.ndarray) -> None:
-    coef[:, 0] = _etd_functions(2.0 * c + 0j, dt).real
+    coef[:, 0] = _etd_functions(2.0 * c, dt)
     g1, g0 = coef[:, 2], coef[:, 3]  # turned into g and d at the end
-    near = np.abs(delta2) < 1.0 / 16.0
-    far = ~near
-    delta = np.sqrt(delta2[far] + 0j)
-    for sign in (1.0, -1.0):
-        values = _etd_functions(c[far] + sign * delta, dt)
-        g0[:, far] += 0.5 * values.real
-        g1[:, far] += (values * (0.5 * sign / delta)).real
+    osc, over = delta2 <= -1.0 / 16.0, delta2 >= 1.0 / 16.0
+    near = ~(osc | over)
+    omega = np.sqrt(-delta2[osc])
+    values = _etd_functions(c[osc] + 1j * omega, dt)  # f(c - i omega) is its conjugate
+    g0[:, osc], g1[:, osc] = values.real, values.imag / omega
+    if over.any():  # real c +- delta, where damping outweighs sound
+        delta = np.sqrt(delta2[over])
+        up, down = (_etd_functions(c[over] + sign * delta, dt) for sign in (1.0, -1.0))
+        g0[:, over], g1[:, over] = 0.5 * (up + down), (up - down) * (0.5 / delta)
     # (zI - cI - B)^-1 = ((z - c) I + B) / ((z - c)^2 - delta^2) on z = c + r
     r = _CONTOUR
     w = r / (r * r - delta2[near][:, None])
@@ -543,82 +551,91 @@ class ETDRK4:
     On the torus the stiff part of the temam model is linear with
     constant coefficients, L(v, p) = (-grad p + lap v / Re, -K div v), and
     the stencils' Fourier symbols diagonalise it (``etd_coefficients``).
-    Everything else is N = rate - L: convection, the extra force,
-    galilean_alt, the forcing and material pressure transport.  N comes
-    from the full right-hand side minus L applied to the same stage in
-    Fourier space, so there is one right-hand side to keep.  Scheme: Cox &
-    Matthews, J. Comput. Phys. 176 (2002), with the coefficients built as
-    in Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005).
-
-    Coefficients depend on dt, so one stepper serves one fixed step.  It
-    owns its buffers; ``step`` allocates only its stage arrays.
+    The rest, N, is convection, the extra force, galilean_alt, the forcing
+    and material pressure transport: ``temam_rhs`` without its linear lines,
+    evaluated directly.  The stages transform only the channels N reads and
+    writes, the velocity and, for galilean_alt or material transport, the
+    pressure.  Scheme: Cox & Matthews, J. Comput. Phys. 176 (2002), with
+    coefficients as in Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005).
+    The coefficients fix dt for the stepper; ``step`` allocates only the new state.
     """
 
     def __init__(self, cfg: ModelConfig, n: int, h: float, dt: float) -> None:
-        sin_x, sin_y, lap = stencil_symbols(n, h)
-        self.sx, self.sy, self.nu_lap = sin_x / h, sin_y / h, lap / cfg.re
-        self.k, self.dt = cfg.k, dt
-        self.coef = etd_coefficients(cfg, n, h, dt)
-        self.spectral = np.empty((5, 3) + lap.shape, dtype=complex)
-        # the first stage's rate outlives the step only as galilean_alt's lag
-        self.lagged = cfg.extra_force == "galilean_alt"
-        self.rates = np.empty((2 if self.lagged else 1, 3, n, n))
+        sin_x, sin_y, lap = symbols = stencil_symbols(n, h)
+        self.s = np.stack(np.broadcast_arrays(sin_x / h, sin_y / h))  # symbol vector
+        self.coef = etd_coefficients(cfg, symbols, h, dt)
+        self.ig, self.igk = -1j * self.coef[:, 2], (-1j * cfg.k) * self.coef[:, 2]
+        self.nu_lap, self.dt = lap / cfg.re, dt
+        reads_p = cfg.extra_force == "galilean_alt" or cfg.pressure_transport == "material"
+        self.channels = 3 if reads_p else 2  # those N reads and writes
+        self.spectral = np.empty((3, 3) + lap.shape, dtype=complex)  # stages
+        self.nonlinear = np.empty((4, self.channels) + lap.shape, dtype=complex)  # N of stages
+        self.scratch = np.empty((2, 2) + lap.shape, dtype=complex)
+        self.stage, self.rate = np.zeros((2, 3, n, n))
+        # the first stage's full velocity rate outlives the step only as galilean_alt's lag
+        self.lag = np.empty((2, n, n)) if cfg.extra_force == "galilean_alt" else None
 
     def _apply(self, which: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = (function ``which``)(L dt) z, mode by mode; ``out`` may be z."""
-        a, m, g, d = self.coef[which]
-        sv = self.sx * z[0] + self.sy * z[1]
-        t = m * sv - (1j * g) * z[2]
-        np.multiply(a, z[0], out=out[0])
-        out[0] += self.sx * t
-        np.multiply(a, z[1], out=out[1])
-        out[1] += self.sy * t
-        np.multiply(d, z[2], out=out[2])
-        out[2] -= (1j * self.k * g) * sv
+        """out = function ``which`` of L dt times z = (v, p), or (v) with p = 0; may be z.
+
+        Mode by mode that is (a v + s (m s.v - i g p), d p - i K g s.v).
+        """
+        a, m, _, d = self.coef[which]
+        (sv, t), sz = self.scratch
+        np.multiply(self.s, z[:2], out=sz)
+        np.add(sz[0], sz[1], out=sv)
+        np.multiply(m, sv, out=t)
+        if len(z) == 3:
+            t += np.multiply(self.ig[which], z[2], out=sz[0])
+            np.multiply(d, z[2], out=out[2])
+            out[2] += np.multiply(self.igk[which], sv, out=sz[0])
+        else:
+            np.multiply(self.igk[which], sv, out=out[2])
+        np.multiply(a, z[:2], out=out[:2])
+        out[:2] += np.multiply(self.s, t, out=sz)
         return out
 
-    def _nonlinear(self, rate: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = rfft2(rate) - L z: N of a stage whose transform is z."""
-        out[...] = np.fft.rfft2(rate)
-        out[0] += (1j * self.sx) * z[2] - self.nu_lap * z[0]
-        out[1] += (1j * self.sy) * z[2] - self.nu_lap * z[1]
-        out[2] += (1j * self.k) * (self.sx * z[0] + self.sy * z[1])
-        return out
+    def _stage(self, nonlinear, z: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """out = the transform of N at the stage whose transform is z."""
+        c = self.channels
+        np.fft.irfftn(z[:c], self.stage.shape[1:], axes=(-2, -1), out=self.stage[:c])
+        return np.fft.rfft2(nonlinear(self.stage, t, self.rate)[:c], out=out)
 
-    def step(self, rates, y: np.ndarray, t: float) -> tuple:
-        """One step of dy/dt = rates(y, t, out) from packed (vx, vy, p).
+    def step(self, nonlinear, y: np.ndarray, t: float) -> tuple:
+        """One step from packed (vx, vy, p); ``nonlinear(y, t, out)`` writes N at (y, t).
 
-        Returns ``(y_new, r1)`` like ``step_rk4``: r1 is the full rate at
-        (y, t), which lives in a buffer the next step overwrites, or None
-        unless the model reads it as galilean_alt's lag.
+        Returns ``(y_new, r1)`` like ``step_rk4``, r1 the full velocity rate
+        at (y, t) for galilean_alt's lag (a buffer the next step overwrites),
+        else None.
         """
         E, E_HALF, Q, F1, F2, F3 = range(6)
-        dt, shape = self.dt, y.shape[1:]
-        z, acc, nv, nx, a = self.spectral  # z: scratch and the b stage
-        r1, r = self.rates[0], self.rates[-1]
-        z[...] = np.fft.rfft2(y)
-        self._nonlinear(rates(y, t, r1), z, nv)
+        z, a, acc = self.spectral  # z: the transform of y, then scratch and the b stage
+        nv, na, nb, nd = self.nonlinear  # N(y), N(a), N(b) then N(c), differences
+        np.fft.rfft2(y, out=z)
+        np.fft.rfft2(nonlinear(y, t, self.rate)[:self.channels], out=nv)
+        if self.lag is not None:  # with L y, whose velocity part is lap v / Re - grad p
+            lv = np.multiply(self.nu_lap, z[:2]) + nv[:2] - 1j * self.s * z[2]
+            np.fft.irfftn(lv, y.shape[1:], axes=(-2, -1), out=self.lag)
         self._apply(E, z, acc)
         self._apply(E_HALF, z, a)
         a += self._apply(Q, nv, z)  # a = E_1/2 y + Q N(y)
         acc += self._apply(F1, nv, z)
-        self._nonlinear(rates(np.fft.irfft2(a, s=shape), t + 0.5 * dt, r), a, nx)
-        acc += self._apply(F2, nx, z)
-        np.subtract(nx, nv, out=z)
-        self._apply(Q, z, z)
+        self._stage(nonlinear, a, t + 0.5 * self.dt, na)
+        self._apply(Q, np.subtract(na, nv, out=nd), z)
         z += a  # b = E_1/2 y + Q N(a) = a + Q (N(a) - N(y))
-        self._nonlinear(rates(np.fft.irfft2(z, s=shape), t + 0.5 * dt, r), z, nx)
-        acc += self._apply(F2, nx, z)
-        np.multiply(nx, 2.0, out=z)
-        z -= nv
+        self._stage(nonlinear, z, t + 0.5 * self.dt, nb)
+        na += nb
+        acc += self._apply(F2, na, z)  # f2 weighs N(a) + N(b)
+        np.multiply(nb, 2.0, out=nd)
+        nd -= nv
         self._apply(E_HALF, a, a)
-        a += self._apply(Q, z, z)  # c = E_1/2 a + Q (2 N(b) - N(y))
-        self._nonlinear(rates(np.fft.irfft2(a, s=shape), t + dt, r), a, nx)
-        acc += self._apply(F3, nx, z)
-        y_new = np.fft.irfft2(acc, s=shape)
+        a += self._apply(Q, nd, z)  # c = E_1/2 a + Q (2 N(b) - N(y))
+        self._stage(nonlinear, a, t + self.dt, nb)
+        acc += self._apply(F3, nb, z)
+        y_new = np.fft.irfft2(acc, s=y.shape[1:])
         if not np.isfinite(y_new).all():
             raise ValueError("ETDRK4 step produced non-finite samples")
-        return y_new, r1 if self.lagged else None
+        return y_new, self.lag
 
 
 def simulate(
@@ -670,7 +687,7 @@ def simulate(
     def rates(ys: np.ndarray, ts: float, out: np.ndarray) -> np.ndarray:
         if cfg.model == "compressible":
             return compressible_rhs(ys, force(ts), cfg, h, out)
-        return temam_rhs(ys, force(ts), cfg, h, out, lag, rhs_work)
+        return temam_rhs(ys, force(ts), cfg, h, out, lag, rhs_work, _linear=etd is None)
 
     stored: list[State] = []
     for i in range(steps + 1):

@@ -487,3 +487,30 @@ def test_cli_snapshot_at_or_past_t_final_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"t={time:g}" in err and "t_final=0.05" in err
+
+
+def test_cli_k_sweep_starts_at_the_snapshot_time(tmp_path, capsys):
+    state = random_smooth_state(make_grid(16), seed=5, modes=2, amplitude=0.3)
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    sweep = {"experiment": "k_sweep", "k_list": [100.0, 1000.0], "initial_condition": ic}
+    # a t_final before the snapshot's time is a config error, as for free_run
+    write_snapshot(replace(state, time=0.5), tmp_path / "ic")
+    cfg_path = _write_config(tmp_path, t_final=0.2, **sweep)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "early"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "t=0.5" in err and "t_final=0.2" in err
+
+    # a later one marches the same span from the snapshot as a run from t = 0 does
+    reports = {}
+    for time in (0.0, 0.5):
+        write_snapshot(replace(state, time=time), tmp_path / "ic")
+        cfg_path = _write_config(tmp_path, t_final=time + 0.06, **sweep)
+        out = tmp_path / f"from_{time}"
+        assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        reports[time] = json.loads((out / "report.json").read_text())
+    zero, later = reports[0.0], reports[0.5]
+    assert later["reference"]["steps"] == zero["reference"]["steps"]
+    for a, b in zip(zero["members"], later["members"]):
+        assert b["steps"] == a["steps"]
+        for key in ("dt", "max_div_norm", "terminal_velocity_diff"):
+            assert b[key] == pytest.approx(a[key], rel=1e-9)

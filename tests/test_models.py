@@ -1,12 +1,15 @@
 """Model right-hand sides, the pressure solve, time stepping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qins import models
-from qins.fields import ScalarField, VectorField, l2_norm, make_grid
+from qins.diagnostics import divergence_norm
+from qins.fields import ScalarField, VectorField, integrate, l2_norm, make_grid
 from qins.models import (
     CONVECTION_FORMS,
     ETDRK4,
@@ -687,8 +690,8 @@ def test_etd_coefficients_match_a_matrix_exponential_on_every_mode(n, re, k, dt)
     # every mode of a small grid: the constant mode and, on even n, the
     # checkerboard modes with sigma = 0 are among them
     h = 2 * np.pi / n
-    coef = etd_coefficients(ModelConfig(model="temam", re=re, k=k), n, h, dt)
-    sin_x, sin_y, lap = stencil_symbols(n, h)
+    sin_x, sin_y, lap = symbols = stencil_symbols(n, h)
+    coef = etd_coefficients(ModelConfig(model="temam", re=re, k=k), symbols, h, dt)
     for i in range(n):
         for j in range(n // 2 + 1):
             sx, sy, nu_lap = sin_x[i, 0] / h, sin_y[0, j] / h, lap[i, j] / re
@@ -701,18 +704,113 @@ def test_etd_coefficients_match_a_matrix_exponential_on_every_mode(n, re, k, dt)
                 assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
+def _two_evaluation_coefficients(cfg, n, h, dt):
+    """etd_coefficients as first written: g0 and g1 from f at both c + delta and c - delta.
+
+    Complex arithmetic throughout, in blocks of rows, with the same
+    contour mean where |delta| < 1/4.
+    """
+    sin_x, sin_y, lap = stencil_symbols(n, h)
+    sigma2 = (sin_x**2 + sin_y**2) / (h * h)
+    c = (0.5 * dt / cfg.re) * lap
+    delta2 = c * c - cfg.k * dt * dt * sigma2
+    coef = np.zeros((6, 4) + lap.shape)
+    half = n // 2 + 1
+    block = max(1, 512 // lap.shape[1])
+    for i in range(0, half, block):
+        rows = slice(i, min(i + block, half))
+        c_, d2, s2, out = c[rows], delta2[rows], sigma2[rows], coef[:, :, rows]
+        out[:, 0] = models._etd_functions(2.0 * c_ + 0j, dt).real
+        g1, g0 = out[:, 2], out[:, 3]
+        near = np.abs(d2) < 1.0 / 16.0
+        far = ~near
+        delta = np.sqrt(d2[far] + 0j)
+        for sign in (1.0, -1.0):
+            values = models._etd_functions(c_[far] + sign * delta, dt)
+            g0[:, far] += 0.5 * values.real
+            g1[:, far] += (values * (0.5 * sign / delta)).real
+        r = models._CONTOUR
+        w = r / (r * r - d2[near][:, None])
+        values = models._etd_functions(c_[near][:, None] + r, dt)
+        g0[:, near] = (values * w * r).mean(axis=-1).real
+        g1[:, near] = (values * w).mean(axis=-1).real
+        np.divide(g0 + c_ * g1 - out[:, 0], s2, out=out[:, 1], where=s2 > 0.0)
+        g0 -= c_ * g1
+        g1 *= dt
+    coef[:, :, half:] = coef[:, :, n - half:0:-1]
+    return coef
+
+
+@pytest.mark.parametrize("n, re, k, dt", COEFFICIENT_CASES + (
+    (64, 100.0, 1e5, 0.04), (64, 100.0, 1e2, 0.04), (64, 100.0, 1e5, 1e-3), (64, 1.0, 1e3, 0.5)))
+def test_etd_coefficients_match_the_two_evaluation_build(n, re, k, dt):
+    # compared as what each coefficient adds to a mode, a, m sigma^2, g sigma
+    # and d, relative to the largest of them for the same function.  On even
+    # grids sin(pi) is 1.2e-16, not 0, so at the checkerboard modes m is a
+    # round-off difference over sigma^2 ~ 1e-32 in both builds.
+    h = 2 * np.pi / n
+    cfg = ModelConfig(model="temam", re=re, k=k)
+    sin_x, sin_y, _ = symbols = stencil_symbols(n, h)
+    sigma2 = (sin_x**2 + sin_y**2) / (h * h)
+    one = np.ones_like(sigma2)
+    weight = np.stack([one, sigma2, np.sqrt(sigma2), one])
+    got = etd_coefficients(cfg, symbols, h, dt) * weight
+    want = _two_evaluation_coefficients(cfg, n, h, dt) * weight
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+
+def _nonlinear_by_subtraction(y, f, cfg, h, lag):
+    """N as the full rate less L, in Fourier space: rfft2(temam_rhs(y)) - L y_hat, y_hat."""
+    sin_x, sin_y, lap = stencil_symbols(y.shape[-1], h)
+    sx, sy, nu_lap = sin_x / h, sin_y / h, lap / cfg.re
+    z = np.fft.rfft2(y)
+    out = np.fft.rfft2(temam_rhs(y, f, cfg, h, dv_dt_prev=lag))
+    out[0] += (1j * sx) * z[2] - nu_lap * z[0]
+    out[1] += (1j * sy) * z[2] - nu_lap * z[1]
+    out[2] += (1j * cfg.k) * (sx * z[0] + sy * z[1])
+    return out, z
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("cfg", [c for c in ORACLE_CONFIGS if c.model == "temam"])
+@settings(max_examples=15, deadline=None)
+@given(half=st.integers(2, 20), log_k=st.floats(1.0, 6.0), t=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_direct_nonlinear_part_equals_the_rate_less_its_linear_part(cfg, parity, half, log_k, t,
+                                                                    seed):
+    # the stepper's N is temam_rhs without its linear lines; the cancelling
+    # terms of the subtraction are of size K |s| |y_hat|, hence the scale
+    n, cfg = 2 * half + parity, replace(cfg, k=10.0**log_k)
+    g, rng = make_grid(n), np.random.default_rng(seed)
+    y = pack_state(random_smooth_state(g, seed=seed, modes=3, amplitude=0.5))
+    y[2] *= rng.uniform(0.1, 10.0)
+    f = ForcingSpec.from_callable(
+        lambda X, Y, t: (np.cos(3 * t) * np.sin(X), np.sin(t) * np.cos(2 * Y))).sampler(g, t)(t)
+    lag = rng.standard_normal((2, n, n))
+    direct = temam_rhs(y, f, cfg, g.spacing, dv_dt_prev=lag, _linear=False)
+    want, y_hat = _nonlinear_by_subtraction(y, f, cfg, g.spacing, lag)
+    assert np.abs(np.fft.rfft2(direct) - want).max() <= 1e-13 * cfg.k * np.abs(y_hat).max()
+    if cfg.extra_force != "galilean_alt" and cfg.pressure_transport != "material":
+        # what lets the stepper transform the velocity alone: N has no
+        # pressure part and its velocity part does not read the pressure
+        y[2] = rng.standard_normal((n, n))
+        again = temam_rhs(y, f, cfg, g.spacing, dv_dt_prev=lag, _linear=False)
+        assert not direct[2].any() and _same_bits(again, direct)
+
+
 def _etd_run(state0, cfg, forcing, steps, dt):
     """Packed (vx, vy, p) after ``steps`` ETDRK4 steps, whatever the size of dt."""
     g, h = state0.grid, state0.grid.spacing
     etd, force = ETDRK4(cfg, g.n, h, dt), forcing.sampler(g, state0.time)
     lag = np.zeros((2, g.n, g.n))
 
-    def rates(y, t, out):
-        return temam_rhs(y, force(t), cfg, h, out, lag)
+    def nonlinear(y, t, out):
+        return temam_rhs(y, force(t), cfg, h, out, lag, _linear=False)
 
     y, t = pack_state(state0), state0.time
     for _ in range(steps):
-        y, r1 = etd.step(rates, y, t)
+        y, r1 = etd.step(nonlinear, y, t)
         t += dt
         if r1 is not None:
             np.copyto(lag, r1[:2])
@@ -752,6 +850,33 @@ def test_etd_is_within_rk4s_own_time_error_on_random_grids(n, log_k, seed, extra
     rk4, rk4_half = (pack_state(simulate(state0, cfg, forcing, 16 * dt, dt=d)[0])[:2]
                      for d in (dt, dt / 2.0))
     assert np.abs(etd - rk4).max() <= 2.0 * np.abs(rk4_half - rk4).max() + 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_etd_run_passes_the_relaxed_stiff_checks(n, seed, monkeypatch):
+    # the relaxed-stiff benchmark workload and its checks on a small grid:
+    # K = 1e5 from a state prepared on the slow manifold, default step
+    cfg, zero = ModelConfig(model="temam", re=100.0, k=1e5), ForcingSpec.zero()
+    g = make_grid(n)
+    v0, _ = project_divergence_free(random_smooth_state(g, seed=seed, modes=4, amplitude=1.0).v)
+    state0 = State(v0, consistent_pressure(v0, zero, cfg), 0.0)
+    etd_steps, etd_step = [], ETDRK4.step
+
+    def counted(self, *args):
+        etd_steps.append(1)
+        return etd_step(self, *args)
+
+    monkeypatch.setattr(ETDRK4, "step", counted)
+    final, _, dt = simulate(state0, cfg, zero, 1.0)
+    assert dt > g.spacing / np.sqrt(cfg.k) and len(etd_steps) == round(1.0 / dt) > 3
+
+    def energy(s):
+        return 0.5 * integrate(s.v.magnitude_squared()) + integrate(s.p * s.p) / (2.0 * cfg.k)
+
+    assert all(np.isfinite(a).all() for a in _arrays(final))
+    assert energy(final) <= energy(state0)
+    assert divergence_norm(final) / l2_norm(final.v) <= 1.0 / cfg.k
 
 
 def test_a_step_up_to_the_acoustic_bound_is_still_bitwise_rk4(monkeypatch):
