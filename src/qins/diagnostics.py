@@ -79,11 +79,8 @@ def energy_audit(
     times = np.array([s.time for s in trajectory])
     dt = _uniform_dt(times)
 
-    e_kin = np.empty(len(trajectory))
-    e_press = np.empty(len(trajectory))
-    dissipation = np.empty(len(trajectory))
-    injection = np.empty(len(trajectory))
-    defect = np.empty(len(trajectory))
+    e_kin, e_press, dissipation, injection, defect = np.empty((5, len(trajectory)))
+    force = forcing.sampler(trajectory[0].grid, times[0])
     for i, s in enumerate(trajectory):
         speed_sq = s.v.magnitude_squared()
         e_kin[i] = 0.5 * integrate(speed_sq)
@@ -92,7 +89,8 @@ def energy_audit(
         else:
             e_press[i] = 0.0
         dissipation[i] = integrate(strain_frobenius_sq(s.v)) / cfg.re
-        injection[i] = integrate(forcing.evaluate(s.grid, s.time).dot(s.v))
+        fv = force(s.time) * np.stack([s.v.x, s.v.y])
+        injection[i] = integrate(ScalarField(s.grid, fv[0] + fv[1]))
         defect[i] = 0.5 * integrate(divergence(s.v) * speed_sq)
 
     total = e_kin + e_press
@@ -142,7 +140,10 @@ def _interp_taps(px: np.ndarray, py: np.ndarray, grid: Grid) -> tuple[np.ndarray
 
     Tap 4a + b is node (i - 1 + a, j - 1 + b), wrapped periodically,
     where node (i, j) is the nearest one below and left of the position;
-    positions are in physical units.
+    positions are in physical units.  The interpolant is C1-smooth as well
+    as O(h^3) accurate: the transport diagnostics differentiate interpolated
+    samples in time, and the kinks of a merely continuous interpolant would
+    contribute an error that does not refine.
     """
     u = np.array([np.ravel(px), np.ravel(py)]) / grid.spacing - 0.5
     i = np.floor(u).astype(int)
@@ -169,17 +170,6 @@ def _gather(taps: tuple[np.ndarray, np.ndarray], *fields: np.ndarray) -> list[np
             total += term
         out.append(total)
     return out
-
-
-def _periodic_interp(values: np.ndarray, px: np.ndarray, py: np.ndarray, grid: Grid) -> np.ndarray:
-    """Catmull-Rom interpolation with periodic wrap; positions in physical units.
-
-    Interpolating and C1-smooth.  The smoothness matters as much as the
-    O(h^3) pointwise accuracy: the transport diagnostics differentiate
-    interpolated samples in time, and the kinks of a merely continuous
-    interpolant would contribute an error that does not refine.
-    """
-    return _gather(_interp_taps(px, py, grid), values)[0].reshape(np.shape(px))
 
 
 def _resample_shifted(grid: Grid, sx: float, sy: float, *fields: np.ndarray) -> list[np.ndarray]:

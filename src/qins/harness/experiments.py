@@ -7,9 +7,9 @@ written only after the run has fully succeeded, so its presence marks a
 finished directory.  All numeric output is deterministic for a fixed
 config and seed; wall time appears only in the manifest.
 
-Drivers run unforced.  Body forces are part of the library API
-(:class:`qins.models.ForcingSpec`) and of the tests, but none of the
-canned experiments needs one.
+Drivers run unforced, with ``ForcingSpec.zero()``.  A body force is
+library API, ``ForcingSpec(fn)`` with ``fn(t)`` giving (2, n, n) samples;
+the tests drive it, and none of the canned experiments needs one.
 
 Runs go one after another.  ``run_free_run`` and ``run_transport_check``
 still accept a ``threads`` keyword and ignore it, because the benchmark
@@ -402,12 +402,13 @@ def run_galilean(
         rep.temam_gap_closed_form, 1e-300
     )
 
-    # the members start on the slow manifold: raw compressive data carries
-    # acoustic pressure that grows like sqrt(k) and would mask the 1/k
-    # decay being measured (the gap report above keeps the raw state, it
-    # wants the divergence)
+    # the members start on the slow manifold, at the initial state's time:
+    # raw compressive data carries acoustic pressure that grows like
+    # sqrt(k) and would mask the 1/k decay being measured (the gap report
+    # above keeps the raw state, it wants the divergence)
     v0p, _ = project_divergence_free(state0.v)
-    prepared0 = State(v0p, consistent_pressure(v0p, forcing, base_model), 0.0)
+    p0 = consistent_pressure(v0p, forcing, base_model, state0.time)
+    prepared0 = State(v0p, p0, state0.time)
 
     def alt_member(k: float) -> dict:
         cfg_k = replace(base_model, k=k, extra_force="galilean_alt")

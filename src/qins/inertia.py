@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import ScalarField, VectorField, l2_norm
+from .models import temam_extra_force
 from .operators import convection, divergence
 
 
@@ -87,11 +88,10 @@ def inertial_force_star(sample: KinematicSample) -> VectorField:
     """Inertial force conjugate to the reference-density kinetic energy.
 
     -rho* (dv/dt|material + (1/2)(div v) v); the extra dilatational term
-    is what the quasi-incompressible momentum equation carries.
+    is minus the extra force the quasi-incompressible model carries.
     """
     mdv = material_derivative_v(sample)
-    correction = (0.5 * divergence(sample.v)) * sample.v
-    return (-sample.rho_star) * (mdv + correction)
+    return (-sample.rho_star) * (mdv - temam_extra_force(sample.v))
 
 
 def kappa_r_star_rate_identity_residual(

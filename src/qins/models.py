@@ -114,74 +114,43 @@ def unpack_state(y: np.ndarray, grid: Grid, time: float = 0.0) -> State:
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """Analytic body force, evaluable on any grid at any time.
+    """Body force f(t): ``fn(t)`` gives its (2, n, n) samples, and ``fn=None`` no force."""
 
-    Catalog: ``zero``, a steady trigonometric cell pattern, a frozen
-    user-supplied table (vector field), or an arbitrary callable
-    ``fn(X, Y, t) -> (fx, fy)`` for tests.
-    """
-
-    kind: str = "zero"
-    amplitude: float = 0.0
-    kx: int = 1
-    ky: int = 1
-    table: VectorField | None = None
     fn: object = None
 
     @classmethod
     def zero(cls) -> "ForcingSpec":
-        return cls(kind="zero")
-
-    @classmethod
-    def trig(cls, amplitude: float, kx: int = 1, ky: int = 1) -> "ForcingSpec":
-        return cls(kind="trig", amplitude=float(amplitude), kx=int(kx), ky=int(ky))
-
-    @classmethod
-    def from_field(cls, table: VectorField) -> "ForcingSpec":
-        return cls(kind="table", table=table)
-
-    @classmethod
-    def from_callable(cls, fn) -> "ForcingSpec":
-        return cls(kind="callable", fn=fn)
-
-    def evaluate(self, grid: Grid, t: float) -> VectorField:
-        if self.kind == "zero":
-            return VectorField.zeros(grid)
-        if self.kind == "trig":
-            a, kx, ky = self.amplitude, self.kx, self.ky
-            return VectorField.from_function(
-                grid,
-                lambda X, Y: a * np.sin(kx * X) * np.cos(ky * Y),
-                lambda X, Y: -a * np.cos(kx * X) * np.sin(ky * Y),
-            )
-        if self.kind == "table":
-            if self.table is None or self.table.grid != grid:
-                raise ValueError("forcing table missing or on the wrong grid")
-            return self.table
-        if self.kind == "callable":
-            X, Y = grid.mesh()
-            fx, fy = self.fn(X, Y, t)
-            shape = (grid.n, grid.n)
-            return VectorField(grid, np.broadcast_to(np.asarray(fx, float), shape),
-                               np.broadcast_to(np.asarray(fy, float), shape))
-        raise ValueError(f"unknown forcing kind {self.kind!r}")
+        return cls()
 
     def sampler(self, grid: Grid, t0: float):
-        """(2, n, n) samples by time; evaluated once at t0 unless a callable."""
-        def at(t: float) -> np.ndarray:
-            f = self.evaluate(grid, t)
-            return np.stack([f.x, f.y])
-
-        fixed = at(t0)
-        return at if self.kind == "callable" else lambda t: fixed
+        """f by time, to add to a rate: the scalar 0.0, or ``fn`` once its shape passes at t0."""
+        if self.fn is None:
+            return lambda t: 0.0
+        shape, want = np.shape(self.fn(t0)), (2, grid.n, grid.n)
+        if shape != want:
+            raise ValueError(f"forcing samples have shape {shape}, the grid needs {want}")
+        return self.fn
 
 
 # -- right-hand sides --------------------------------------------------------
 
 
+def _extra_force(kind: str, y: np.ndarray, div, conv, dv_dt, k, out=None, scale=None):
+    """Extra force ``kind`` of packed (vx, vy, p) into ``out``; ``scale`` is (n, n) scratch.
+
+    temam: -(1/2)(div v) v.  galilean_alt: -(p/K)(dv_dt + conv), ``conv`` the
+    convection term, ``dv_dt`` the Eulerian acceleration (None is zero).
+    """
+    if kind == "temam":
+        return np.multiply(y[:2], np.multiply(div, -0.5, out=scale), out=out)
+    accel = np.add(0.0 if dv_dt is None else dv_dt, conv, out=out)
+    return np.multiply(accel, np.multiply(y[2], -1.0 / k, out=scale), out=out)
+
+
 def temam_extra_force(v: VectorField) -> VectorField:
     """The quasi-incompressible extra force, -(1/2)(div v) v."""
-    return (-0.5 * divergence(v)) * v
+    f = _extra_force("temam", np.stack([v.x, v.y]), divergence(v).values, None, None, None)
+    return VectorField(v.grid, f[0], f[1])
 
 
 def galilean_alt_force(state: State, dv_dt: VectorField, cfg: ModelConfig) -> VectorField:
@@ -195,8 +164,10 @@ def galilean_alt_force(state: State, dv_dt: VectorField, cfg: ModelConfig) -> Ve
     """
     if cfg.k is None:
         raise ValueError("galilean_alt force needs a bulk modulus")
-    accel = dv_dt + convection(state.v, cfg.convection)
-    return ((-1.0 / cfg.k) * state.p) * accel
+    y = pack_state(state)
+    conv = _convection(y[:2], state.grid.spacing, cfg.convection)
+    f = _extra_force("galilean_alt", y, None, conv, np.stack([dv_dt.x, dv_dt.y]), cfg.k)
+    return VectorField(state.grid, f[0], f[1])
 
 
 _TEMAM_WORK = 13  # channels of the work array temam_rhs needs
@@ -220,7 +191,7 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     out = np.empty_like(y) if out is None else out
     w = np.empty((_TEMAM_WORK,) + y.shape[1:]) if work is None else work
     dx, dy, conv, t, lap, div = w[0:3], w[3:6], w[6:8], w[8:10], w[10:12], w[12]
-    v, p, dv, grad_p = y[:2], y[2], out[:2], w[2:6:3]  # grad_p: channels 2 of dx and dy
+    v, dv, grad_p = y[:2], out[:2], w[2:6:3]  # grad_p: channels 2 of dx and dy
     c = 3 if _linear or cfg.pressure_transport == "material" else 2  # gradients read
     _ddx(y[:c], h, dx[:c])
     _ddy(y[:c], h, dy[:c])
@@ -231,11 +202,8 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
         dv += np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap)
     dv += f
     np.add(dx[0], dy[1], out=div)
-    if cfg.extra_force == "temam":
-        dv += np.multiply(v, np.multiply(div, -0.5, out=lap[0]), out=t)
-    elif cfg.extra_force == "galilean_alt":
-        accel = np.add(0.0 if dv_dt_prev is None else dv_dt_prev, conv, out=t)
-        dv += np.multiply(accel, np.multiply(p, -1.0 / cfg.k, out=lap[0]), out=t)
+    if cfg.extra_force != "none":
+        dv += _extra_force(cfg.extra_force, y, div, conv, dv_dt_prev, cfg.k, t, lap[0])
     np.multiply(div, -cfg.k if _linear else 0.0, out=out[2])
     if cfg.pressure_transport == "material":
         np.multiply(v, grad_p, out=t)
@@ -321,9 +289,10 @@ def consistent_pressure(
     quasi-incompressible run from this pressure avoids exciting an
     artificial acoustic transient.
     """
-    f = forcing.evaluate(v.grid, t)
     # field operators, not _momentum_source: the relaxed-stiff trace expects both in set-up
-    rhs = divergence(-convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f).values
+    rate = -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v)
+    src = np.stack([rate.x, rate.y]) + forcing.sampler(v.grid, t)(t)
+    rhs = divergence(VectorField(v.grid, src[0], src[1])).values
     return ScalarField(v.grid, solve_pressure_poisson(rhs, v.grid.spacing))
 
 

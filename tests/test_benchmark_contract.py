@@ -1,0 +1,35 @@
+"""The benchmark tracer's targets resolve in the package.
+
+``perfbench/tracing.py`` wraps package functions by name from outside and
+raises ``AttributeError`` when a target it does not mark optional is
+gone, so a rename or deletion in ``src/`` that it misses breaks the
+benchmark.  This test reads the tracer's target tables as literals; it
+neither imports nor edits the tracer.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracer_targets() -> dict:
+    """The SPANS and COUNTS tables: (module, attribute, name, workload, optional) rows."""
+    tables = {}
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("SPANS", "COUNTS"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_every_required_tracer_target_resolves_in_the_package():
+    tables = _tracer_targets()
+    assert set(tables) == {"SPANS", "COUNTS"}
+    required = [(m, a) for m, a, _, _, optional in tables["SPANS"] + tables["COUNTS"]
+                if not optional]
+    assert required
+    missing = [f"{m}.{a}" for m, a in required
+               if not callable(getattr(importlib.import_module(m), a, None))]
+    assert not missing, f"the benchmark tracer cannot find {missing}"

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcing_cases import field, trig
 from qins import diagnostics
 from qins.diagnostics import (
     GalileanReport,
     ParticleSet,
     _gather,
     _interp_taps,
-    _periodic_interp,
     divergence_norm,
     energy_audit,
     galilean_boost,
@@ -63,7 +63,7 @@ def test_energy_audit_matches_a_hand_computation():
     # not a unit property.
     g = make_grid(8)
     base = _taylor_green_with_pulse(g, amp=0.2)
-    forcing = ForcingSpec.trig(0.3)
+    forcing = trig(g, 0.3)
     dt = 0.1
     scales = (1.0, 0.9, 0.8)
     states = [
@@ -87,7 +87,7 @@ def test_energy_audit_matches_a_hand_computation():
         integrate(strain_frobenius_sq(mid.v)) / TEMAM.re, rel=1e-13
     )
     assert row.injection == pytest.approx(
-        integrate(forcing.evaluate(g, mid.time).dot(mid.v)), rel=1e-13
+        integrate(field(forcing, g, mid.time).dot(mid.v)), rel=1e-13
     )
     assert row.defect_predicted == pytest.approx(
         0.5 * integrate(divergence(mid.v) * mid.v.magnitude_squared()), rel=1e-12
@@ -176,12 +176,17 @@ def test_invariance_report_requires_temam_model():
 # -- interpolation ----------------------------------------------------------------
 
 
+def _interp(values, px, py, g):
+    """Catmull-Rom samples of one field at 1-D position arrays px, py."""
+    return _gather(_interp_taps(px, py, g), values)[0]
+
+
 def test_interpolation_reproduces_node_values():
     g = make_grid(16)
     rng = np.random.default_rng(0)
     values = rng.standard_normal((16, 16))
     X, Y = g.mesh()
-    out = _periodic_interp(values, X.ravel(), Y.ravel(), g)
+    out = _interp(values, X.ravel(), Y.ravel(), g)
     np.testing.assert_allclose(out, values.ravel(), atol=1e-12)
 
 
@@ -194,7 +199,7 @@ def test_interpolation_is_third_order():
         g = make_grid(n)
         X, Y = g.mesh()
         values = np.sin(X) * np.cos(Y)
-        return float(np.abs(_periodic_interp(values, pts[:, 0], pts[:, 1], g) - exact).max())
+        return float(np.abs(_interp(values, pts[:, 0], pts[:, 1], g) - exact).max())
 
     e16, e32 = err(16), err(32)
     assert e32 < 2e-3
@@ -205,8 +210,8 @@ def test_interpolation_wraps_periodically():
     g = make_grid(16)
     X, Y = g.mesh()
     values = np.sin(X) * np.cos(Y)
-    inside = _periodic_interp(values, np.array([0.1]), np.array([0.2]), g)
-    shifted = _periodic_interp(
+    inside = _interp(values, np.array([0.1]), np.array([0.2]), g)
+    shifted = _interp(
         values, np.array([0.1 + 2.0 * np.pi]), np.array([0.2 - 2.0 * np.pi]), g
     )
     np.testing.assert_allclose(shifted, inside, atol=1e-12)

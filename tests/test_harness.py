@@ -22,6 +22,7 @@ from qins.harness.config import (
     config_from_dict,
     config_from_json,
 )
+from qins.harness import experiments
 from qins.harness.experiments import (
     resolve_out_dir,
     run_experiment,
@@ -514,3 +515,22 @@ def test_cli_k_sweep_starts_at_the_snapshot_time(tmp_path, capsys):
         assert b["steps"] == a["steps"]
         for key in ("dt", "max_div_norm", "terminal_velocity_diff"):
             assert b[key] == pytest.approx(a[key], rel=1e-9)
+
+
+def test_galilean_runs_start_at_the_snapshot_time(tmp_path, monkeypatch):
+    # the gap run and every alt-force member march from the snapshot's time
+    calls, simulate = [], experiments.simulate
+
+    def spy(state, cfg, *args, **kwargs):
+        calls.append((cfg.extra_force, state.time))
+        return simulate(state, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate", spy)
+    state = random_smooth_state(make_grid(16), seed=5, modes=2, amplitude=0.3)
+    write_snapshot(replace(state, time=0.5), tmp_path / "ic")
+    cfg = ExperimentConfig(
+        experiment="galilean", n=16, t_final=0.6, k_list=(100.0, 1000.0),
+        initial_condition=InitialConditionSpec(kind="from_snapshot", path=str(tmp_path / "ic")),
+    )
+    run_experiment(cfg, out_dir=tmp_path / "out", quiet=True)
+    assert calls == [("temam", 0.5), ("galilean_alt", 0.5), ("galilean_alt", 0.5)]

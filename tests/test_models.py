@@ -1,14 +1,15 @@
 """Model right-hand sides, the pressure solve, time stepping."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcing_cases import field, from_mesh, trig
 from qins import models
-from qins.diagnostics import divergence_norm
+from qins.diagnostics import divergence_norm, energy_audit
 from qins.fields import ScalarField, VectorField, integrate, l2_norm, make_grid
 from qins.models import (
     CONVECTION_FORMS,
@@ -92,24 +93,35 @@ def test_bulk_modulus_required_by_compressible_models():
 
 def test_forcing_catalog():
     g = make_grid(16)
-    assert l2_norm(ForcingSpec.zero().evaluate(g, 0.0)) == 0.0
+    zero = ForcingSpec.zero().sampler(g, 0.0)
+    assert zero(0.0) == 0.0 and isinstance(zero(2.0), float)  # added as the scalar
 
-    trig = ForcingSpec.trig(0.5, kx=2, ky=1).evaluate(g, 0.0)
+    steady = trig(g, 0.5, kx=2, ky=1)
     X, Y = g.mesh()
-    np.testing.assert_allclose(trig.x, 0.5 * np.sin(2 * X) * np.cos(Y), atol=1e-15)
+    np.testing.assert_allclose(steady.sampler(g, 0.0)(3.0)[0], 0.5 * np.sin(2 * X) * np.cos(Y),
+                               atol=1e-15)
 
-    table = VectorField.constant(g, 1.0, 2.0)
-    out = ForcingSpec.from_field(table).evaluate(g, 3.0)
-    np.testing.assert_array_equal(out.x, table.x)
-    with pytest.raises(ValueError):
-        ForcingSpec.from_field(table).evaluate(make_grid(8), 0.0)
+    table = np.stack([np.full((16, 16), 1.0), np.full((16, 16), 2.0)])
+    assert ForcingSpec(lambda t: table).sampler(g, 3.0)(5.0) is table  # the callable itself
+    with pytest.raises(ValueError, match=r"shape \(2, 16, 16\), the grid needs \(2, 8, 8\)"):
+        ForcingSpec(lambda t: table).sampler(make_grid(8), 0.0)
 
-    fn = ForcingSpec.from_callable(lambda X, Y, t: (0.0 * X + t, np.sin(X)))
-    out = fn.evaluate(g, 2.0)
-    np.testing.assert_allclose(out.x, 2.0)
+    moving = from_mesh(g, lambda X, Y, t: (0.0 * X + t, np.sin(X))).sampler(g, 0.0)
+    np.testing.assert_allclose(moving(2.0)[0], 2.0)
+    np.testing.assert_allclose(moving(2.0)[1], np.sin(X))
 
 
 # -- right-hand sides ----------------------------------------------------------
+
+
+def _reference_temam_force(v):
+    """-(1/2)(div v) v as the field-level formula was first written."""
+    return (-0.5 * divergence(v)) * v
+
+
+def _reference_galilean_alt_force(state, dv_dt, cfg):
+    """-(p/K)(dv_dt + (v.grad)v) as the field-level formula was first written."""
+    return ((-1.0 / cfg.k) * state.p) * (dv_dt + convection(state.v, cfg.convection))
 
 
 def test_extra_force_closed_form_on_single_mode():
@@ -129,7 +141,7 @@ def test_rhs_extra_force_toggle_is_exactly_the_closed_form():
     forcing = ForcingSpec.zero()
     on, dp_on = _rates(temam_rhs, state, forcing, TEMAM)
     off, dp_off = _rates(temam_rhs, state, forcing, ModelConfig(model="temam", re=100.0, k=100.0, extra_force="none"))
-    extra = temam_extra_force(state.v)
+    extra = _reference_temam_force(state.v)
     np.testing.assert_allclose((on - off).x, extra.x, atol=1e-14)
     np.testing.assert_allclose((on - off).y, extra.y, atol=1e-14)
     np.testing.assert_array_equal(dp_on.values, dp_off.values)
@@ -200,6 +212,20 @@ def test_galilean_alt_force_scales_inversely_with_k():
     np.testing.assert_allclose(f100.x, 2.0 * f200.x, rtol=1e-13, atol=1e-16)
     with pytest.raises(ValueError):
         galilean_alt_force(state, dv_dt, ModelConfig(model="incompressible", re=100.0))
+
+
+@pytest.mark.parametrize("form", CONVECTION_FORMS)
+def test_field_level_forces_are_the_first_written_formulas_bitwise(form):
+    # both go through temam_rhs's packed kernel now; the references do not
+    g = make_grid(17)
+    state = _smooth_state(g)
+    rng = np.random.default_rng(4)
+    dv_dt = VectorField(g, rng.standard_normal((17, 17)), rng.standard_normal((17, 17)))
+    cfg = ModelConfig(model="temam", re=100.0, k=300.0, convection=form)
+    for got, want in ((temam_extra_force(state.v), _reference_temam_force(state.v)),
+                      (galilean_alt_force(state, dv_dt, cfg),
+                       _reference_galilean_alt_force(state, dv_dt, cfg))):
+        assert _same_bits(got.x, want.x) and _same_bits(got.y, want.y)
 
 
 # -- pressure solve and projection ---------------------------------------------
@@ -460,16 +486,42 @@ def test_galilean_alt_reuses_the_first_stage_as_its_lag(monkeypatch):
 def test_forcing_on_the_wrong_grid_is_an_input_error_not_a_blowup():
     # the forcing is sampled once before the first step, so input errors
     # surface as ValueError there and never reach the blow-up guard
-    table = ForcingSpec.from_field(VectorField.zeros(make_grid(16)))
-    wrong_shape = ForcingSpec.from_callable(lambda X, Y, t: (np.zeros((3, 3)), np.zeros((3, 3))))
+    table = trig(make_grid(16), 0.7)  # another grid's table
+    wrong_shape = ForcingSpec(lambda t: np.zeros((2, 3, 3)))
     state = _smooth_state(make_grid(8))
     for cfg in (TEMAM, ModelConfig(model="compressible", re=100.0, k=100.0),
                 ModelConfig(model="incompressible", re=100.0)):
-        for forcing, message in ((table, "wrong grid"), (wrong_shape, "broadcast")):
+        for forcing, shape in ((table, r"\(2, 16, 16\)"), (wrong_shape, r"\(2, 3, 3\)")):
             seen = []
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=shape + r", the grid needs \(2, 8, 8\)"):
                 simulate(state, cfg, forcing, 0.05, observer=seen.append)
             assert not seen
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(5, 20), t0=st.floats(0.0, 10.0))
+def test_no_force_and_a_zero_table_give_the_same_runs_bitwise(n, t0):
+    # no force is the scalar 0.0, which every path adds like a zero array
+    g = make_grid(n)
+    state0 = replace(_smooth_state(g), time=t0)
+    zeros = ForcingSpec(lambda t: np.zeros((2, n, n)))
+    runs = (  # RK4, ETDRK4 past the acoustic bound, projection steps
+        (TEMAM, stable_dt(state0, TEMAM) / 4.0),
+        (ModelConfig(model="temam", re=100.0, k=1e5), None),
+        (ModelConfig(model="compressible", re=100.0, k=100.0), None),
+        (ModelConfig(model="incompressible", re=100.0), None),
+    )
+    for cfg, dt in runs:
+        _, stored, _ = simulate(state0, cfg, ForcingSpec.zero(), t0 + 0.2, dt=dt, store_every=1)
+        _, again, _ = simulate(state0, cfg, zeros, t0 + 0.2, dt=dt, store_every=1)
+        assert len(stored) == len(again) >= 2
+        for a, b in zip(stored, again):
+            assert a.time == b.time
+            assert all(_same_bits(x, y) for x, y in zip(_arrays(a), _arrays(b)))
+        if len(stored) >= 3:
+            rows = [np.array([astuple(r) for r in energy_audit(stored, f, cfg)])
+                    for f in (ForcingSpec.zero(), zeros)]
+            assert _same_bits(*rows)
 
 
 # -- packed core against a field-level oracle ------------------------------------
@@ -490,9 +542,9 @@ def _field_rates(state, f, cfg, lag):
         return momentum / rho, (-cfg.k) * divergence(rho * v)
     dv = -convection(v, cfg.convection) - gradient(p) + (1.0 / cfg.re) * laplacian(v) + f
     if cfg.extra_force == "temam":
-        dv = dv + temam_extra_force(v)
+        dv = dv + _reference_temam_force(v)
     elif cfg.extra_force == "galilean_alt":
-        dv = dv + galilean_alt_force(state, lag, cfg)
+        dv = dv + _reference_galilean_alt_force(state, lag, cfg)
     dp = (-cfg.k) * divergence(v)
     if cfg.pressure_transport == "material":
         dp = dp - v.dot(gradient(p))
@@ -560,7 +612,7 @@ ORACLE_CONFIGS = (
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
 def test_simulate_matches_the_field_level_rk4_bitwise(cfg, n):
     g = make_grid(n)
-    forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
+    forcing = trig(g, 0.7, kx=1, ky=2)
     state0 = _smooth_state(g)
     # stable_dt keeps the temam rows on RK4, which the oracle writes out
     _, stored, dt = simulate(state0, cfg, forcing, 0.06, dt=stable_dt(state0, cfg), store_every=1)
@@ -571,7 +623,7 @@ def test_simulate_matches_the_field_level_rk4_bitwise(cfg, n):
         s = expected[-1]
 
         def rates(y, t):
-            return _field_rates(State(y[0], y[1], t), forcing.evaluate(g, t), cfg, lag)
+            return _field_rates(State(y[0], y[1], t), field(forcing, g, t), cfg, lag)
 
         (v, p), (lag, _) = _field_rk4(rates, (s.v, s.p), s.time, dt)
         expected.append(State(v, p, s.time + dt))
@@ -581,11 +633,13 @@ def test_simulate_matches_the_field_level_rk4_bitwise(cfg, n):
     assert _share_no_memory(stored)
 
 
-ORACLE_FORCINGS = {
-    "trig": ForcingSpec.trig(0.7, kx=1, ky=2),
-    "callable": ForcingSpec.from_callable(
-        lambda X, Y, t: (np.cos(20 * t) * np.sin(X) * np.cos(2 * Y), np.sin(20 * t) * np.cos(Y))),
-}
+def _pulsing(g):
+    """A force that varies in time, so the stage times count."""
+    return from_mesh(g, lambda X, Y, t: (np.cos(20 * t) * np.sin(X) * np.cos(2 * Y),
+                                         np.sin(20 * t) * np.cos(Y)))
+
+
+ORACLE_FORCINGS = {"trig": lambda g: trig(g, 0.7, kx=1, ky=2), "callable": _pulsing}
 
 
 @pytest.mark.parametrize("n", [16, 17])
@@ -594,7 +648,7 @@ ORACLE_FORCINGS = {
 def test_incompressible_simulate_matches_the_field_level_chorin_step_bitwise(form, forcing, n):
     g = make_grid(n)
     cfg = ModelConfig(model="incompressible", re=100.0, convection=form)
-    forcing = ORACLE_FORCINGS[forcing]
+    forcing = ORACLE_FORCINGS[forcing](g)
     state0 = _smooth_state(g)
     _, stored, dt = simulate(state0, cfg, forcing, 0.2, dt=stable_dt(state0, cfg) / 4.0,
                              store_every=1)
@@ -603,7 +657,7 @@ def test_incompressible_simulate_matches_the_field_level_chorin_step_bitwise(for
     expected = [state0]
     for _ in stored[1:]:
         s = expected[-1]
-        expected.append(_field_chorin(s, forcing.evaluate(g, s.time), cfg, dt))
+        expected.append(_field_chorin(s, field(forcing, g, s.time), cfg, dt))
     for got, want in zip(stored, expected):
         assert got.time == want.time
         assert all(_same_bits(a, b) for a, b in zip(_arrays(got), _arrays(want)))
@@ -614,12 +668,12 @@ def test_incompressible_simulate_matches_the_field_level_chorin_step_bitwise(for
 def test_density_run_matches_the_field_level_rk4_bitwise(extra_force):
     g = make_grid(17)
     cfg = ModelConfig(model="temam", re=100.0, k=100.0, extra_force=extra_force)
-    forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
+    forcing = trig(g, 0.7, kx=1, ky=2)
     states, densities, dt = simulate_with_density(_smooth_state(g), cfg, forcing, 0.06, 0.4)
 
     def rates(y, t):
         v, p, rho = y
-        dv, dp = _field_rates(State(v, p, t), forcing.evaluate(g, t), cfg, VectorField.zeros(g))
+        dv, dp = _field_rates(State(v, p, t), field(forcing, g, t), cfg, VectorField.zeros(g))
         return dv, dp, -divergence(rho * v)
 
     s, rho = states[0], ScalarField.constant(g, 1.0)
@@ -785,8 +839,8 @@ def test_direct_nonlinear_part_equals_the_rate_less_its_linear_part(cfg, parity,
     g, rng = make_grid(n), np.random.default_rng(seed)
     y = pack_state(random_smooth_state(g, seed=seed, modes=3, amplitude=0.5))
     y[2] *= rng.uniform(0.1, 10.0)
-    f = ForcingSpec.from_callable(
-        lambda X, Y, t: (np.cos(3 * t) * np.sin(X), np.sin(t) * np.cos(2 * Y))).sampler(g, t)(t)
+    X, Y = g.mesh()
+    f = np.stack([np.cos(3 * t) * np.sin(X), np.sin(t) * np.cos(2 * Y)])
     lag = rng.standard_normal((2, n, n))
     direct = temam_rhs(y, f, cfg, g.spacing, dv_dt_prev=lag, _linear=False)
     want, y_hat = _nonlinear_by_subtraction(y, f, cfg, g.spacing, lag)
@@ -823,8 +877,7 @@ def test_etd_agrees_with_rk4_at_a_sound_resolved_step(cfg):
     # RK4's own time error at stable_dt / 8 is about 2e-9 here.  The force
     # varies in time, so the stage times count.
     g = make_grid(16)
-    forcing = ForcingSpec.from_callable(
-        lambda X, Y, t: (np.cos(20 * t) * np.sin(X) * np.cos(2 * Y), np.sin(20 * t) * np.cos(Y)))
+    forcing = _pulsing(g)
     state0 = _smooth_state(g)
     dt = stable_dt(state0, cfg) / 8.0
     steps = round(0.1 / dt)
@@ -844,7 +897,7 @@ def test_etd_is_within_rk4s_own_time_error_on_random_grids(n, log_k, seed, extra
     cfg = ModelConfig(model="temam", re=100.0, k=10.0**log_k, extra_force=extra_force,
                       pressure_transport=transport)
     state0 = random_smooth_state(make_grid(n), seed=seed, modes=3, amplitude=0.3)
-    forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
+    forcing = trig(state0.grid, 0.7, kx=1, ky=2)
     dt = stable_dt(state0, cfg) / 8.0
     etd = _etd_run(state0, cfg, forcing, 16, dt)[:2]
     rk4, rk4_half = (pack_state(simulate(state0, cfg, forcing, 16 * dt, dt=d)[0])[:2]
@@ -881,7 +934,7 @@ def test_an_etd_run_passes_the_relaxed_stiff_checks(n, seed, monkeypatch):
 
 def test_a_step_up_to_the_acoustic_bound_is_still_bitwise_rk4(monkeypatch):
     g = make_grid(16)
-    forcing = ForcingSpec.trig(0.7, kx=1, ky=2)
+    forcing = trig(g, 0.7, kx=1, ky=2)
     state0 = _smooth_state(g)
     cfg = ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt")
     h, acoustic = g.spacing, g.spacing / np.sqrt(cfg.k)
@@ -914,7 +967,7 @@ def test_etd_run_names_the_advective_bound_before_any_sample_is_non_finite():
     # step from t = i dt starts at |v| = A i dt; with dt = 0.1 > h / sqrt(K)
     # and A = 10 the first step past h / |v| is the one from t = 0.4
     g = make_grid(16)
-    push = ForcingSpec.from_callable(lambda X, Y, t: (10.0 + 0.0 * X, 0.0 * X))
+    push = from_mesh(g, lambda X, Y, t: (10.0 + 0.0 * X, 0.0 * X))
     seen = []
     with pytest.raises(SimulationBlowupError, match="advective bound") as info:
         simulate(State.rest(g), TEMAM, push, 2.0, dt=0.1, observer=seen.append)
