@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,8 +241,18 @@ def compressible_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None) -> 
 # -- pressure Poisson solve and projection -----------------------------------
 
 
-def solve_pressure_poisson(rhs: np.ndarray, h: float) -> np.ndarray:
-    """Solve div(grad p) = rhs on the torus exactly in Fourier space.
+@lru_cache
+def _poisson_symbol(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    sin_x, sin_y, _ = stencil_symbols(n, h)
+    sym = -(sin_x**2 + sin_y**2) / (h * h)
+    null = np.flatnonzero(np.outer(2 * np.arange(n) % n == 0, 2 * np.arange(n // 2 + 1) % n == 0))
+    sym.flat[null] = 1.0
+    sym.flags.writeable = null.flags.writeable = False
+    return sym, null
+
+
+def solve_pressure_poisson(rhs: np.ndarray, h: float, out=None) -> np.ndarray:
+    """Solve div(grad p) = rhs on the torus exactly in Fourier space, into ``out`` if given.
 
     The composed central-difference operator is the wide stencil with
     Fourier symbol -(sin^2 theta_x + sin^2 theta_y) / h^2, theta = 2 pi m / n,
@@ -250,17 +261,16 @@ def solve_pressure_poisson(rhs: np.ndarray, h: float) -> np.ndarray:
     constant mode, plus the three checkerboard modes on even grids.  Those
     modes are dropped, which projects the right-hand side onto the
     operator's range (the compatibility condition) and fixes the solution
-    gauge at mean zero.  They are masked by index because sin(pi)^2 is
-    about 1e-32 rather than 0, and dividing by it would swamp the solution.
+    gauge at mean zero.  They are masked by an index cached with the symbol per
+    (n, h): sin(pi)^2 is about 1e-32, not 0, and dividing by it would swamp the solution.
     """
-    n = rhs.shape[0]
-    sin_x, sin_y, _ = stencil_symbols(n, h)
-    sym = -(sin_x**2 + sin_y**2) / (h * h)
-    null = (2 * np.arange(n) % n == 0)[:, None] & (2 * np.arange(n // 2 + 1) % n == 0)[None, :]
-    sym[null] = 1.0
-    p_hat = np.fft.rfft2(rhs) / sym
-    p_hat[null] = 0.0
-    return np.fft.irfft2(p_hat, s=rhs.shape)
+    if rhs.ndim != 2 or rhs.shape[0] != rhs.shape[1]:
+        raise ValueError(f"pressure Poisson right-hand side must be (n, n), got {rhs.shape}")
+    sym, null = _poisson_symbol(rhs.shape[0], h)
+    p_hat = np.fft.rfft2(rhs)
+    p_hat /= sym
+    p_hat.flat[null] = 0.0
+    return np.fft.irfftn(p_hat, rhs.shape, axes=(-2, -1), out=out)
 
 
 def project_divergence_free(v: VectorField) -> tuple[VectorField, ScalarField]:
@@ -302,9 +312,9 @@ def incompressible_step(y: np.ndarray, f, cfg: ModelConfig, h: float, dt: float,
 
     Explicit advection-diffusion predictor v* = v + dt (-(v.grad)v + (1/Re)
     lap v + f), pressure Poisson solve div(grad p) = div(v*) / dt, then
-    correction v = v* - dt grad p.  The new pressure is the projection
-    multiplier with mean zero; the old one is not read.  With ``work``
-    (6, n, n) only the new array and the solve allocate; it is checked finite once.
+    correction v = v* - dt grad p.  The new pressure is the projection multiplier
+    with mean zero, solved into the new array; the old one is not read.  With ``work``
+    (6, n, n) only the new array and the solve's spectrum allocate; checked finite once.
     """
     if cfg.model != "incompressible":
         raise ValueError(f"incompressible_step called with model {cfg.model!r}")
@@ -313,7 +323,7 @@ def incompressible_step(y: np.ndarray, f, cfg: ModelConfig, h: float, dt: float,
     v_star = np.multiply(_momentum_source(y[:2], f, cfg, h, y_new[:2], w), dt, out=y_new[:2])
     v_star += y[:2]
     div = np.add(_ddx(v_star[0], h, w[0]), _ddy(v_star[1], h, w[1]), out=w[0])
-    y_new[2] = solve_pressure_poisson(np.divide(div, dt, out=div), h)
+    solve_pressure_poisson(np.divide(div, dt, out=div), h, out=y_new[2])
     _ddx(y_new[2], h, w[0])
     _ddy(y_new[2], h, w[1])
     v_star -= np.multiply(w[:2], dt, out=w[:2])  # dt grad p

@@ -1,5 +1,6 @@
 """Model right-hand sides, the pressure solve, time stepping."""
 
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -248,6 +249,46 @@ def test_poisson_solve_of_zero_is_zero():
     g = make_grid(16)
     out = solve_pressure_poisson(np.zeros((16, 16)), g.spacing)
     assert not out.any()
+
+
+@pytest.mark.parametrize("shape", [(16, 17), (16, 20), (16,), (2, 16, 16)])
+def test_poisson_solve_rejects_a_right_hand_side_that_is_not_n_by_n(shape):
+    # (16, 17) used to return a solution built with the n = 16 y-symbol
+    with pytest.raises(ValueError, match=r"must be \(n, n\), got " + re.escape(str(shape))):
+        solve_pressure_poisson(np.ones(shape), make_grid(16).spacing)
+
+
+def _reference_poisson(rhs, h):
+    """The pressure solve as first written: symbol rebuilt per call, boolean-mask zeroing."""
+    n = rhs.shape[0]
+    sin_x, sin_y, _ = stencil_symbols(n, h)
+    sym = -(sin_x**2 + sin_y**2) / (h * h)
+    null = (2 * np.arange(n) % n == 0)[:, None] & (2 * np.arange(n // 2 + 1) % n == 0)[None, :]
+    sym[null] = 1.0
+    p_hat = np.fft.rfft2(rhs) / sym
+    p_hat[null] = 0.0
+    return np.fft.irfft2(p_hat, s=rhs.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids=st.lists(st.tuples(st.integers(4, 64), st.sampled_from([1.0, 0.5])),
+                      min_size=2, max_size=5, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_cached_poisson_solve_is_bitwise_the_rebuilt_one(grids, seed):
+    # each grid twice, others in between, so a cache entry keyed on the
+    # wrong (n, h) would serve a later solve
+    rng = np.random.default_rng(seed)
+    for n, scale in grids + grids[::-1]:
+        h = make_grid(n).spacing * scale
+        rhs = rng.standard_normal((n, n))
+        want = _reference_poisson(rhs, h)
+        assert _same_bits(solve_pressure_poisson(rhs, h), want)
+        out = np.full((n, n), np.nan)
+        assert solve_pressure_poisson(rhs, h, out=out) is out
+        assert _same_bits(out, want)
+        for cached in models._poisson_symbol(n, h):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 2.0
 
 
 def test_projection_removes_the_gradient_part():
@@ -555,7 +596,7 @@ def _field_chorin(state, f, cfg, dt):
     """The Chorin projection step over fields: predictor, pressure solve, correction."""
     v, g = state.v, state.grid
     v_star = v + dt * (-convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f)
-    p = ScalarField(g, solve_pressure_poisson(divergence(v_star).values / dt, g.spacing))
+    p = ScalarField(g, _reference_poisson(divergence(v_star).values / dt, g.spacing))
     return State(v_star - dt * gradient(p), p, state.time + dt)
 
 
