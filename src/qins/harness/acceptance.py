@@ -47,7 +47,7 @@ from .experiments import (
     run_taylor_green,
 )
 from .initial_conditions import initial_condition
-from .io import RunTimer, read_snapshot, write_json, write_manifest
+from .io import MANIFEST_NAME, RunTimer, read_snapshot, write_json, write_manifest
 
 ROUND_OFF = 1e-12  # identity checks run on O(1) fields, so this is absolute
 
@@ -526,7 +526,7 @@ def check_determinism(prof: Profile, out: Path, quiet: bool) -> Verdict:
     checksums = []
     for tag in ("a", "b"):
         run_free_run(cfg, out_dir=out / f"determinism_{tag}", quiet=quiet)
-        manifest = json.loads((out / f"determinism_{tag}" / "manifest.json").read_text())
+        manifest = json.loads((out / f"determinism_{tag}" / MANIFEST_NAME).read_text())
         checksums.append(manifest["checksums"])
     identical = checksums[0] == checksums[1] and len(checksums[0]) > 0
     digest = hashlib.sha256(
@@ -615,7 +615,8 @@ def verify(
 
     On top of :func:`run_checks` this writes ``results.json`` (headline
     numbers, no wall times, so reruns are byte-identical) and a manifest
-    into the output directory.
+    into the output directory.  The manifest lists ``results.json`` and
+    every file that a driver manifest one level below lists.
     """
     out = _resolve_root(out_root)
     timer = RunTimer.start()
@@ -637,7 +638,11 @@ def verify(
             ],
         },
     )
-    write_manifest(out, {"profile": profile}, timer.elapsed())
+    # the drivers the checks ran certified their own files; list those again
+    written = [out / "results.json"]
+    for sub in sorted(out.glob(f"*/{MANIFEST_NAME}")):
+        written += [sub.parent / rel for rel in json.loads(sub.read_text())["checksums"]]
+    write_manifest(out, {"profile": profile}, timer.elapsed(), written)
     print(
         ("all checks passed" if all_passed else "SOME CHECKS FAILED")
         + f" ({timer.elapsed():.1f}s total)",

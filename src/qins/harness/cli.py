@@ -10,8 +10,8 @@
 ``run`` dispatches a JSON config to its experiment driver; ``sweep-k``
 is the same but forces the bulk-modulus sweep, so a config written for
 another experiment can be reused.  ``verify`` runs the acceptance gate.
-``inspect`` summarizes an output directory (re-hashing every file
-against the manifest), a snapshot, or a CSV without loading the whole
+``inspect`` summarizes an output directory (re-hashing every file the
+manifest lists), a ``.state`` snapshot, or a CSV without loading the whole
 package output into anything else.
 
 Exit status: 0 on success, 1 on run/verification failure, 2 on a
@@ -35,10 +35,10 @@ from .config import ConfigError, config_from_json
 from .experiments import resolve_out_dir, run_experiment
 from .io import (
     MANIFEST_NAME,
-    read_field_snapshot,
     read_snapshot,
     read_timeseries,
     sha256_file,
+    snapshot_path,
 )
 
 
@@ -109,21 +109,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         return _inspect_dir(path)
     if path.suffix == ".csv":
         return _inspect_csv(path)
-    state_header = Path(str(path) + ".v.json")
-    if state_header.exists():
+    if snapshot_path(path).exists():
         state = read_snapshot(path)
         e_kin = 0.5 * integrate(state.v.magnitude_squared())
         print(
             f"{path}: state at t={state.time:g}, n={state.grid.n}, "
             f"e_kin {e_kin:.6g}, |div v| {divergence_norm(state):.3e}"
-        )
-        return 0
-    stem = path.with_suffix("") if path.suffix in (".json", ".bin") else path
-    if Path(str(stem) + ".json").exists() and Path(str(stem) + ".bin").exists():
-        field, header = read_field_snapshot(stem)
-        print(
-            f"{stem}: {header['kind']} field {header['name']!r} at t={header['time']:g}, "
-            f"n={header['n']}"
         )
         return 0
     if path.suffix == ".json" and path.exists():

@@ -133,8 +133,8 @@ def run_taylor_green(
 
     coarse, fine = one(cfg.n), one(2 * cfg.n)
     order = float(np.log2(coarse["velocity_error"] / fine["velocity_error"]))
-    write_snapshot(coarse.pop("final"), out / "final_coarse")
-    write_snapshot(fine.pop("final"), out / "final_fine")
+    written = write_snapshot(coarse.pop("final"), out / "final_coarse")
+    written += write_snapshot(fine.pop("final"), out / "final_fine")
     report = {
         "experiment": "taylor_green",
         "re": cfg.model.re,
@@ -143,8 +143,8 @@ def run_taylor_green(
         "fine": fine,
         "observed_order": order,
     }
-    write_json(out / "report.json", report)
-    write_manifest(out, config_echo(cfg), timer.elapsed())
+    written.append(write_json(out / "report.json", report))
+    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
     _say(
         quiet,
         f"taylor_green: error {coarse['velocity_error']:.3e} (n={coarse['n']}) -> "
@@ -258,8 +258,8 @@ def run_k_sweep(
             f"{m['max_div_norm']:.17g},{m['terminal_velocity_diff']:.17g}"
         )
     (out / "members.csv").write_text("\n".join(lines) + "\n")
-    write_json(out / "report.json", report)
-    write_manifest(out, config_echo(cfg), timer.elapsed())
+    written = [out / "members.csv", write_json(out / "report.json", report)]
+    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
     for m in members:
         if "failed" in m:
             _say(quiet, f"k_sweep: k={m['k']:g} FAILED: {m['failed']}")
@@ -341,8 +341,10 @@ def run_energy_audit(
     rows_on, rows_off, dt_used = paired_energy_audit(
         cfg.n, cfg.t_final, cfg.model, cfg.initial_condition, cfg.cfl
     )
-    write_timeseries(rows_on, out / "budget_extra_on.csv")
-    write_timeseries(rows_off, out / "budget_extra_off.csv")
+    written = [
+        write_timeseries(rows_on, out / "budget_extra_on.csv"),
+        write_timeseries(rows_off, out / "budget_extra_off.csv"),
+    ]
     report = {
         "experiment": "energy_audit",
         "n": cfg.n,
@@ -351,8 +353,8 @@ def run_energy_audit(
         "samples": len(rows_on) + 2,
         **audit_summary(rows_on, rows_off),
     }
-    write_json(out / "report.json", report)
-    write_manifest(out, config_echo(cfg), timer.elapsed())
+    written.append(write_json(out / "report.json", report))
+    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
     _say(
         quiet,
         f"energy_audit: |residual| {report['max_abs_residual_on']:.3e} with the force, "
@@ -422,7 +424,7 @@ def run_galilean(
     alts = [alt_member(k) for k in cfg.k_list]
     slope = _loglog_slope([a["k"] for a in alts], [a["alt_force_norm"] for a in alts])
 
-    write_snapshot(state_r, out / "boost_source")
+    written = write_snapshot(state_r, out / "boost_source")
     report = {
         "experiment": "galilean",
         "n": cfg.n,
@@ -437,8 +439,8 @@ def run_galilean(
         "temam_gap_rel_err": rel_gap_err,
         "alt_force": {"members": alts, "slope": slope},
     }
-    write_json(out / "report.json", report)
-    write_manifest(out, config_echo(cfg), timer.elapsed())
+    written.append(write_json(out / "report.json", report))
+    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
     _say(
         quiet,
         f"galilean: standard gap {rep.standard_gap:.3e}, "
@@ -553,8 +555,8 @@ def run_transport_check(
         "jacobian_route_gap": rep.jacobian_route_gap,
         "under_resolved": rep.under_resolved,
     }
-    write_json(out / "report.json", report)
-    write_manifest(out, config_echo(cfg), timer.elapsed())
+    written = [out / "transport.csv", write_json(out / "report.json", report)]
+    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
     _say(
         quiet,
         f"transport_check: gap {rep.gap:.3e}, jacobian routes within "
@@ -588,13 +590,14 @@ def run_free_run(
         state0, cfg.model, forcing, cfg.t_final,
         dt=stable_dt(state0, cfg.model, cfg.cfl), store_every=1,
     )
+    written = []
     if len(stored) >= 3:
         rows = energy_audit(stored, forcing, cfg.model)
-        write_timeseries(rows, out / "budget.csv")
+        written.append(write_timeseries(rows, out / "budget.csv"))
     if cfg.snapshot_every:
         for idx in range(0, len(stored), cfg.snapshot_every):
-            write_snapshot(stored[idx], out / f"snap_{idx:06d}")
-    write_snapshot(final, out / "final")
+            written += write_snapshot(stored[idx], out / f"snap_{idx:06d}")
+    written += write_snapshot(final, out / "final")
     report = {
         "experiment": "free_run",
         "model": cfg.model.model,
@@ -605,8 +608,8 @@ def run_free_run(
         "e_kin_final": 0.5 * integrate(final.v.magnitude_squared()),
         "div_norm_final": divergence_norm(final),
     }
-    write_json(out / "report.json", report)
-    write_manifest(out, config_echo(cfg), timer.elapsed())
+    written.append(write_json(out / "report.json", report))
+    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
     _say(
         quiet,
         f"free_run: {report['steps']} steps to t={final.time:g}, "

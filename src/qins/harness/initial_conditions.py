@@ -93,7 +93,10 @@ def initial_condition(spec: InitialConditionSpec, grid: Grid) -> State:
     if spec.kind == "random_smooth":
         return random_smooth_state(grid, spec.seed, spec.modes, spec.amplitude)
     if spec.kind == "from_snapshot":
-        state = read_snapshot(spec.path)
+        try:
+            state = read_snapshot(spec.path)
+        except ValueError as exc:
+            raise ConfigError(f"cannot read snapshot {spec.path}: {exc}") from None
         if state.grid != grid:
             raise ConfigError(f"snapshot grid {state.grid} does not match requested {grid}")
         return state

@@ -1,11 +1,12 @@
 """On-disk formats: snapshots, budget tables, run manifests.
 
-A snapshot is a pair of files per field: a small JSON header and a raw
-little-endian float64 block (row-major; vector fields store the x block
-then the y block).  Values round-trip bit for bit.  Budget tables are
-CSV with 17 significant digits, enough to reproduce the float64 exactly.
-The manifest is written last, only for successful runs, and carries a
-config echo plus a checksum of every other output file.
+A state snapshot is one ``<stem>.state`` file: a JSON header line
+(``n``, ``period``, ``time``) ended by the first newline, then the raw
+little-endian float64 (3, n, n) block vx, vy, p, row-major.  Values
+round-trip bit for bit.  Budget tables are CSV with 17 significant
+digits, enough to reproduce the float64 exactly.  The manifest is
+written last, only for successful runs, and carries a config echo plus
+a checksum of every other file the run wrote.
 """
 
 from __future__ import annotations
@@ -19,86 +20,49 @@ from pathlib import Path
 import numpy as np
 
 from ..diagnostics import CSV_HEADER, EnergyBudgetRow
-from ..fields import Grid, ScalarField, VectorField
-from ..models import State
+from ..fields import Grid
+from ..models import State, pack_state, unpack_state
 
 MANIFEST_NAME = "manifest.json"
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    return path
 
 
-def write_field_snapshot(field, path_stem: str | Path, name: str, time: float) -> list[Path]:
-    """Write one field as header + raw block; returns the two paths."""
-    stem = Path(path_stem)
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(field, ScalarField):
-        kind = "scalar"
-        payload = field.values.astype("<f8").tobytes()
-    elif isinstance(field, VectorField):
-        kind = "vector"
-        payload = field.x.astype("<f8").tobytes() + field.y.astype("<f8").tobytes()
-    else:
-        raise TypeError(f"cannot snapshot {type(field).__name__}")
-    header = {
-        "n": field.grid.n,
-        "period": field.grid.period,
-        "kind": kind,
-        "time": float(time),
-        "name": name,
-    }
-    json_path = stem.with_suffix(stem.suffix + ".json")
-    bin_path = stem.with_suffix(stem.suffix + ".bin")
-    write_json(json_path, header)
-    bin_path.write_bytes(payload)
-    return [json_path, bin_path]
-
-
-def read_field_snapshot(path_stem: str | Path):
-    """Read one field back; accepts the stem or either file of the pair."""
-    stem = Path(path_stem)
-    if stem.suffix in (".json", ".bin"):
-        stem = stem.with_suffix("")
-    header = json.loads(stem.with_suffix(stem.suffix + ".json").read_text())
-    raw = np.frombuffer(stem.with_suffix(stem.suffix + ".bin").read_bytes(), dtype="<f8")
-    n = int(header["n"])
-    grid = Grid(n, float(header["period"]))
-    if header["kind"] == "scalar":
-        if raw.size != n * n:
-            raise ValueError(
-                f"snapshot block has {raw.size} samples, header promises {n * n}"
-            )
-        field = ScalarField(grid, raw.reshape(n, n).copy())
-    elif header["kind"] == "vector":
-        if raw.size != 2 * n * n:
-            raise ValueError(
-                f"snapshot block has {raw.size} samples, header promises {2 * n * n}"
-            )
-        field = VectorField(
-            grid, raw[: n * n].reshape(n, n).copy(), raw[n * n :].reshape(n, n).copy()
-        )
-    else:
-        raise ValueError(f"unknown snapshot kind {header['kind']!r}")
-    return field, header
+def snapshot_path(path_stem: str | Path) -> Path:
+    """The ``.state`` file of a snapshot, given its stem or the file itself."""
+    path = Path(path_stem)
+    return path if path.suffix == ".state" else path.with_name(path.name + ".state")
 
 
 def write_snapshot(state: State, path_stem: str | Path) -> list[Path]:
-    """Write a full state as velocity and pressure snapshot pairs."""
-    stem = Path(path_stem)
-    paths = write_field_snapshot(state.v, stem.parent / (stem.name + ".v"), "velocity", state.time)
-    paths += write_field_snapshot(state.p, stem.parent / (stem.name + ".p"), "pressure", state.time)
-    return paths
+    """Write a full state as one ``.state`` file; returns ``[path]``."""
+    path = snapshot_path(path_stem)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = {"n": state.grid.n, "period": state.grid.period, "time": float(state.time)}
+    block = pack_state(state).astype("<f8", copy=False)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + block.tobytes())
+    return [path]
 
 
 def read_snapshot(path_stem: str | Path) -> State:
     """Read a state written by :func:`write_snapshot`, bit for bit."""
-    stem = Path(path_stem)
-    v, v_header = read_field_snapshot(stem.parent / (stem.name + ".v"))
-    p, p_header = read_field_snapshot(stem.parent / (stem.name + ".p"))
-    if v_header["time"] != p_header["time"]:
-        raise ValueError("velocity and pressure snapshots disagree on time")
-    return State(v, p, float(v_header["time"]))
+    path = snapshot_path(path_stem)
+    head, _, block = path.read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head)
+        n, period, time = int(header["n"]), float(header["period"]), float(header["time"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"unreadable snapshot header ({exc})") from None
+    grid = Grid(n, period)
+    if len(block) != 8 * 3 * n * n:
+        raise ValueError(
+            f"snapshot block has {len(block) // 8} samples, header promises {3 * n * n}"
+        )
+    raw = np.frombuffer(block, dtype="<f8").reshape(3, n, n).astype(np.float64)
+    return unpack_state(raw, grid, time)
 
 
 def write_timeseries(rows: list[EnergyBudgetRow], path: str | Path) -> Path:
@@ -165,25 +129,22 @@ def write_manifest(
     out_dir: str | Path,
     config_echo: dict,
     wall_time_s: float,
+    files: list[Path],
 ) -> Path:
-    """Checksum every file under ``out_dir`` and write the manifest last.
+    """Checksum the files a run wrote under ``out_dir`` and write the manifest last.
 
     Call only after a run has fully succeeded; a directory without a
-    manifest is by construction an unfinished or failed run.
+    manifest is by construction an unfinished or failed run.  Files an
+    earlier run left in the directory are not listed.
     """
     from .. import __version__
 
     out = Path(out_dir)
-    checksums = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != MANIFEST_NAME:
-            checksums[str(path.relative_to(out))] = sha256_file(path)
+    checksums = {path.relative_to(out).as_posix(): sha256_file(path) for path in files}
     manifest = {
         "code_version": __version__,
         "config": config_echo,
         "wall_time_s": wall_time_s,
         "checksums": checksums,
     }
-    path = out / MANIFEST_NAME
-    write_json(path, manifest)
-    return path
+    return write_json(out / MANIFEST_NAME, manifest)

@@ -33,3 +33,17 @@ def test_every_required_tracer_target_resolves_in_the_package():
     missing = [f"{m}.{a}" for m, a in required
                if not callable(getattr(importlib.import_module(m), a, None))]
     assert not missing, f"the benchmark tracer cannot find {missing}"
+
+
+def test_write_snapshot_returns_the_paths_whose_sizes_sum_to_the_bytes_written(tmp_path):
+    # the tracer's io.bytes_written sums the sizes of the returned paths
+    from qins.fields import make_grid
+    from qins.harness.io import write_snapshot
+    from qins.models import State
+
+    state = State.rest(make_grid(8), time=0.5)
+    paths = write_snapshot(state, tmp_path / "s")
+    assert isinstance(paths, list) and paths
+    assert all(Path(p).is_file() for p in paths)
+    on_disk = sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
+    assert sum(Path(p).stat().st_size for p in paths) == on_disk > 3 * 8 * 8 * 8

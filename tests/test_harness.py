@@ -38,16 +38,14 @@ from qins.harness.initial_conditions import (
 )
 from qins.harness.io import (
     MANIFEST_NAME,
-    read_field_snapshot,
     read_snapshot,
     read_timeseries,
     sha256_file,
-    write_field_snapshot,
     write_manifest,
     write_snapshot,
     write_timeseries,
 )
-from qins.models import ModelConfig, State
+from qins.models import ModelConfig, State, pack_state
 from qins.operators import divergence
 
 
@@ -199,33 +197,12 @@ def test_from_snapshot_initial_condition(tmp_path):
 # -- on-disk formats ----------------------------------------------------------------
 
 
-def test_field_snapshot_round_trip_is_bitwise(tmp_path):
-    g = make_grid(16)
-    rng = np.random.default_rng(0)
-    from qins.fields import ScalarField, VectorField
-
-    s = ScalarField(g, rng.standard_normal((16, 16)))
-    write_field_snapshot(s, tmp_path / "phi", "phi", 1.5)
-    back, header = read_field_snapshot(tmp_path / "phi")
-    np.testing.assert_array_equal(back.values, s.values)
-    assert header == {"n": 16, "period": g.period, "kind": "scalar", "time": 1.5, "name": "phi"}
-
-    v = VectorField(g, rng.standard_normal((16, 16)), rng.standard_normal((16, 16)))
-    write_field_snapshot(v, tmp_path / "vel", "velocity", 0.0)
-    back_v, _ = read_field_snapshot(tmp_path / "vel.bin")  # either file name works
-    np.testing.assert_array_equal(back_v.x, v.x)
-    np.testing.assert_array_equal(back_v.y, v.y)
-
-
-def test_field_snapshot_detects_truncation(tmp_path):
-    g = make_grid(16)
-    from qins.fields import ScalarField
-
-    write_field_snapshot(ScalarField.zeros(g), tmp_path / "phi", "phi", 0.0)
-    blob = (tmp_path / "phi.bin").read_bytes()
-    (tmp_path / "phi.bin").write_bytes(blob[:-8])
-    with pytest.raises(ValueError):
-        read_field_snapshot(tmp_path / "phi")
+def test_state_snapshot_detects_truncation(tmp_path):
+    write_snapshot(taylor_green_state(make_grid(16)), tmp_path / "s")
+    blob = (tmp_path / "s.state").read_bytes()
+    (tmp_path / "s.state").write_bytes(blob[:-8])
+    with pytest.raises(ValueError, match="block has 767 samples, header promises 768"):
+        read_snapshot(tmp_path / "s")
 
 
 @settings(max_examples=30, deadline=None)
@@ -247,20 +224,23 @@ def test_state_snapshot_round_trip_is_bitwise_on_random_samples(n, exponent, tim
     assert back.time == time
 
 
-def test_state_snapshot_round_trip_and_time_check(tmp_path):
+def test_state_snapshot_is_one_header_line_and_one_block(tmp_path):
     g = make_grid(16)
-    state = taylor_green_state(g)
-    write_snapshot(state, tmp_path / "s")
-    back = read_snapshot(tmp_path / "s")
+    state = replace(taylor_green_state(g), time=0.25)
+    assert write_snapshot(state, tmp_path / "s") == [tmp_path / "s.state"]
+    assert [p.name for p in tmp_path.iterdir()] == ["s.state"]
+    head, block = (tmp_path / "s.state").read_bytes().split(b"\n", 1)
+    assert json.loads(head) == {"n": 16, "period": g.period, "time": 0.25}
+    assert block == pack_state(state).astype("<f8").tobytes()
+    back = read_snapshot(tmp_path / "s.state")  # the stem or the file
     np.testing.assert_array_equal(back.v.x, state.v.x)
     np.testing.assert_array_equal(back.p.values, state.p.values)
     assert back.time == state.time
 
-    header = json.loads((tmp_path / "s.p.json").read_text())
-    header["time"] = 99.0
-    (tmp_path / "s.p.json").write_text(json.dumps(header))
-    with pytest.raises(ValueError):
-        read_snapshot(tmp_path / "s")
+    for garbled in (b"{not json", b"[16]", b'{"n": 16}'):
+        (tmp_path / "s.state").write_bytes(garbled + b"\n" + block)
+        with pytest.raises(ValueError, match="unreadable snapshot header"):
+            read_snapshot(tmp_path / "s")
 
 
 def test_timeseries_round_trip_preserves_float64(tmp_path):
@@ -276,15 +256,18 @@ def test_timeseries_round_trip_preserves_float64(tmp_path):
         read_timeseries(tmp_path / "other.csv")
 
 
-def test_manifest_checksums_every_file_but_itself(tmp_path):
+def test_manifest_checksums_the_files_it_is_given(tmp_path):
     (tmp_path / "a.txt").write_text("alpha")
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "b.bin").write_bytes(b"\x00\x01")
-    write_manifest(tmp_path, {"experiment": "free_run"}, 1.25)
+    (tmp_path / "stale.txt").write_text("left by an earlier run")
+    files = [tmp_path / "a.txt", tmp_path / "sub" / "b.bin"]
+    write_manifest(tmp_path, {"experiment": "free_run"}, 1.25, files)
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
     assert manifest["code_version"] == qins.__version__
     assert set(manifest["checksums"]) == {"a.txt", "sub/b.bin"}
     assert manifest["checksums"]["a.txt"] == sha256_file(tmp_path / "a.txt")
+    assert (tmp_path / "stale.txt").exists()
 
 
 def test_resolve_out_dir_precedence(tmp_path, monkeypatch):
@@ -324,7 +307,7 @@ def test_free_run_writes_a_complete_directory(tmp_path):
     assert len(rows) == report["steps"] - 1
     final = read_snapshot(out / "final")
     assert final.time == pytest.approx(0.05, abs=1e-12)
-    assert (out / "snap_000000.v.bin").exists()
+    assert (out / "snap_000000.state").exists()
 
     manifest = json.loads((out / MANIFEST_NAME).read_text())
     assert manifest["config"]["experiment"] == "free_run"
@@ -334,12 +317,37 @@ def test_free_run_writes_a_complete_directory(tmp_path):
     assert listed == set(manifest["checksums"]) | {MANIFEST_NAME}
 
 
+def test_free_run_writes_one_file_per_stored_state(tmp_path):
+    cfg = _tiny_free_run_config(snapshot_every=1)
+    report = run_experiment(cfg, out_dir=tmp_path, quiet=True)
+    snaps = sorted(p.name for p in tmp_path.glob("snap_*"))
+    assert snaps == [f"snap_{i:06d}.state" for i in range(report["steps"] + 1)]
+    others = {p.name for p in tmp_path.iterdir()} - set(snaps)
+    assert others == {"final.state", "budget.csv", "report.json", MANIFEST_NAME}
+
+
+def test_manifest_of_a_reused_directory_lists_only_this_run(tmp_path):
+    cfg = _tiny_free_run_config(snapshot_every=5)
+    run_experiment(cfg, out_dir=tmp_path / "fresh", quiet=True)
+    run_experiment(replace(cfg, t_final=0.1), out_dir=tmp_path / "reused", quiet=True)
+    run_experiment(cfg, out_dir=tmp_path / "reused", quiet=True)
+    fresh, reused = (
+        json.loads((tmp_path / d / MANIFEST_NAME).read_text())["checksums"]
+        for d in ("fresh", "reused")
+    )
+    assert reused == fresh
+    # the earlier run's later snapshots stay on disk, uncertified
+    assert set(p.name for p in (tmp_path / "reused").glob("snap_*")) > {
+        rel for rel in reused if rel.startswith("snap_")
+    }
+
+
 def test_free_run_is_deterministic(tmp_path):
     cfg = _tiny_free_run_config(snapshot_every=0)
     run_experiment(cfg, out_dir=tmp_path / "one", quiet=True)
     run_experiment(cfg, out_dir=tmp_path / "two", quiet=True)
-    one = (tmp_path / "one" / "final.v.bin").read_bytes()
-    two = (tmp_path / "two" / "final.v.bin").read_bytes()
+    one = (tmp_path / "one" / "final.state").read_bytes()
+    two = (tmp_path / "two" / "final.state").read_bytes()
     assert one == two
     assert (tmp_path / "one" / "budget.csv").read_bytes() == (
         tmp_path / "two" / "budget.csv"
@@ -409,8 +417,9 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     assert main(["inspect", str(out)]) == 0
     assert "checksums verified" in capsys.readouterr().out
     assert main(["inspect", str(out / "budget.csv")]) == 0
-    assert main(["inspect", str(out / "final")]) == 0
-    assert "state at t=" in capsys.readouterr().out
+    for snapshot in ("final", "final.state"):
+        assert main(["inspect", str(out / snapshot)]) == 0
+        assert "state at t=" in capsys.readouterr().out
     assert main(["inspect", str(out / "report.json")]) == 0
 
 
@@ -444,7 +453,8 @@ def test_cli_inspect_reports_a_malformed_table_or_header(tmp_path, capsys):
     table = tmp_path / "bad.csv"
     table.write_text("a,b\n1,2\n")
     write_snapshot(taylor_green_state(make_grid(8)), tmp_path / "snap")
-    (tmp_path / "snap.v.json").write_text("{not json")
+    block = (tmp_path / "snap.state").read_bytes().split(b"\n", 1)[1]
+    (tmp_path / "snap.state").write_bytes(b"{not json\n" + block)
     for path in (table, tmp_path / "snap"):
         assert main(["inspect", str(path)]) == 1
         err = capsys.readouterr().err
@@ -467,6 +477,20 @@ def test_cli_snapshot_on_the_wrong_grid_is_a_config_error(tmp_path):
     ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
     cfg_path = _write_config(tmp_path, initial_condition=ic)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+
+
+def test_cli_corrupt_snapshot_is_a_config_error(tmp_path, capsys):
+    write_snapshot(taylor_green_state(make_grid(16)), tmp_path / "ic")
+    blob = (tmp_path / "ic.state").read_bytes()
+    head, block = blob.split(b"\n", 1)
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, initial_condition=ic)
+    for corrupt in (blob[:-8], b"{not json\n" + block):
+        (tmp_path / "ic.state").write_bytes(corrupt)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(tmp_path / "ic") in err
 
 
 def test_cli_energy_audit_without_a_bulk_modulus_falls_back_to_k_100(tmp_path):
