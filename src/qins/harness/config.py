@@ -8,6 +8,7 @@ offending key names in the message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
@@ -54,6 +55,10 @@ class InitialConditionSpec:
             raise ConfigError("from_snapshot needs a 'path'")
         if self.modes < 1:
             raise ConfigError(f"modes must be >= 1, got {self.modes}")
+        if not math.isfinite(self.amplitude):
+            raise ConfigError(f"amplitude must be finite, got {self.amplitude}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

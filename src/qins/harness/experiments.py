@@ -595,7 +595,7 @@ def run_free_run(
         rows = energy_audit(stored, forcing, cfg.model)
         written.append(write_timeseries(rows, out / "budget.csv"))
     if cfg.snapshot_every:
-        for idx in range(0, len(stored), cfg.snapshot_every):
+        for idx in range(0, len(stored) - 1, cfg.snapshot_every):  # the last is final
             written += write_snapshot(stored[idx], out / f"snap_{idx:06d}")
     written += write_snapshot(final, out / "final")
     report = {

@@ -53,31 +53,30 @@ def compressive_pulse_state(grid: Grid, amplitude: float) -> State:
 def random_smooth_state(grid: Grid, seed: int, modes: int, amplitude: float) -> State:
     """Band-limited random velocity, normalized to the requested amplitude.
 
-    Both components are independent real trigonometric sums over wave
-    numbers up to ``modes``; the spectrum falls off as 1/(1+|k|^2) so the
-    field stays smooth on coarse grids.  Deterministic in the seed.
+    Both components are independent real sums of a cos(theta) + b sin(theta),
+    theta = kx x + ky y, over 0 <= kx <= modes, |ky| <= modes, except kx = 0, ky <= 0;
+    a and b have standard deviation 1/(1+|k|^2) so the field stays smooth on
+    coarse grids.  Deterministic in the seed.  As a cos + b sin is
+    Re[(a - ib) e^{i theta}], each component is the separable sum Re(Ex C Ey^T)
+    with Ex[i, kx] = e^{i kx x_i}, Ey[j, ky] = e^{i ky y_j}, C[kx, ky] = a - ib.
     """
     rng = np.random.default_rng(seed)
-    X, Y = grid.mesh()
-
-    def component() -> np.ndarray:
-        out = np.zeros_like(X)
-        for kx in range(0, modes + 1):
-            for ky in range(-modes, modes + 1):
-                if kx == 0 and ky <= 0:
-                    continue
-                scale = 1.0 / (1.0 + kx * kx + ky * ky)
-                a, b = rng.normal(0.0, scale, size=2)
-                phase = kx * X + ky * Y
-                out += a * np.cos(phase) + b * np.sin(phase)
-        return out
-
-    vx, vy = component(), component()
-    peak = max(np.abs(vx).max(), np.abs(vy).max())
+    k = np.arange(-modes, modes + 1)
+    kx, ky = np.meshgrid(k[modes:], k, indexing="ij")
+    keep = (kx > 0) | (ky > 0)
+    scale = np.repeat(1.0 / (1.0 + kx[keep] ** 2 + ky[keep] ** 2), 2)
+    coeffs = np.zeros((2,) + kx.shape, dtype=complex)
+    for c in coeffs:  # (a, b) per mode in (kx, ky) order, all of vx then all of vy
+        a, b = rng.normal(0.0, scale).reshape(-1, 2).T
+        c[keep] = a - 1j * b
+    ey = np.exp(1j * np.outer(grid.coords(), k))  # Ex is its columns k >= 0
+    rows = np.einsum("ik,ckl->cil", ey[:, modes:], coeffs, order="C")
+    # Re(rows Ey^T): contract the interleaved (re, im) pairs of rows and conj(Ey)
+    v = np.einsum("cil,jl->cij", rows.view(float), ey.conj().view(float))
+    peak = max(v.max(), -v.min())
     if peak > 0.0:
-        vx *= amplitude / peak
-        vy *= amplitude / peak
-    return State(VectorField(grid, vx, vy), ScalarField.zeros(grid), 0.0)
+        v *= amplitude / peak
+    return State(VectorField(grid, v[0], v[1]), ScalarField.zeros(grid), 0.0)
 
 
 def initial_condition(spec: InitialConditionSpec, grid: Grid) -> State:

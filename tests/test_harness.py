@@ -173,6 +173,55 @@ def test_random_smooth_is_seed_deterministic_and_normalized():
     assert a.v.max_abs() == pytest.approx(0.4, rel=1e-12)
 
 
+def _random_smooth_loop(grid, seed, modes, amplitude):
+    """Reference for random_smooth_state: one pointwise cos/sin pair per mode.
+
+    Draws (a, b) mode by mode in (kx, ky) order, all of vx before vy.  The
+    sum is compensated (Kahan), since a plain float64 running sum over the
+    2 m (m + 1) terms drifts by about sqrt(terms) eps, which at m = 64 is
+    already 2e-14 of the peak.
+    """
+    rng = np.random.default_rng(seed)
+    X, Y = grid.mesh()
+
+    def component():
+        out, carry = np.zeros_like(X), np.zeros_like(X)
+        for kx in range(0, modes + 1):
+            for ky in range(-modes, modes + 1):
+                if kx == 0 and ky <= 0:
+                    continue
+                scale = 1.0 / (1.0 + kx * kx + ky * ky)
+                a, b = rng.normal(0.0, scale, size=2)
+                phase = kx * X + ky * Y
+                term = a * np.cos(phase) + b * np.sin(phase) - carry
+                total = out + term
+                carry = (total - out) - term
+                out = total
+        return out
+
+    vx, vy = component(), component()
+    peak = max(np.abs(vx).max(), np.abs(vy).max())
+    return vx * (amplitude / peak), vy * (amplitude / peak)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(4, 64),
+    seed=st.integers(0, 2**32),
+    period=st.one_of(st.just(2.0 * np.pi), st.floats(0.5, 20.0)),
+    amplitude=st.floats(0.01, 10.0),
+)
+def test_random_smooth_matches_the_pointwise_loop(data, n, seed, period, amplitude):
+    # modes >= n/2 alias on the grid; the separable sum must alias as the loop does
+    modes = data.draw(st.integers(1, n), label="modes")
+    grid = make_grid(n, period)
+    state = random_smooth_state(grid, seed=seed, modes=modes, amplitude=amplitude)
+    vx, vy = _random_smooth_loop(grid, seed, modes, amplitude)
+    np.testing.assert_allclose(state.v.x, vx, rtol=0, atol=1e-14 * amplitude)
+    np.testing.assert_allclose(state.v.y, vy, rtol=0, atol=1e-14 * amplitude)
+
+
 def test_taylor_green_pulse_is_the_sum_of_its_parts():
     g = make_grid(32)
     spec = InitialConditionSpec(kind="taylor_green_pulse", amplitude=0.2)
@@ -321,7 +370,8 @@ def test_free_run_writes_one_file_per_stored_state(tmp_path):
     cfg = _tiny_free_run_config(snapshot_every=1)
     report = run_experiment(cfg, out_dir=tmp_path, quiet=True)
     snaps = sorted(p.name for p in tmp_path.glob("snap_*"))
-    assert snaps == [f"snap_{i:06d}.state" for i in range(report["steps"] + 1)]
+    # the last stored state is final.state only
+    assert snaps == [f"snap_{i:06d}.state" for i in range(report["steps"])]
     others = {p.name for p in tmp_path.iterdir()} - set(snaps)
     assert others == {"final.state", "budget.csv", "report.json", MANIFEST_NAME}
 
@@ -491,6 +541,16 @@ def test_cli_corrupt_snapshot_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(tmp_path / "ic") in err
+
+
+def test_cli_bad_random_smooth_parameters_are_config_errors(tmp_path, capsys):
+    for bad in ({"amplitude": float("nan")}, {"seed": -1}):
+        ic = {"kind": "random_smooth", **bad}
+        cfg_path = _write_config(tmp_path, initial_condition=ic)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert next(iter(bad)) in err
 
 
 def test_cli_energy_audit_without_a_bulk_modulus_falls_back_to_k_100(tmp_path):
