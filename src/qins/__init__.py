@@ -41,6 +41,7 @@ from .models import (
     State,
     consistent_pressure,
     galilean_alt_force,
+    march,
     project_divergence_free,
     simulate,
     stable_dt,
@@ -85,6 +86,7 @@ __all__ = [
     "l2_norm",
     "laplacian",
     "make_grid",
+    "march",
     "material_derivative_v",
     "project_divergence_free",
     "simulate",

@@ -56,59 +56,47 @@ class EnergyBudgetRow:
 CSV_HEADER = "time,e_kin,e_press,dissipation,injection,defect_predicted,residual"
 
 
-def _uniform_dt(times: np.ndarray) -> float:
-    gaps = np.diff(times)
-    dt = float(gaps[0])
-    if dt <= 0.0 or not np.allclose(gaps, dt, rtol=1e-9, atol=1e-12):
+def _first_gap(t_prev: float, t: float, dt: float | None) -> float:
+    """``dt``, or ``t - t_prev`` if None, once the gap ``t - t_prev`` is checked against it."""
+    gap = t - t_prev
+    dt = gap if dt is None else dt
+    if dt <= 0.0 or not abs(gap - dt) <= 1e-12 + 1e-9 * abs(dt):
         raise ValueError("trajectory samples are not uniformly spaced in time")
     return dt
 
 
-def energy_audit(
-    trajectory: list[State], forcing: ForcingSpec, cfg: ModelConfig
-) -> list[EnergyBudgetRow]:
+def energy_audit(trajectory, forcing: ForcingSpec, cfg: ModelConfig) -> list[EnergyBudgetRow]:
     """Audit the energy budget of a uniformly sampled trajectory.
 
-    Needs at least three samples; produces one row per interior sample.
-    The pressure energy uses the configured bulk modulus and is zero for
-    the incompressible model, where pressure is a multiplier rather than
-    a stored energy.
+    ``trajectory`` is any iterable of states, a generator such as
+    ``march``'s included; it is streamed, keeping the time and five
+    floats per sample.  Needs at least three samples; produces one row
+    per interior sample.  The pressure energy uses the configured bulk
+    modulus and is zero for the incompressible model, where pressure is
+    a multiplier rather than a stored energy.
     """
-    if len(trajectory) < 3:
-        raise ValueError("energy audit needs at least three samples")
-    times = np.array([s.time for s in trajectory])
-    dt = _uniform_dt(times)
-
-    e_kin, e_press, dissipation, injection, defect = np.empty((5, len(trajectory)))
-    force = forcing.sampler(trajectory[0].grid, times[0])
-    for i, s in enumerate(trajectory):
-        speed_sq = s.v.magnitude_squared()
-        e_kin[i] = 0.5 * integrate(speed_sq)
-        if cfg.k is not None:
-            e_press[i] = integrate(s.p * s.p) / (2.0 * cfg.k)
+    budget, force, dt = [], None, None
+    for s in trajectory:
+        if force is None:
+            force = forcing.sampler(s.grid, s.time)
         else:
-            e_press[i] = 0.0
-        dissipation[i] = integrate(strain_frobenius_sq(s.v)) / cfg.re
+            dt = _first_gap(budget[-1][0], s.time, dt)
+        speed_sq = s.v.magnitude_squared()
         fv = force(s.time) * np.stack([s.v.x, s.v.y])
-        injection[i] = integrate(ScalarField(s.grid, fv[0] + fv[1]))
-        defect[i] = 0.5 * integrate(divergence(s.v) * speed_sq)
-
-    total = e_kin + e_press
-    rows = []
-    for i in range(1, len(trajectory) - 1):
-        de_dt = (total[i + 1] - total[i - 1]) / (2.0 * dt)
-        rows.append(
-            EnergyBudgetRow(
-                time=float(times[i]),
-                e_kin=float(e_kin[i]),
-                e_press=float(e_press[i]),
-                dissipation=float(dissipation[i]),
-                injection=float(injection[i]),
-                defect_predicted=float(defect[i]),
-                residual=float(de_dt - injection[i] + dissipation[i]),
-            )
-        )
-    return rows
+        budget.append((
+            s.time,
+            0.5 * integrate(speed_sq),
+            integrate(s.p * s.p) / (2.0 * cfg.k) if cfg.k is not None else 0.0,
+            integrate(strain_frobenius_sq(s.v)) / cfg.re,
+            integrate(ScalarField(s.grid, fv[0] + fv[1])),
+            0.5 * integrate(divergence(s.v) * speed_sq),
+        ))
+    if len(budget) < 3:
+        raise ValueError("energy audit needs at least three samples")
+    b = np.array(budget)  # columns as EnergyBudgetRow's, up to the residual
+    total = b[:, 1] + b[:, 2]
+    residual = (total[2:] - total[:-2]) / (2.0 * dt) - b[1:-1, 4] + b[1:-1, 3]
+    return [EnergyBudgetRow(*map(float, row), float(r)) for row, r in zip(b[1:-1], residual)]
 
 
 def divergence_norm(state: State) -> float:
@@ -326,13 +314,8 @@ class TransportReport:
     under_resolved: bool
 
 
-def transport_check(
-    trajectory: list[State],
-    particles: ParticleSet,
-    cfg: ModelConfig,
-    rho_fields: list[ScalarField] | None = None,
-    rho_star: float = 1.0,
-) -> TransportReport:
+def transport_check(trajectory, particles: ParticleSet, cfg: ModelConfig,
+                    rho_star: float = 1.0) -> TransportReport:
     """Check d/dt of the referential kinetic energy of a convecting region.
 
     Particles are advected through the sampled velocity with classical
@@ -345,85 +328,85 @@ def transport_check(
         rhs = sum w J (rho* dv/dt|material + (rho*/2)(div v) v) . v
 
     are formed, the derivative by centered differences; ``gap`` is the
-    largest pointwise discrepancy.  When ``rho_fields`` holds a density
-    co-evolved under the full mass balance (starting from rho_star),
-    the Jacobian is also recovered as rho*/rho at the particles and the
-    worst disagreement between the two routes is reported.  Each set of
-    positions (an RK4 stage, an even sample) builds its interpolation
-    taps once and gathers every field it needs through them.
-    """
-    if len(trajectory) < 5:
-        raise ValueError("transport check needs at least five samples")
-    usable = len(trajectory) if len(trajectory) % 2 == 1 else len(trajectory) - 1
-    trajectory = trajectory[:usable]
-    if rho_fields is not None:
-        if len(rho_fields) < usable:
-            raise ValueError("rho_fields must cover the trajectory")
-        rho_fields = rho_fields[:usable]
+    largest pointwise discrepancy.  When the samples are ``(state, rho)``
+    pairs, rho a density co-evolved under the full mass balance (starting
+    from rho_star), the Jacobian is also recovered as rho*/rho at the
+    particles and the worst disagreement between the two routes is
+    reported.  Each set of positions (an RK4 stage, an even sample) builds
+    its interpolation taps once and gathers every field it needs through them.
 
-    grid = trajectory[0].grid
-    h = grid.spacing
-    times = np.array([s.time for s in trajectory])
-    dt = _uniform_dt(times)
-    div_fields = [divergence(s.v).values for s in trajectory]
+    ``trajectory`` is any iterable of states or of such pairs, a generator
+    included.  It is streamed: at most four samples are held at a time.
+    An even number of samples drops the last one.
+    """
+    half_rho = 0.5 * rho_star
+    y = np.column_stack([particles.positions, particles.jacobians])
+    window, times, energy, power = [], [], [], []  # window: (state, div v, rho) per sample
+    worst, under_resolved, dt, count = 0.0, False, None, 0
 
     def path_rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
-        idx = round(t / dt)  # every stage time is a sample time
-        v = trajectory[idx].v
+        # every stage time is a sample time, k to k + 2
+        state, div, _ = window[len(window) - 3 + round(t / dt) - k]
         taps = _interp_taps(y[:, 0], y[:, 1], grid)
-        out[:, 0], out[:, 1], div_at = _gather(taps, v.x, v.y, div_fields[idx])
+        out[:, 0], out[:, 1], div_at = _gather(taps, state.v.x, state.v.y, div)
         out[:, 2] = y[:, 2] * div_at
 
-    # advect (x, y, J) with RK4 over pairs of intervals; positions live at even samples
-    y = np.column_stack([particles.positions, particles.jacobians])
-    even_positions, even_jacobians = [y[:, :2]], [y[:, 2]]
-    under_resolved = False
-    big = 2.0 * dt
-    for k in range(0, usable - 1, 2):
-        moved, _ = step_rk4(path_rates, y, k * dt, big)
-        if np.abs(moved[:, :2] - y[:, :2]).max() > h:
-            under_resolved = True
-        y = moved
-        np.mod(y[:, :2], grid.period, out=y[:, :2])
-        even_positions.append(y[:, :2])
-        even_jacobians.append(y[:, 2])
-
-    half_rho = 0.5 * rho_star
-    n_even = len(even_positions)
-    energy, power = np.empty(n_even), np.empty(n_even)
-    worst = 0.0
-    for e, (pos_e, jac_e) in enumerate(zip(even_positions, even_jacobians)):
-        idx = 2 * e
-        v = trajectory[idx].v
-        fields = [v.x, v.y]
-        interior = 0 < e < n_even - 1
+    def even_sample(at: int, interior: bool) -> None:
+        """Region energy, and inside the run its power, at window[at], where y holds the paths."""
+        nonlocal worst
+        state, div, rho = window[at]
+        v, fields = state.v, [state.v.x, state.v.y]
         if interior:
-            before, after = trajectory[idx - 1].v, trajectory[idx + 1].v
+            before, after = window[at - 1][0].v, window[at + 1][0].v
             conv = convection(v)
             fields += [
                 (after.x - before.x) / (2.0 * dt) + conv.x,
                 (after.y - before.y) / (2.0 * dt) + conv.y,
-                div_fields[idx],
+                div,
             ]
-        if rho_fields is not None:
-            fields.append(rho_fields[idx].values)
-        vx, vy, *at = _gather(_interp_taps(pos_e[:, 0], pos_e[:, 1], grid), *fields)
-        energy[e] = np.sum(particles.weights * jac_e * half_rho * (vx**2 + vy**2))
+        if rho is not None:
+            fields.append(rho.values)
+        pos, jac = y[:, :2], y[:, 2]
+        vx, vy, *at = _gather(_interp_taps(pos[:, 0], pos[:, 1], grid), *fields)
+        energy.append(np.sum(particles.weights * jac * half_rho * (vx**2 + vy**2)))
         if interior:
             ax, ay, dv = at[:3]
             fx = rho_star * ax + half_rho * dv * vx
             fy = rho_star * ay + half_rho * dv * vy
-            power[e] = np.sum(particles.weights * jac_e * (fx * vx + fy * vy))
-        if rho_fields is not None:
-            worst = max(worst, float(np.abs(jac_e - rho_star / at[-1]).max()))
+            power.append(np.sum(particles.weights * jac * (fx * vx + fy * vy)))
+            times.append(state.time)
+        if rho is not None:
+            worst = max(worst, float(np.abs(jac - rho_star / at[-1]).max()))
 
-    lhs = (energy[2:] - energy[:-2]) / (2.0 * big)
-    rhs = power[1:-1]
+    # advect (x, y, J) with RK4 over pairs of intervals; positions live at even samples.
+    # Once sample k + 2 arrives (k even), the window holds k - 1 (if k > 0) to k + 2.
+    for count, sample in enumerate(trajectory, 1):
+        s, rho = sample if isinstance(sample, tuple) else (sample, None)
+        if window:
+            dt = _first_gap(window[-1][0].time, s.time, dt)
+        else:
+            grid = s.grid
+        window.append((s, divergence(s.v).values, rho))
+        k = count - 3
+        if k < 0 or k % 2:
+            continue
+        even_sample(len(window) - 3, interior=k > 0)
+        moved, _ = step_rk4(path_rates, y, k * dt, 2.0 * dt)
+        under_resolved |= bool(np.abs(moved[:, :2] - y[:, :2]).max() > grid.spacing)
+        y = moved
+        np.mod(y[:, :2], grid.period, out=y[:, :2])
+        del window[:-2]  # samples k + 1 and k + 2
+    if count < 5:
+        raise ValueError("transport check needs at least five samples")
+    even_sample(-1 - (count % 2 == 0), interior=False)
+
+    energy, rhs = np.array(energy), np.array(power)
+    lhs = (energy[2:] - energy[:-2]) / (2.0 * (2.0 * dt))
     return TransportReport(
-        times=times[2:-2:2],
+        times=np.array(times),
         lhs=lhs,
         rhs=rhs,
         gap=float(np.abs(lhs - rhs).max()),
-        jacobian_route_gap=worst if rho_fields is not None else None,
+        jacobian_route_gap=worst if rho is not None else None,
         under_resolved=under_resolved,
     )

@@ -34,7 +34,7 @@ from ..inertia import (
     kinetic_density_spatial,
     kinetic_density_star,
 )
-from ..models import ForcingSpec, ModelConfig, simulate, stable_dt
+from ..models import ForcingSpec, ModelConfig, march, stable_dt
 from ..operators import convection, divergence, grad_div, gradient, laplacian
 from .config import ExperimentConfig, InitialConditionSpec
 from .experiments import (
@@ -400,22 +400,22 @@ def check_inertia_identities(prof: Profile, out: Path, quiet: bool) -> Verdict:
     # power consistency along a simulated trajectory
     def power_error(n: int, dt: float) -> float:
         g = make_grid(n)
-        state0 = initial_condition(PULSE, g)
-        _, stored, dt_used = simulate(
-            state0, RELAXED, ForcingSpec.zero(), prof.power_t, dt=dt, store_every=1
+        _, dt_used, states = march(
+            initial_condition(PULSE, g), RELAXED, ForcingSpec.zero(), prof.power_t, dt=dt
         )
         ones = ScalarField.constant(g, 1.0)
-        worst = 0.0
-        for i in range(1, len(stored) - 1):
-            s = stored[i]
-            accel = (stored[i + 1].v - stored[i - 1].v) / (2.0 * dt_used)
-            sample = KinematicSample(v=s.v, dv_dt_partial=accel, rho=ones, rho_star=1.0)
-            rhs = integrate(((-1.0) * inertial_force_star(sample)).dot(s.v))
-            lhs = (
-                0.5 * integrate(stored[i + 1].v.magnitude_squared())
-                - 0.5 * integrate(stored[i - 1].v.magnitude_squared())
-            ) / (2.0 * dt_used)
-            worst = max(worst, abs(lhs - rhs))
+        worst, before, mid = 0.0, None, None
+        for after in states:
+            if before is not None:
+                accel = (after.v - before.v) / (2.0 * dt_used)
+                sample = KinematicSample(v=mid.v, dv_dt_partial=accel, rho=ones, rho_star=1.0)
+                rhs = integrate(((-1.0) * inertial_force_star(sample)).dot(mid.v))
+                lhs = (
+                    0.5 * integrate(after.v.magnitude_squared())
+                    - 0.5 * integrate(before.v.magnitude_squared())
+                ) / (2.0 * dt_used)
+                worst = max(worst, abs(lhs - rhs))
+            before, mid = mid, after
         return worst
 
     dt0 = _pulse_dt(prof.power_n)

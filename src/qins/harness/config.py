@@ -124,7 +124,10 @@ def _ic_from_value(raw) -> InitialConditionSpec:
         raise ConfigError("initial_condition must be a string or an object")
     allowed = {f.name for f in dataclass_fields(InitialConditionSpec)}
     _reject_unknown(raw, allowed, "initial_condition")
-    return InitialConditionSpec(**raw)
+    try:
+        return InitialConditionSpec(**raw)
+    except TypeError as exc:  # a value of the wrong type
+        raise ConfigError(f"bad initial_condition: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

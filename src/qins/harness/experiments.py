@@ -19,6 +19,7 @@ workloads in ``perfbench/workloads.py`` pass ``threads=1``.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,11 +41,12 @@ from ..models import (
     SimulationBlowupError,
     State,
     _TEMAM_WORK,
+    _march,
     _momentum_source,
-    blowup_guard,
     consistent_pressure,
     fixed_step,
     galilean_alt_force,
+    march,
     pack_state,
     project_divergence_free,
     simulate,
@@ -205,11 +207,9 @@ def run_k_sweep(
         dv, _ = project_divergence_free(VectorField(grid, src[0], src[1]))
         out[0], out[1] = dv.x, dv.y
 
-    y, t = np.stack([v0.x, v0.y]), state0.time
-    for _ in range(ref_steps):
-        with blowup_guard(y, t, grid.spacing, cfg_ref, ref_dt):
-            y, _ = step_rk4(ref_rates, y, t, ref_dt)
-        t = t + ref_dt
+    ref = _march(np.stack([v0.x, v0.y]), state0.time, ref_steps, ref_dt,
+                 lambda ys, ts: step_rk4(ref_rates, ys, ts, ref_dt)[0], grid.spacing, cfg_ref)
+    y, _ = deque(ref, maxlen=1)[0]  # the last sample
     ref_v = VectorField(grid, y[0], y[1])
 
     def member(k: float) -> dict:
@@ -298,10 +298,9 @@ def paired_energy_audit(
     cfg_on = replace(base, extra_force="temam")
     cfg_off = replace(base, extra_force="none")
     dt_used = dt if dt is not None else stable_dt(state0, cfg_on, cfl)
-    _, stored_on, dt_on = simulate(state0, cfg_on, forcing, t_final, dt=dt_used, store_every=1)
-    _, stored_off, _ = simulate(state0, cfg_off, forcing, t_final, dt=dt_used, store_every=1)
-    rows_on = energy_audit(stored_on, forcing, cfg_on)
-    rows_off = energy_audit(stored_off, forcing, cfg_off)
+    _, dt_on, states_on = march(state0, cfg_on, forcing, t_final, dt=dt_used)
+    rows_on = energy_audit(states_on, forcing, cfg_on)
+    rows_off = energy_audit(march(state0, cfg_off, forcing, t_final, dt=dt_used)[2], forcing, cfg_off)
     return rows_on, rows_off, dt_on
 
 
@@ -462,14 +461,15 @@ def simulate_with_density(
     t_final: float,
     cfl: float,
     dt: float | None = None,
-) -> tuple[list[State], list[ScalarField], float]:
+):
     """Advance the relaxed model while co-evolving a density field.
 
     The density starts at one and obeys the full mass balance
     d rho/dt = -div(rho v) inside the same RK4 stages as (v, p), so a
     particle Jacobian integrated to O(dt^4) can be cross-checked against
-    1/rho along paths at matching accuracy.  Returns every step:
-    ``(states, densities, dt_used)``.
+    1/rho along paths at matching accuracy.  Returns ``(steps, dt_used,
+    samples)``; ``samples`` yields ``(state, density)`` for the initial
+    state and after each step, as ``march`` yields states.
     """
     steps, dt_used = fixed_step(state0, cfg, t_final, dt, cfl)
     grid, h = state0.grid, state0.grid.spacing
@@ -484,15 +484,10 @@ def simulate_with_density(
         np.negative(out[3], out=out[3])
 
     y = np.concatenate([pack_state(state0), np.ones((1, grid.n, grid.n))])
-    t, work = state0.time, np.empty((5,) + y.shape)
-    states, densities = [state0], [ScalarField(grid, y[3])]
-    for _ in range(steps):
-        with blowup_guard(y[:2], t, h, cfg, dt_used):
-            y, _ = step_rk4(rates, y, t, dt_used, work)
-        t = t + dt_used
-        states.append(unpack_state(y, grid, t))
-        densities.append(ScalarField(grid, y[3]))
-    return states, densities, dt_used
+    work = np.empty((5,) + y.shape)
+    samples = _march(y, state0.time, steps, dt_used,
+                     lambda ys, ts: step_rk4(rates, ys, ts, dt_used, work)[0], h, cfg)
+    return steps, dt_used, ((unpack_state(y, grid, t), ScalarField(grid, y[3])) for y, t in samples)
 
 
 def particle_transport(
@@ -507,10 +502,10 @@ def particle_transport(
 
     Particles seed the centered quarter-area patch of the square, so the
     audited region is a genuinely moving sub-body; on the whole torus
-    the boundary terms vanish and the check would be too easy.  Returns
-    ``(report, samples, dt_used)``.
+    the boundary terms vanish and the check would be too easy.  The run
+    streams into the audit.  Returns ``(report, samples, dt_used)``.
     """
-    states, densities, dt_used = simulate_with_density(
+    steps, dt_used, samples = simulate_with_density(
         state0, model, ForcingSpec.zero(), t_final, cfl, dt=dt
     )
     period = state0.grid.period
@@ -521,8 +516,8 @@ def particle_transport(
         origin=(period / 4.0, period / 4.0),
         extent=(period / 2.0, period / 2.0),
     )
-    rep = transport_check(states, seeds, model, rho_fields=densities, rho_star=1.0)
-    return rep, len(states), dt_used
+    rep = transport_check(samples, seeds, model, rho_star=1.0)
+    return rep, steps + 1, dt_used
 
 
 def run_transport_check(
@@ -576,9 +571,8 @@ def run_free_run(
 ) -> dict:
     """Plain run of the configured model with a budget table and snapshots.
 
-    Stores every step in memory for the budget, so it is meant for the
-    moderate runs the other drivers are built from, not for production
-    campaigns.
+    The run streams: the budget keeps six floats per state, and each
+    snapshot is written when its state appears.
     """
     out = resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -586,25 +580,32 @@ def run_free_run(
     state0 = _initial_state(cfg.initial_condition, make_grid(cfg.n), cfg.t_final)
     forcing = ForcingSpec.zero()
     # the budget differences the samples in time, so keep every run sound-resolved
-    final, stored, dt_used = simulate(
-        state0, cfg.model, forcing, cfg.t_final,
-        dt=stable_dt(state0, cfg.model, cfg.cfl), store_every=1,
+    steps, dt_used, states = march(
+        state0, cfg.model, forcing, cfg.t_final, dt=stable_dt(state0, cfg.model, cfg.cfl)
     )
-    written = []
-    if len(stored) >= 3:
-        rows = energy_audit(stored, forcing, cfg.model)
+    snapshots = []
+
+    def recorded():
+        nonlocal final
+        for idx, final in enumerate(states):
+            if cfg.snapshot_every and idx % cfg.snapshot_every == 0 and idx < steps:
+                snapshots.extend(write_snapshot(final, out / f"snap_{idx:06d}"))  # the last is final
+            yield final
+
+    final, written = None, []
+    if steps >= 2:
+        rows = energy_audit(recorded(), forcing, cfg.model)
         written.append(write_timeseries(rows, out / "budget.csv"))
-    if cfg.snapshot_every:
-        for idx in range(0, len(stored) - 1, cfg.snapshot_every):  # the last is final
-            written += write_snapshot(stored[idx], out / f"snap_{idx:06d}")
-    written += write_snapshot(final, out / "final")
+    else:
+        deque(recorded(), maxlen=0)  # too few states for a budget
+    written += snapshots + write_snapshot(final, out / "final")
     report = {
         "experiment": "free_run",
         "model": cfg.model.model,
         "n": cfg.n,
         "t_final": final.time,
         "dt": dt_used,
-        "steps": len(stored) - 1,
+        "steps": steps,
         "e_kin_final": 0.5 * integrate(final.v.magnitude_squared()),
         "div_norm_final": divergence_norm(final),
     }

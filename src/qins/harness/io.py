@@ -21,7 +21,7 @@ import numpy as np
 
 from ..diagnostics import CSV_HEADER, EnergyBudgetRow
 from ..fields import Grid
-from ..models import State, pack_state, unpack_state
+from ..models import State, unpack_state
 
 MANIFEST_NAME = "manifest.json"
 
@@ -38,12 +38,14 @@ def snapshot_path(path_stem: str | Path) -> Path:
 
 
 def write_snapshot(state: State, path_stem: str | Path) -> list[Path]:
-    """Write a full state as one ``.state`` file; returns ``[path]``."""
+    """Write a full state as one ``.state`` file, each channel from its own buffer; ``[path]``."""
     path = snapshot_path(path_stem)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {"n": state.grid.n, "period": state.grid.period, "time": float(state.time)}
-    block = pack_state(state).astype("<f8", copy=False)
-    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + block.tobytes())
+    with path.open("wb") as f:
+        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for values in (state.v.x, state.v.y, state.p.values):
+            f.write(np.ascontiguousarray(values, dtype="<f8"))
     return [path]
 
 

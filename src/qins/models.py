@@ -13,7 +13,7 @@ Three systems share one state (velocity, pressure, time):
 The systems are posed in dimensionless form, as in the paper, with the
 Reynolds number Re and the bulk modulus K as their parameters.
 
-``simulate`` marches every model as one packed (3, n, n) array.  The
+``march`` streams every model's run as one packed (3, n, n) array.  The
 temam model past its acoustic bound h / sqrt(K) steps ETDRK4 (``ETDRK4``),
 which takes the stiff linear part exactly per Fourier mode of the
 stencils, so by default only the advective and diffusive bounds limit its
@@ -617,23 +617,29 @@ class ETDRK4:
         return y_new, self.lag
 
 
-def simulate(
-    state: State,
-    cfg: ModelConfig,
-    forcing: ForcingSpec,
-    t_final: float,
-    dt: float | None = None,
-    cfl: float = DEFAULT_CFL,
-    store_every: int = 0,
-    observer=None,
-):
-    """March a state to ``t_final`` with a fixed step.
+def _march(y: np.ndarray, t: float, steps: int, dt: float, advance, h: float, cfg: ModelConfig):
+    """Yield packed ``(y, t)``, then again after each of ``steps`` steps ``advance(y, t)`` of ``dt``.
 
-    The step is chosen once from the initial state (or taken from ``dt``)
-    and then trimmed so an integer number of steps lands exactly on
-    ``t_final``.  ``observer(state)`` fires on the initial state and on
-    every accepted step; ``store_every=m`` additionally collects every
-    m-th state (plus the initial one) into the returned list.
+    A step that fails with ValueError raises SimulationBlowupError.  Each
+    step makes a new array, so a consumer may keep what it was given.
+    """
+    yield y, t
+    for _ in range(steps):
+        with blowup_guard(y[:2], t, h, cfg, dt):
+            y = advance(y, t)
+        t = t + dt
+        yield y, t
+
+
+def march(state: State, cfg: ModelConfig, forcing: ForcingSpec, t_final: float,
+          dt: float | None = None, cfl: float = DEFAULT_CFL, _packed: bool = False):
+    """March a state to ``t_final`` with a fixed step: ``(steps, dt_used, states)``.
+
+    ``states`` is a generator of the initial state and then each state as
+    its step is taken, so a consumer holds only what it keeps; ``_packed``
+    yields packed ``(y, t)`` instead and builds no State.  The step is chosen
+    once from the initial state (or taken from ``dt``) and trimmed so that
+    ``steps`` steps land exactly on ``t_final``.
 
     The step picks the integrator.  The temam model past its acoustic
     bound, dt > h / sqrt(K), steps ETDRK4, which treats the stiff linear
@@ -641,12 +647,8 @@ def simulate(
     default step is ``cfl`` times the advective and diffusive bounds only.
     The incompressible model takes projection steps (``incompressible_step``)
     and every other run classical RK4 (``step_rk4``), by default at
-    ``stable_dt``.  A forcing that cannot be sampled raises before any step.
-
-    Every model marches one packed (3, n, n) array with buffers the run
-    owns; States are built only for the observer and the results.
-
-    Returns ``(final_state, stored_states, dt_used)``.
+    ``stable_dt``.  A forcing that cannot be sampled raises here, before
+    any step.  The run owns its buffers.
     """
     grid, h = state.grid, state.grid.spacing
     if dt is None and cfg.model == "temam":
@@ -654,7 +656,7 @@ def simulate(
         dt = cfl * min(bounds["advective"], bounds["diffusive"])
     steps, dt_used = fixed_step(state, cfg, t_final, dt, cfl)
     force = forcing.sampler(grid, state.time)  # input errors surface here, not as a blow-up
-    y, t, etd, work = pack_state(state), state.time, None, None
+    y, etd, work = pack_state(state), None, None
     projection = cfg.model == "incompressible"
     if cfg.model == "temam" and dt_used > h / np.sqrt(cfg.k):
         etd = ETDRK4(cfg, grid.n, h, dt_used)
@@ -668,25 +670,31 @@ def simulate(
             return compressible_rhs(ys, force(ts), cfg, h, out)
         return temam_rhs(ys, force(ts), cfg, h, out, lag, rhs_work, _linear=etd is None)
 
-    stored: list[State] = []
-    for i in range(steps + 1):
-        if i:
-            if etd:
-                _advective_guard(y[:2], t, h, cfg, dt_used)
-            with blowup_guard(y[:2], t, h, cfg, dt_used):
-                if projection:
-                    y, k1 = incompressible_step(y, force(t), cfg, h, dt_used, rhs_work), None
-                else:
-                    y, k1 = etd.step(rates, y, t) if etd else step_rk4(rates, y, t, dt_used, work)
-            if k1 is not None:
-                np.copyto(lag, k1[:2])
-            t, state = t + dt_used, None  # the state is built below only when it is read
-        keep = store_every and (i % store_every == 0 or i == steps)
-        if state is None and (keep or observer is not None or i == steps):
-            state = unpack_state(y, grid, t)
-        if observer is not None:
-            observer(state)
-        if keep:
-            stored.append(state)
-    return state, stored, dt_used
+    def advance(ys: np.ndarray, ts: float) -> np.ndarray:
+        if projection:
+            return incompressible_step(ys, force(ts), cfg, h, dt_used, rhs_work)
+        if etd:
+            _advective_guard(ys[:2], ts, h, cfg, dt_used)
+        ys, k1 = etd.step(rates, ys, ts) if etd else step_rk4(rates, ys, ts, dt_used, work)
+        if k1 is not None:
+            np.copyto(lag, k1[:2])
+        return ys
 
+    samples = _march(y, state.time, steps, dt_used, advance, h, cfg)
+    return steps, dt_used, samples if _packed else (unpack_state(y, grid, t) for y, t in samples)
+
+
+def simulate(state: State, cfg: ModelConfig, forcing: ForcingSpec, t_final: float,
+             dt: float | None = None, cfl: float = DEFAULT_CFL, observer=None):
+    """``(final_state, [], dt_used)`` of ``march``'s run.
+
+    ``observer(state)`` fires on the initial state and on every accepted
+    step; without one, no State is built but the final one.  The middle
+    slot is always empty, for callers that unpack three values; a caller
+    that reads the states iterates ``march``.
+    """
+    _, dt_used, samples = march(state, cfg, forcing, t_final, dt, cfl, _packed=True)
+    for y, t in samples:
+        if observer is not None:
+            observer(unpack_state(y, state.grid, t))
+    return unpack_state(y, state.grid, t), [], dt_used

@@ -1,5 +1,8 @@
 """Energy audits, frame changes, interpolation, and particle transport."""
 
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,10 @@ from qins.diagnostics import (
     transport_check,
 )
 from qins.fields import ScalarField, VectorField, l2_norm, make_grid
-from qins.harness.experiments import simulate_with_density
-from qins.models import ForcingSpec, ModelConfig, State, simulate, stable_dt
+from qins.harness.config import ExperimentConfig, InitialConditionSpec
+from qins.harness.experiments import particle_transport, run_free_run, simulate_with_density
+from qins.harness.initial_conditions import random_smooth_state
+from qins.models import ForcingSpec, ModelConfig, State, march, stable_dt
 from qins.operators import divergence
 
 TEMAM = ModelConfig(model="temam", re=100.0, k=100.0)
@@ -49,7 +54,7 @@ def test_energy_audit_covers_the_interior_samples():
     state = _taylor_green_with_pulse(g, amp=0.1)
     # sound-resolved RK4 steps: the ETD default step would give a single step
     dt = stable_dt(state, TEMAM)
-    _, stored, dt = simulate(state, TEMAM, ForcingSpec.zero(), 0.05, dt=dt, store_every=1)
+    stored = list(march(state, TEMAM, ForcingSpec.zero(), 0.05, dt=dt)[2])
     rows = energy_audit(stored, ForcingSpec.zero(), TEMAM)
     assert len(rows) == len(stored) - 2
     assert rows[0].time == pytest.approx(stored[1].time)
@@ -108,6 +113,15 @@ def test_energy_audit_rejects_nonuniform_sampling():
     states = [State.rest(g, time=t) for t in (0.0, 0.01, 0.03)]
     with pytest.raises(ValueError):
         energy_audit(states, ForcingSpec.zero(), TEMAM)
+
+
+def test_energy_audit_errors_hold_for_a_generator():
+    g = make_grid(8)
+    with pytest.raises(ValueError, match="three samples"):
+        energy_audit((State.rest(g, time=t) for t in (0.0, 0.1)), ForcingSpec.zero(), TEMAM)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        energy_audit((State.rest(g, time=t) for t in (0.0, 0.01, 0.03)),
+                     ForcingSpec.zero(), TEMAM)
 
 
 # -- frame changes ----------------------------------------------------------------
@@ -315,7 +329,7 @@ def test_transport_identity_is_exact_for_rigid_translation():
     traj = _rigid_translation_trajectory(g, speed=0.8, dt=0.01, samples=5)
     rho = [ScalarField.constant(g, 1.0) for _ in traj]
     ps = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
-    rep = transport_check(traj, ps, TEMAM, rho_fields=rho)
+    rep = transport_check(zip(traj, rho), ps, TEMAM)
     assert len(rep.times) == 1
     assert rep.gap < 1e-13
     assert rep.jacobian_route_gap < 1e-12
@@ -351,18 +365,19 @@ def test_transport_check_drops_a_trailing_even_sample():
 
 def _pinned_transport_inputs():
     g = make_grid(16)
-    states, densities, _ = simulate_with_density(
+    _, _, samples = simulate_with_density(
         _taylor_green_with_pulse(g), TEMAM, ForcingSpec.zero(), 0.2, 0.4
     )
+    samples = list(samples)
     q = g.period / 4.0
     seeds = ParticleSet.uniform(g.period, nx=8, ny=8, origin=(q, q), extent=(2.0 * q, 2.0 * q))
-    return states, seeds, densities
+    return samples, seeds
 
 
 def test_transport_check_report_is_pinned_bitwise():
-    states, seeds, densities = _pinned_transport_inputs()
-    assert len(states) == 14  # the trailing even sample is dropped
-    rep = transport_check(states, seeds, TEMAM, rho_fields=densities)
+    samples, seeds = _pinned_transport_inputs()
+    assert len(samples) == 14  # the trailing even sample is dropped
+    rep = transport_check(samples, seeds, TEMAM)
     hexes = {
         "times": ["0x1.f81f81f81f820p-6", "0x1.f81f81f81f820p-5", "0x1.7a17a17a17a18p-4",
                   "0x1.f81f81f81f820p-4", "0x1.3b13b13b13b14p-3"],
@@ -379,7 +394,7 @@ def test_transport_check_report_is_pinned_bitwise():
 
 
 def test_transport_check_builds_taps_once_per_position_set(monkeypatch):
-    states, seeds, densities = _pinned_transport_inputs()
+    samples, seeds = _pinned_transport_inputs()
     built = []
     real = diagnostics._interp_taps
 
@@ -388,6 +403,82 @@ def test_transport_check_builds_taps_once_per_position_set(monkeypatch):
         return real(px, py, grid)
 
     monkeypatch.setattr(diagnostics, "_interp_taps", counted)
-    transport_check(states, seeds, TEMAM, rho_fields=densities)
+    transport_check(samples, seeds, TEMAM)
     # 13 usable samples: 6 RK4 steps of 4 stages, then 7 even samples
     assert built == [seeds.positions.shape[0]] * (6 * 4 + 7)
+
+
+def test_transport_check_errors_hold_for_a_generator():
+    g = make_grid(16)
+    ps = ParticleSet.uniform(g.period, nx=4, ny=4)
+    traj = _rigid_translation_trajectory(g, speed=0.5, dt=0.01, samples=4)
+    with pytest.raises(ValueError, match="five samples"):
+        transport_check(iter(traj), ps, TEMAM)
+    v, p = traj[0].v, traj[0].p
+    uneven = (State(v, p, time=t) for t in (0.0, 0.01, 0.02, 0.03, 0.05))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        transport_check(uneven, ps, TEMAM)
+
+
+def _report_bits(rep) -> tuple:
+    arrays = tuple(getattr(rep, f).tobytes() for f in ("times", "lhs", "rhs"))
+    return arrays + (rep.gap, rep.jacobian_route_gap, rep.under_resolved)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(6, 12), count=st.integers(5, 10), seed=st.integers(0, 2**16),
+       density=st.booleans())
+def test_audits_of_a_one_shot_generator_equal_those_of_a_list_bitwise(n, count, seed, density):
+    g = make_grid(n)
+    state0 = random_smooth_state(g, seed=seed, modes=2, amplitude=0.3)
+    dt = 0.5 * stable_dt(state0, TEMAM)
+
+    def run():  # a fresh one-shot generator of the same deterministic run
+        _, _, pairs = simulate_with_density(state0, TEMAM, ForcingSpec.zero(), (count - 1) * dt,
+                                            0.4, dt=dt)
+        return pairs if density else (s for s, _ in pairs)
+
+    samples = list(run())
+    assert len(samples) == count  # odd and even counts; an even one drops its last sample
+    states = [x[0] for x in samples] if density else samples
+    forcing = trig(g, 0.3)
+    rows = [astuple(r) for r in energy_audit(states, forcing, TEMAM)]
+    _, _, marched = march(state0, TEMAM, ForcingSpec.zero(), (count - 1) * dt, dt=dt)
+    streamed = [astuple(r) for r in energy_audit(marched, forcing, TEMAM)]
+    assert [[x.hex() for x in r] for r in rows] == [[x.hex() for x in r] for r in streamed]
+    q = g.period / 4.0
+    seeds = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(q, q), extent=(2.0 * q, 2.0 * q))
+    listed = transport_check(samples, seeds, TEMAM)
+    assert (listed.jacobian_route_gap is not None) == density
+    assert len(listed.times) == (count - 1) // 2 - 1
+    assert _report_bits(listed) == _report_bits(transport_check(run(), seeds, TEMAM))
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_audit_runs_hold_no_trajectory(tmp_path):
+    """Doubling the run leaves the traced peak within two states (numpy buffers are traced)."""
+    n, t_final = 32, 0.15
+    state_bytes = 3 * n * n * 8
+    ic = InitialConditionSpec(kind="random_smooth", seed=1, modes=3, amplitude=0.3)
+    state0 = random_smooth_state(make_grid(n), seed=1, modes=3, amplitude=0.3)
+
+    def free_run(t):
+        cfg = ExperimentConfig(experiment="free_run", n=n, t_final=t, model=TEMAM,
+                               initial_condition=ic)
+        return lambda: run_free_run(cfg, out_dir=tmp_path / f"free_{t}", quiet=True)
+
+    def transport(t):
+        return lambda: particle_transport(state0, TEMAM, t, 0.4, 8)
+
+    for make in (free_run, transport):
+        make(t_final)()  # warm caches and imports
+        short, long = _traced_peak(make(t_final)), _traced_peak(make(2.0 * t_final))
+        assert long - short < 2 * state_bytes, (make.__name__, short, long)

@@ -183,6 +183,7 @@ def _random_smooth_loop(grid, seed, modes, amplitude):
     """
     rng = np.random.default_rng(seed)
     X, Y = grid.mesh()
+    w = 2.0 * np.pi / grid.period  # wave numbers per unit length
 
     def component():
         out, carry = np.zeros_like(X), np.zeros_like(X)
@@ -192,7 +193,7 @@ def _random_smooth_loop(grid, seed, modes, amplitude):
                     continue
                 scale = 1.0 / (1.0 + kx * kx + ky * ky)
                 a, b = rng.normal(0.0, scale, size=2)
-                phase = kx * X + ky * Y
+                phase = kx * w * X + ky * w * Y
                 term = a * np.cos(phase) + b * np.sin(phase) - carry
                 total = out + term
                 carry = (total - out) - term
@@ -220,6 +221,26 @@ def test_random_smooth_matches_the_pointwise_loop(data, n, seed, period, amplitu
     vx, vy = _random_smooth_loop(grid, seed, modes, amplitude)
     np.testing.assert_allclose(state.v.x, vx, rtol=0, atol=1e-14 * amplitude)
     np.testing.assert_allclose(state.v.y, vy, rtol=0, atol=1e-14 * amplitude)
+
+
+def test_random_smooth_is_periodic_on_a_unit_square():
+    # at period 1 the wrap from the last cell to the first is a step like any other
+    state = random_smooth_state(make_grid(64, 1.0), seed=3, modes=2, amplitude=1.0)
+    for values in (state.v.x, state.v.y):
+        for axis in (0, 1):
+            inner = np.abs(np.diff(values, axis=axis)).max()
+            wrap = np.abs(np.take(values, 0, axis) - np.take(values, -1, axis)).max()
+            assert wrap <= inner
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(4, 48), seed=st.integers(0, 2**32), modes=st.integers(1, 6),
+       period=st.floats(0.5, 20.0))
+def test_random_smooth_on_any_period_is_the_2pi_field_rescaled(n, seed, modes, period):
+    scaled = random_smooth_state(make_grid(n, period), seed=seed, modes=modes, amplitude=1.0)
+    base = random_smooth_state(make_grid(n), seed=seed, modes=modes, amplitude=1.0)
+    np.testing.assert_allclose(scaled.v.x, base.v.x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scaled.v.y, base.v.y, rtol=0, atol=1e-12)
 
 
 def test_taylor_green_pulse_is_the_sum_of_its_parts():
@@ -260,10 +281,14 @@ def test_state_snapshot_detects_truncation(tmp_path):
     exponent=st.integers(-300, 150),
     time=st.floats(0.0, 1e6),
     seed=st.integers(0, 2**32 - 1),
+    transposed=st.booleans(),
 )
-def test_state_snapshot_round_trip_is_bitwise_on_random_samples(n, exponent, time, seed):
+def test_state_snapshot_round_trip_is_bitwise_on_random_samples(n, exponent, time, seed,
+                                                                 transposed):
     g = make_grid(n)
     a = 10.0**exponent * np.random.default_rng(seed).standard_normal((3, n, n))
+    if transposed:  # fields over strided views, not C-contiguous
+        a = a.transpose(0, 2, 1)
     state = State(VectorField(g, a[0], a[1]), ScalarField(g, a[2]), time)
     with tempfile.TemporaryDirectory() as tmp:
         write_snapshot(state, Path(tmp) / "s")
@@ -409,9 +434,11 @@ def test_density_run_shares_the_trajectory_of_simulate():
     state0 = random_smooth_state(g, seed=3, modes=2, amplitude=0.3)
     cfg = ModelConfig(model="temam", re=100.0, k=100.0)
     forcing = qins.ForcingSpec.zero()
-    states, densities, dt_used = simulate_with_density(state0, cfg, forcing, 0.05, 0.4)
+    _, dt_used, samples = simulate_with_density(state0, cfg, forcing, 0.05, 0.4)
+    states, densities = zip(*samples)
     dt = qins.stable_dt(state0, cfg, 0.4)  # the RK4 step simulate_with_density takes
-    _, stored, dt_plain = qins.simulate(state0, cfg, forcing, 0.05, dt=dt, store_every=1)
+    _, dt_plain, stored = qins.march(state0, cfg, forcing, 0.05, dt=dt)
+    stored = list(stored)
     assert dt_used == dt_plain
     assert len(states) == len(stored) == len(densities)
     for a, b in zip(states, stored):
@@ -425,7 +452,7 @@ def test_density_run_names_a_blowup():
     state0 = taylor_green_state(make_grid(16))
     cfg = ModelConfig(model="temam", re=100.0, k=100.0)
     with pytest.raises(qins.SimulationBlowupError, match="acoustic bound"):
-        simulate_with_density(state0, cfg, qins.ForcingSpec.zero(), 100.0, 0.4, dt=10.0)
+        list(simulate_with_density(state0, cfg, qins.ForcingSpec.zero(), 100.0, 0.4, dt=10.0)[2])
 
 
 def test_k_sweep_report_structure(tmp_path):
@@ -551,6 +578,14 @@ def test_cli_bad_random_smooth_parameters_are_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert next(iter(bad)) in err
+
+
+def test_cli_mistyped_initial_condition_value_is_a_config_error(tmp_path, capsys):
+    ic = {"kind": "random_smooth", "modes": "4"}
+    cfg_path = _write_config(tmp_path, initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad initial_condition: ") and err.count("\n") == 1
 
 
 def test_cli_energy_audit_without_a_bulk_modulus_falls_back_to_k_100(tmp_path):

@@ -24,6 +24,7 @@ from qins.models import (
     etd_coefficients,
     galilean_alt_force,
     incompressible_step,
+    march,
     pack_state,
     project_divergence_free,
     simulate,
@@ -435,23 +436,26 @@ def test_simulate_trims_dt_to_land_on_t_final():
     state = _taylor_green(g)
     seen = []
     final, stored, dt_used = simulate(
-        state, TEMAM, ForcingSpec.zero(), 0.05, dt=0.03,
-        store_every=2, observer=lambda s: seen.append(s.time),
+        state, TEMAM, ForcingSpec.zero(), 0.05, dt=0.03, observer=lambda s: seen.append(s.time),
     )
     # ceil(0.05 / 0.03) = 2 steps of 0.025
     assert dt_used == pytest.approx(0.025)
     assert final.time == pytest.approx(0.05, abs=1e-12)
-    assert len(seen) == 3  # initial state plus both steps
-    assert [s.time for s in stored] == pytest.approx([0.0, 0.05])
+    assert seen == pytest.approx([0.0, 0.025, 0.05])  # initial state plus both steps
+    assert stored == []
 
 
-def test_simulate_store_every_includes_endpoints():
+def test_march_yields_the_initial_state_and_every_step():
     g = make_grid(16)
     state = _taylor_green(g)
-    _, stored, dt_used = simulate(state, TEMAM, ForcingSpec.zero(), 0.05, dt=0.0125, store_every=1)
-    assert len(stored) == 5
+    steps, dt_used, states = march(state, TEMAM, ForcingSpec.zero(), 0.05, dt=0.0125)
+    stored = list(states)
+    assert steps == 4 and len(stored) == 5
     times = np.array([s.time for s in stored])
     np.testing.assert_allclose(np.diff(times), dt_used, rtol=1e-12)
+    final, _, _ = simulate(state, TEMAM, ForcingSpec.zero(), 0.05, dt=0.0125)
+    assert final.time == stored[-1].time
+    assert all(_same_bits(a, b) for a, b in zip(_arrays(final), _arrays(stored[-1])))
 
 
 def test_simulate_rejects_empty_span():
@@ -553,8 +557,8 @@ def test_no_force_and_a_zero_table_give_the_same_runs_bitwise(n, t0):
         (ModelConfig(model="incompressible", re=100.0), None),
     )
     for cfg, dt in runs:
-        _, stored, _ = simulate(state0, cfg, ForcingSpec.zero(), t0 + 0.2, dt=dt, store_every=1)
-        _, again, _ = simulate(state0, cfg, zeros, t0 + 0.2, dt=dt, store_every=1)
+        stored = list(march(state0, cfg, ForcingSpec.zero(), t0 + 0.2, dt=dt)[2])
+        again = list(march(state0, cfg, zeros, t0 + 0.2, dt=dt)[2])
         assert len(stored) == len(again) >= 2
         for a, b in zip(stored, again):
             assert a.time == b.time
@@ -656,7 +660,8 @@ def test_simulate_matches_the_field_level_rk4_bitwise(cfg, n):
     forcing = trig(g, 0.7, kx=1, ky=2)
     state0 = _smooth_state(g)
     # stable_dt keeps the temam rows on RK4, which the oracle writes out
-    _, stored, dt = simulate(state0, cfg, forcing, 0.06, dt=stable_dt(state0, cfg), store_every=1)
+    _, dt, states = march(state0, cfg, forcing, 0.06, dt=stable_dt(state0, cfg))
+    stored = list(states)
     assert len(stored) > 3
 
     expected, lag = [state0], VectorField.zeros(g)
@@ -691,8 +696,8 @@ def test_incompressible_simulate_matches_the_field_level_chorin_step_bitwise(for
     cfg = ModelConfig(model="incompressible", re=100.0, convection=form)
     forcing = ORACLE_FORCINGS[forcing](g)
     state0 = _smooth_state(g)
-    _, stored, dt = simulate(state0, cfg, forcing, 0.2, dt=stable_dt(state0, cfg) / 4.0,
-                             store_every=1)
+    _, dt, states = march(state0, cfg, forcing, 0.2, dt=stable_dt(state0, cfg) / 4.0)
+    stored = list(states)
     assert len(stored) > 3
 
     expected = [state0]
@@ -710,7 +715,8 @@ def test_density_run_matches_the_field_level_rk4_bitwise(extra_force):
     g = make_grid(17)
     cfg = ModelConfig(model="temam", re=100.0, k=100.0, extra_force=extra_force)
     forcing = trig(g, 0.7, kx=1, ky=2)
-    states, densities, dt = simulate_with_density(_smooth_state(g), cfg, forcing, 0.06, 0.4)
+    _, dt, samples = simulate_with_density(_smooth_state(g), cfg, forcing, 0.06, 0.4)
+    states, densities = zip(*samples)
 
     def rates(y, t):
         v, p, rho = y
