@@ -82,7 +82,7 @@ def energy_audit(trajectory, forcing: ForcingSpec, cfg: ModelConfig) -> list[Ene
         else:
             dt = _first_gap(budget[-1][0], s.time, dt)
         speed_sq = s.v.magnitude_squared()
-        fv = force(s.time) * np.stack([s.v.x, s.v.y])
+        fv = force(s.time) * s.v.values
         budget.append((
             s.time,
             0.5 * integrate(speed_sq),
@@ -160,17 +160,17 @@ def _gather(taps: tuple[np.ndarray, np.ndarray], *fields: np.ndarray) -> list[np
     return out
 
 
-def _resample_shifted(grid: Grid, sx: float, sy: float, *fields: np.ndarray) -> list[np.ndarray]:
-    """Sample each field at positions displaced by (-sx, -sy) grid cells.
+def _resample_shifted(grid: Grid, sx: float, sy: float, a: np.ndarray) -> np.ndarray:
+    """Each (n, n) channel of ``a`` sampled at positions displaced by (-sx, -sy) grid cells.
 
     Integer shifts reduce to an exact roll; anything else falls back to
     cubic interpolation through one set of taps.
     """
     if _is_on_grid(sx, sy):
-        return [np.roll(values, (round(sx), round(sy)), axis=(0, 1)) for values in fields]
+        return np.roll(a, (round(sx), round(sy)), axis=(-2, -1))
     X, Y = grid.mesh()
     taps = _interp_taps(X - sx * grid.spacing, Y - sy * grid.spacing, grid)
-    return [values.reshape(X.shape) for values in _gather(taps, *fields)]
+    return np.array(_gather(taps, *a)).reshape(a.shape)
 
 
 def _is_on_grid(sx: float, sy: float) -> bool:
@@ -187,8 +187,10 @@ def galilean_boost(state: State, w: tuple[float, float]) -> State:
     wx, wy = float(w[0]), float(w[1])
     grid = state.grid
     sx, sy = _shift_cells(grid, wx, wy, state.time)
-    v_x, v_y, p = _resample_shifted(grid, sx, sy, state.v.x, state.v.y, state.p.values)
-    return State(VectorField(grid, v_x + wx, v_y + wy), ScalarField(grid, p), state.time)
+    y = _resample_shifted(grid, sx, sy, pack_state(state))
+    y[0] += wx
+    y[1] += wy
+    return unpack_state(y, grid, state.time)
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,7 @@ def galilean_invariance_report(
     sx, sy = _shift_cells(grid, wx, wy, state.time)
 
     def moved(field: VectorField, cx: float, cy: float) -> VectorField:
-        return VectorField(grid, *_resample_shifted(grid, cx, cy, field.x, field.y))
+        return VectorField(grid, _resample_shifted(grid, cx, cy, field.values))
 
     v_boosted = galilean_boost(state, (wx, wy)).v
     # chain rule: the boosted-frame Eulerian derivative loses (w . grad) v
@@ -239,8 +241,7 @@ def galilean_invariance_report(
 
     standard_gap = l2_norm(moved(inertial_there, -sx, -sy) - inertial_here)
     temam_gap = l2_norm(moved(force_there, -sx, -sy) - force_here)
-    div_v = divergence(v)
-    closed = 0.5 * l2_norm(VectorField(grid, div_v.values * wx, div_v.values * wy))
+    closed = 0.5 * l2_norm(divergence(v) * VectorField.constant(grid, wx, wy))
     return GalileanReport(
         standard_gap=float(standard_gap),
         temam_gap=float(temam_gap),
@@ -314,8 +315,7 @@ class TransportReport:
     under_resolved: bool
 
 
-def transport_check(trajectory, particles: ParticleSet, cfg: ModelConfig,
-                    rho_star: float = 1.0) -> TransportReport:
+def transport_check(trajectory, particles: ParticleSet, rho_star: float = 1.0) -> TransportReport:
     """Check d/dt of the referential kinetic energy of a convecting region.
 
     Particles are advected through the sampled velocity with classical
@@ -355,15 +355,11 @@ def transport_check(trajectory, particles: ParticleSet, cfg: ModelConfig,
         """Region energy, and inside the run its power, at window[at], where y holds the paths."""
         nonlocal worst
         state, div, rho = window[at]
-        v, fields = state.v, [state.v.x, state.v.y]
+        fields = [*state.v.values]
         if interior:
             before, after = window[at - 1][0].v, window[at + 1][0].v
-            conv = convection(v)
-            fields += [
-                (after.x - before.x) / (2.0 * dt) + conv.x,
-                (after.y - before.y) / (2.0 * dt) + conv.y,
-                div,
-            ]
+            accel = (after.values - before.values) / (2.0 * dt) + convection(state.v).values
+            fields += [*accel, div]
         if rho is not None:
             fields.append(rho.values)
         pos, jac = y[:, :2], y[:, 2]

@@ -2,10 +2,14 @@
 
 Everything downstream (difference operators, flow models, diagnostics)
 works on the three types defined here: ``Grid``, ``ScalarField`` and
-``VectorField``.  Fields are value types: construct them, then read them.
-Arithmetic returns new fields and every construction validates shape and
-finiteness at the API boundary.  The marching loops step packed arrays
-instead and check finiteness once per step, on the new array.
+``VectorField``.  A field is a thin, validated façade over one sample
+array, ``values``: (n, n) for a scalar field, (2, n, n) for a vector
+field, whose ``x`` and ``y`` are views of its two channels.  So a kernel
+takes a field's array as it is, and its result is wrapped without a copy.
+Fields are value types: construct them, then read them.  Arithmetic
+returns new fields and every construction validates shape and finiteness
+once, at the API boundary.  The marching loops step packed (3, n, n)
+arrays instead and check finiteness once per step, on the new array.
 
 Sampling convention: ``n x n`` cell centers, ``x_i = (i + 1/2) h`` with
 ``h = period / n``, axis 0 running along x and axis 1 along y.  The
@@ -17,6 +21,7 @@ for trigonometric polynomials below the grid Nyquist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 
@@ -59,12 +64,10 @@ def make_grid(n: int, period: float = TWO_PI) -> Grid:
     return Grid(int(n), float(period))
 
 
-def _coerce(grid: Grid, values: np.ndarray, what: str) -> np.ndarray:
+def _coerce(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (grid.n, grid.n):
-        raise ValueError(
-            f"{what} must have shape {(grid.n, grid.n)}, got {arr.shape}"
-        )
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite samples")
     return arr
@@ -76,14 +79,53 @@ def _check_same_grid(a: Grid, b: Grid) -> None:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Real scalar samples at the cell centers of a grid."""
+class _Field:
+    """One validated sample array on a grid, with pointwise arithmetic.
+
+    An operand is a number or a field on the same grid; a scalar field
+    broadcasts over the components of a vector field, and the result is
+    the kind of field its samples' shape says.
+    """
 
     grid: Grid
     values: np.ndarray
+    _components = ()  # leading axes of ``values``, before the (n, n) lattice
+    _what = "field"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _coerce(self.grid, self.values, "scalar field"))
+        shape = self._components + (self.grid.n, self.grid.n)
+        object.__setattr__(self, "values", _coerce(self.values, shape, self._what))
+
+    @classmethod
+    def zeros(cls, grid: Grid):
+        return cls(grid, np.zeros(cls._components + (grid.n, grid.n)))
+
+    def max_abs(self) -> float:
+        """Largest sample magnitude over every component."""
+        return float(np.abs(self.values).max())
+
+    def _operand(self, other):
+        if isinstance(other, _Field):
+            _check_same_grid(self.grid, other.grid)
+            return other.values
+        return float(other)
+
+    def _pointwise(self, ufunc, *other):
+        values = ufunc(self.values, *map(self._operand, other))
+        return (VectorField if values.ndim == 3 else ScalarField)(self.grid, values)
+
+    __add__ = partialmethod(_pointwise, np.add)
+    __sub__ = partialmethod(_pointwise, np.subtract)
+    __neg__ = partialmethod(_pointwise, np.negative)
+    __mul__ = __rmul__ = partialmethod(_pointwise, np.multiply)
+    __truediv__ = partialmethod(_pointwise, np.divide)
+
+
+@dataclass(frozen=True)
+class ScalarField(_Field):
+    """Real scalar samples at the cell centers of a grid: ``values`` is (n, n)."""
+
+    _what = "scalar field"
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "ScalarField":
@@ -94,110 +136,41 @@ class ScalarField:
     def constant(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full((grid.n, grid.n), float(value)))
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros((grid.n, grid.n)))
-
-    # -- arithmetic (pointwise, grid-checked) --------------------------------
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self.grid, other.grid)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self.grid, other.grid)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self.grid, other.grid)
-            return ScalarField(self.grid, self.values * other.values)
-        if isinstance(other, VectorField):
-            _check_same_grid(self.grid, other.grid)
-            return VectorField(other.grid, self.values * other.x, self.values * other.y)
-        return ScalarField(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self.grid, other.grid)
-            return ScalarField(self.grid, self.values / other.values)
-        return ScalarField(self.grid, self.values / float(other))
-
 
 @dataclass(frozen=True)
-class VectorField:
-    """Planar vector samples (x and y components) at the cell centers."""
+class VectorField(_Field):
+    """Planar vector samples at the cell centers: ``values`` is (2, n, n), x then y."""
 
-    grid: Grid
-    x: np.ndarray
-    y: np.ndarray
+    _components = (2,)
+    _what = "vector field"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _coerce(self.grid, self.x, "vector field x component"))
-        object.__setattr__(self, "y", _coerce(self.grid, self.y, "vector field y component"))
+    @property
+    def x(self) -> np.ndarray:
+        return self.values[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.values[1]
 
     @classmethod
     def from_function(cls, grid: Grid, fx, fy) -> "VectorField":
         X, Y = grid.mesh()
-        return cls(grid, np.asarray(fx(X, Y), dtype=np.float64),
-                   np.asarray(fy(X, Y), dtype=np.float64))
+        return cls(grid, np.array([fx(X, Y), fy(X, Y)], dtype=np.float64))
 
     @classmethod
     def constant(cls, grid: Grid, wx: float, wy: float) -> "VectorField":
-        shape = (grid.n, grid.n)
-        return cls(grid, np.full(shape, float(wx)), np.full(shape, float(wy)))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        shape = (grid.n, grid.n)
-        return cls(grid, np.zeros(shape), np.zeros(shape))
+        return cls(grid, np.full((2, grid.n, grid.n), [[[float(wx)]], [[float(wy)]]]))
 
     def component(self, axis: int) -> ScalarField:
         """One component as a scalar field (axis 0 = x, 1 = y)."""
-        return ScalarField(self.grid, self.x if axis == 0 else self.y)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self.grid, other.grid)
-        return VectorField(self.grid, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self.grid, other.grid)
-        return VectorField(self.grid, self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.x, -self.y)
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self.grid, other.grid)
-            return VectorField(self.grid, self.x * other.values, self.y * other.values)
-        return VectorField(self.grid, self.x * float(other), self.y * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self.grid, other.grid)
-            return VectorField(self.grid, self.x / other.values, self.y / other.values)
-        return VectorField(self.grid, self.x / float(other), self.y / float(other))
+        return ScalarField(self.grid, self.values[axis])
 
     def dot(self, other: "VectorField") -> ScalarField:
         _check_same_grid(self.grid, other.grid)
         return ScalarField(self.grid, self.x * other.x + self.y * other.y)
 
     def magnitude_squared(self) -> ScalarField:
-        return ScalarField(self.grid, self.x * self.x + self.y * self.y)
-
-    def max_abs(self) -> float:
-        """Largest sample magnitude over both components."""
-        return float(max(np.abs(self.x).max(), np.abs(self.y).max()))
+        return self.dot(self)
 
 
 Field = ScalarField | VectorField
@@ -215,18 +188,13 @@ def integrate(field: ScalarField) -> float:
 
 def inner_product(a: Field, b: Field) -> float:
     """Discrete L2 inner product (integral of the pointwise product)."""
-    if isinstance(a, ScalarField) != isinstance(b, ScalarField):
+    if type(a) is not type(b):
         raise TypeError("inner_product needs two fields of the same kind")
     _check_same_grid(a.grid, b.grid)
-    if isinstance(a, ScalarField):
-        return integrate(ScalarField(a.grid, a.values * b.values))
-    return integrate(a.dot(b))
+    prod = a.values * b.values
+    return integrate(ScalarField(a.grid, prod[0] + prod[1] if prod.ndim == 3 else prod))
 
 
 def l2_norm(field: Field) -> float:
     """Discrete L2 norm, sqrt of the field's inner product with itself."""
-    if isinstance(field, ScalarField):
-        sq = ScalarField(field.grid, field.values * field.values)
-    else:
-        sq = field.magnitude_squared()
-    return float(np.sqrt(integrate(sq)))
+    return float(np.sqrt(inner_product(field, field)))

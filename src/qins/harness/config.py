@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
@@ -36,6 +37,14 @@ class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
+def _require_ints(spec, *names: str) -> None:
+    """TypeError unless each field is an integer; the JSON readers turn it into ConfigError."""
+    for name in names:
+        value = getattr(spec, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InitialConditionSpec:
     """Which initial state to build, with the knobs each kind accepts."""
@@ -53,6 +62,7 @@ class InitialConditionSpec:
             )
         if self.kind == "from_snapshot" and not self.path:
             raise ConfigError("from_snapshot needs a 'path'")
+        _require_ints(self, "seed", "modes")
         if self.modes < 1:
             raise ConfigError(f"modes must be >= 1, got {self.modes}")
         if not math.isfinite(self.amplitude):
@@ -84,6 +94,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}"
             )
+        _require_ints(self, "n", "snapshot_every", "particles")
         if self.n < 4:
             raise ConfigError(f"n must be >= 4, got {self.n}")
         if not self.t_final > 0.0:
@@ -130,6 +141,14 @@ def _ic_from_value(raw) -> InitialConditionSpec:
         raise ConfigError(f"bad initial_condition: {exc}") from exc
 
 
+def _numbers(raw, key: str, what: str, length: int | None = None) -> tuple[float, ...]:
+    """A JSON list of numbers as floats; anything else (a string or a bool included) fails."""
+    if not (isinstance(raw, (list, tuple)) and length in (None, len(raw)) and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in raw)):
+        raise ConfigError(f"{key} must be {what}, got {raw!r}")
+    return tuple(float(x) for x in raw)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed JSON, rejecting unknown keys."""
     if not isinstance(raw, dict):
@@ -142,12 +161,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "initial_condition" in kwargs:
         kwargs["initial_condition"] = _ic_from_value(kwargs["initial_condition"])
     if "k_list" in kwargs:
-        kwargs["k_list"] = tuple(float(k) for k in kwargs["k_list"])
+        kwargs["k_list"] = _numbers(kwargs["k_list"], "k_list", "a list of numbers")
     if "boost_w" in kwargs:
-        w = kwargs["boost_w"]
-        if not (isinstance(w, (list, tuple)) and len(w) == 2):
-            raise ConfigError("boost_w must be a pair [wx, wy]")
-        kwargs["boost_w"] = (float(w[0]), float(w[1]))
+        kwargs["boost_w"] = _numbers(kwargs["boost_w"], "boost_w", "a pair [wx, wy]", 2)
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:

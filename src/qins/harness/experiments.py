@@ -204,13 +204,13 @@ def run_k_sweep(
 
     def ref_rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
         src = _momentum_source(y, force(t), cfg_ref, grid.spacing)
-        dv, _ = project_divergence_free(VectorField(grid, src[0], src[1]))
-        out[0], out[1] = dv.x, dv.y
+        dv, _ = project_divergence_free(VectorField(grid, src))
+        np.copyto(out, dv.values)
 
-    ref = _march(np.stack([v0.x, v0.y]), state0.time, ref_steps, ref_dt,
+    ref = _march(v0.values, state0.time, ref_steps, ref_dt,
                  lambda ys, ts: step_rk4(ref_rates, ys, ts, ref_dt)[0], grid.spacing, cfg_ref)
     y, _ = deque(ref, maxlen=1)[0]  # the last sample
-    ref_v = VectorField(grid, y[0], y[1])
+    ref_v = VectorField(grid, y)
 
     def member(k: float) -> dict:
         cfg_k = replace(base_model, k=k)
@@ -516,7 +516,7 @@ def particle_transport(
         origin=(period / 4.0, period / 4.0),
         extent=(period / 2.0, period / 2.0),
     )
-    rep = transport_check(samples, seeds, model, rho_star=1.0)
+    rep = transport_check(samples, seeds, rho_star=1.0)
     return rep, steps + 1, dt_used
 
 

@@ -77,7 +77,7 @@ def random_smooth_state(grid: Grid, seed: int, modes: int, amplitude: float) -> 
     peak = max(v.max(), -v.min())
     if peak > 0.0:
         v *= amplitude / peak
-    return State(VectorField(grid, v[0], v[1]), ScalarField.zeros(grid), 0.0)
+    return State(VectorField(grid, v), ScalarField.zeros(grid), 0.0)
 
 
 def initial_condition(spec: InitialConditionSpec, grid: Grid) -> State:

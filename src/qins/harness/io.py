@@ -38,13 +38,13 @@ def snapshot_path(path_stem: str | Path) -> Path:
 
 
 def write_snapshot(state: State, path_stem: str | Path) -> list[Path]:
-    """Write a full state as one ``.state`` file, each channel from its own buffer; ``[path]``."""
+    """Write a full state as one ``.state`` file, each field from its own buffer; ``[path]``."""
     path = snapshot_path(path_stem)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {"n": state.grid.n, "period": state.grid.period, "time": float(state.time)}
     with path.open("wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for values in (state.v.x, state.v.y, state.p.values):
+        for values in (state.v.values, state.p.values):
             f.write(np.ascontiguousarray(values, dtype="<f8"))
     return [path]
 

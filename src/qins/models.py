@@ -31,13 +31,13 @@ import numpy as np
 
 from .fields import Grid, ScalarField, VectorField
 from .operators import (
-    _convection, _ddx, _ddy, _lap, convection, divergence, gradient, laplacian, stencil_symbols,
+    _convection, _ddx, _ddy, _grad, _lap, convection, divergence, gradient, laplacian,
+    stencil_symbols,
 )
 
 MODELS = ("incompressible", "temam", "compressible")
 EXTRA_FORCES = ("temam", "none", "galilean_alt")
 CONVECTION_FORMS = ("advective", "skew")
-PRESSURE_TRANSPORT = ("partial", "material")
 
 DEFAULT_CFL = 0.4
 
@@ -60,7 +60,6 @@ class ModelConfig:
     zeta_over_mu: float = 0.0
     extra_force: str = "temam"
     convection: str = "advective"
-    pressure_transport: str = "partial"
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -78,8 +77,6 @@ class ModelConfig:
             raise ValueError(f"unknown extra_force {self.extra_force!r}")
         if self.convection not in CONVECTION_FORMS:
             raise ValueError(f"unknown convection form {self.convection!r}")
-        if self.pressure_transport not in PRESSURE_TRANSPORT:
-            raise ValueError(f"unknown pressure_transport {self.pressure_transport!r}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +102,12 @@ class State:
 
 def pack_state(state: State) -> np.ndarray:
     """A state's samples copied into one C-contiguous (3, n, n) array: vx, vy, p."""
-    return np.stack([state.v.x, state.v.y, state.p.values])
+    return np.concatenate([state.v.values, state.p.values[None]])
 
 
 def unpack_state(y: np.ndarray, grid: Grid, time: float = 0.0) -> State:
     """Validated State over channels 0-2 of a packed array; views, not copies."""
-    return State(VectorField(grid, y[0], y[1]), ScalarField(grid, y[2]), time)
+    return State(VectorField(grid, y[:2]), ScalarField(grid, y[2]), time)
 
 
 @dataclass(frozen=True)
@@ -150,8 +147,8 @@ def _extra_force(kind: str, y: np.ndarray, div, conv, dv_dt, k, out=None, scale=
 
 def temam_extra_force(v: VectorField) -> VectorField:
     """The quasi-incompressible extra force, -(1/2)(div v) v."""
-    f = _extra_force("temam", np.stack([v.x, v.y]), divergence(v).values, None, None, None)
-    return VectorField(v.grid, f[0], f[1])
+    div = divergence(v).values
+    return VectorField(v.grid, _extra_force("temam", v.values, div, None, None, None))
 
 
 def galilean_alt_force(state: State, dv_dt: VectorField, cfg: ModelConfig) -> VectorField:
@@ -167,8 +164,8 @@ def galilean_alt_force(state: State, dv_dt: VectorField, cfg: ModelConfig) -> Ve
         raise ValueError("galilean_alt force needs a bulk modulus")
     y = pack_state(state)
     conv = _convection(y[:2], state.grid.spacing, cfg.convection)
-    f = _extra_force("galilean_alt", y, None, conv, np.stack([dv_dt.x, dv_dt.y]), cfg.k)
-    return VectorField(state.grid, f[0], f[1])
+    f = _extra_force("galilean_alt", y, None, conv, dv_dt.values, cfg.k)
+    return VectorField(state.grid, f)
 
 
 _TEMAM_WORK = 13  # channels of the work array temam_rhs needs
@@ -180,8 +177,7 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     """Right-hand side of the quasi-incompressible system on packed (vx, vy, p).
 
     Momentum: -(v.grad)v - grad p + (1/Re) lap v + f + extra force, with f
-    of shape (2, n, n) or a scalar.  Pressure: dp/dt = -K div v, plus the
-    transport term -v.grad p when the material form is configured.
+    of shape (2, n, n) or a scalar.  Pressure: dp/dt = -K div v.
     galilean_alt reads the lagged acceleration ``dv_dt_prev`` (None is zero).
     Given ``out`` and ``work`` (13, n, n), it allocates nothing.
     ``_linear=False`` drops -grad p, (1/Re) lap v and -K div v, the linear
@@ -193,7 +189,7 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     w = np.empty((_TEMAM_WORK,) + y.shape[1:]) if work is None else work
     dx, dy, conv, t, lap, div = w[0:3], w[3:6], w[6:8], w[8:10], w[10:12], w[12]
     v, dv, grad_p = y[:2], out[:2], w[2:6:3]  # grad_p: channels 2 of dx and dy
-    c = 3 if _linear or cfg.pressure_transport == "material" else 2  # gradients read
+    c = 3 if _linear else 2  # gradients read
     _ddx(y[:c], h, dx[:c])
     _ddy(y[:c], h, dy[:c])
     _convection(v, h, cfg.convection, conv, dx[:2], dy[:2], (t, lap, dv))
@@ -206,10 +202,6 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     if cfg.extra_force != "none":
         dv += _extra_force(cfg.extra_force, y, div, conv, dv_dt_prev, cfg.k, t, lap[0])
     np.multiply(div, -cfg.k if _linear else 0.0, out=out[2])
-    if cfg.pressure_transport == "material":
-        np.multiply(v, grad_p, out=t)
-        t[0] += t[1]
-        out[2] -= t[0]
     return out
 
 
@@ -227,9 +219,9 @@ def compressible_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None) -> 
         raise ValueError("reconstructed density 1 + p/K reached zero")
     div = _ddx(v[0], h) + _ddy(v[1], h)
     momentum = -(rho_hat * _convection(v, h, cfg.convection))
-    momentum -= np.stack([_ddx(p, h), _ddy(p, h)])
+    momentum -= _grad(p, h)
     momentum += (1.0 / cfg.re) * _lap(v, h)
-    momentum += ((cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re) * np.stack([_ddx(div, h), _ddy(div, h)])
+    momentum += ((cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re) * _grad(div, h)
     momentum += f
     out = np.empty_like(y) if out is None else out
     np.divide(momentum, rho_hat, out=out[:2])
@@ -301,9 +293,8 @@ def consistent_pressure(
     """
     # field operators, not _momentum_source: the relaxed-stiff trace expects both in set-up
     rate = -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v)
-    src = np.stack([rate.x, rate.y]) + forcing.sampler(v.grid, t)(t)
-    rhs = divergence(VectorField(v.grid, src[0], src[1])).values
-    return ScalarField(v.grid, solve_pressure_poisson(rhs, v.grid.spacing))
+    src = VectorField(v.grid, rate.values + forcing.sampler(v.grid, t)(t))
+    return ScalarField(v.grid, solve_pressure_poisson(divergence(src).values, v.grid.spacing))
 
 
 def incompressible_step(y: np.ndarray, f, cfg: ModelConfig, h: float, dt: float,
@@ -530,12 +521,12 @@ class ETDRK4:
     On the torus the stiff part of the temam model is linear with
     constant coefficients, L(v, p) = (-grad p + lap v / Re, -K div v), and
     the stencils' Fourier symbols diagonalise it (``etd_coefficients``).
-    The rest, N, is convection, the extra force, galilean_alt, the forcing
-    and material pressure transport: ``temam_rhs`` without its linear lines,
-    evaluated directly.  The stages transform only the channels N reads and
-    writes, the velocity and, for galilean_alt or material transport, the
-    pressure.  Scheme: Cox & Matthews, J. Comput. Phys. 176 (2002), with
-    coefficients as in Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005).
+    The rest, N, is convection, the extra force (or galilean_alt) and the
+    forcing: ``temam_rhs`` without its linear lines, evaluated directly.
+    The stages transform only the channels N reads and writes, the
+    velocity and, for galilean_alt, the pressure.  Scheme: Cox & Matthews,
+    J. Comput. Phys. 176 (2002), with coefficients as in Kassam &
+    Trefethen, SIAM J. Sci. Comput. 26 (2005).
     The coefficients fix dt for the stepper; ``step`` allocates only the new state.
     """
 
@@ -545,8 +536,7 @@ class ETDRK4:
         self.coef = etd_coefficients(cfg, symbols, h, dt)
         self.ig, self.igk = -1j * self.coef[:, 2], (-1j * cfg.k) * self.coef[:, 2]
         self.nu_lap, self.dt = lap / cfg.re, dt
-        reads_p = cfg.extra_force == "galilean_alt" or cfg.pressure_transport == "material"
-        self.channels = 3 if reads_p else 2  # those N reads and writes
+        self.channels = 3 if cfg.extra_force == "galilean_alt" else 2  # those N reads and writes
         self.spectral = np.empty((3, 3) + lap.shape, dtype=complex)  # stages
         self.nonlinear = np.empty((4, self.channels) + lap.shape, dtype=complex)  # N of stages
         self.scratch = np.empty((2, 2) + lap.shape, dtype=complex)

@@ -6,9 +6,11 @@ state.  Along x they wrap with edge slices; along y each shift is one
 pass over the flattened array, after which the two wrap columns are
 written exactly.  They write into ``out`` when given, which the y
 kernels require C-contiguous (``ValueError`` otherwise).
-The field functions are thin façades over them.  The first-derivative
-operator is antisymmetric under the discrete inner product, which gives
-summation by parts exactly (up to round-off):
+The field functions are thin façades over them: each passes a field's
+sample array, (n, n) or (2, n, n), to the kernels as it is and wraps
+the result.  The first-derivative operator is antisymmetric under the
+discrete inner product, which gives summation by parts exactly (up to
+round-off):
 
     integrate(s * divergence(v)) + inner_product(gradient(s), v) == 0
 
@@ -109,10 +111,17 @@ def _convection(v: np.ndarray, h: float, form: str, out=None, dx=None, dy=None, 
     return out
 
 
+def _grad(a: np.ndarray, h: float) -> np.ndarray:
+    """(_ddx(a), _ddy(a)) of an (n, n) array, written into one (2, n, n) array."""
+    out = np.empty((2,) + a.shape)
+    _ddx(a, h, out[0])
+    _ddy(a, h, out[1])
+    return out
+
+
 def gradient(s: ScalarField) -> VectorField:
     """Central-difference gradient of a scalar field."""
-    h = s.grid.spacing
-    return VectorField(s.grid, _ddx(s.values, h), _ddy(s.values, h))
+    return VectorField(s.grid, _grad(s.values, s.grid.spacing))
 
 
 def divergence(v: VectorField) -> ScalarField:
@@ -123,10 +132,7 @@ def divergence(v: VectorField) -> ScalarField:
 
 def laplacian(field):
     """Compact 5-point Laplacian of a scalar or vector field."""
-    h = field.grid.spacing
-    if isinstance(field, ScalarField):
-        return ScalarField(field.grid, _lap(field.values, h))
-    return VectorField(field.grid, _lap(field.x, h), _lap(field.y, h))
+    return type(field)(field.grid, _lap(field.values, field.grid.spacing))
 
 
 def convection(v: VectorField, form: str = "advective") -> VectorField:
@@ -137,8 +143,7 @@ def convection(v: VectorField, form: str = "advective") -> VectorField:
     vanishes identically, which makes it the right choice when a kinetic
     energy budget has to close without a convective contribution.
     """
-    out = _convection(np.stack([v.x, v.y]), v.grid.spacing, form)
-    return VectorField(v.grid, out[0], out[1])
+    return VectorField(v.grid, _convection(v.values, v.grid.spacing, form))
 
 
 def grad_div(v: VectorField) -> VectorField:
@@ -148,14 +153,11 @@ def grad_div(v: VectorField) -> VectorField:
 
 def strain_frobenius_sq(v: VectorField) -> ScalarField:
     """Squared Frobenius norm of the velocity gradient, |grad v|^2."""
-    a, h = np.stack([v.x, v.y]), v.grid.spacing
-    dx, dy = _ddx(a, h) ** 2, _ddy(a, h) ** 2
+    dx, dy = _ddx(v.values, v.grid.spacing) ** 2, _ddy(v.values, v.grid.spacing) ** 2
     return ScalarField(v.grid, dx[0] + dy[0] + dx[1] + dy[1])
 
 
 def directional_derivative(w: tuple[float, float], s) -> "ScalarField | VectorField":
     """(w . grad) of a field for a constant direction w."""
-    h, scalar = s.grid.spacing, isinstance(s, ScalarField)
-    a = s.values if scalar else np.stack([s.x, s.y])
-    d = float(w[0]) * _ddx(a, h) + float(w[1]) * _ddy(a, h)
-    return ScalarField(s.grid, d) if scalar else VectorField(s.grid, d[0], d[1])
+    h = s.grid.spacing
+    return type(s)(s.grid, float(w[0]) * _ddx(s.values, h) + float(w[1]) * _ddy(s.values, h))

@@ -24,5 +24,4 @@ def from_mesh(grid, fn):
 
 def field(forcing, grid, t):
     """The force at time ``t`` as a VectorField, for the field-level oracles."""
-    fx, fy = forcing.fn(t)
-    return VectorField(grid, fx, fy)
+    return VectorField(grid, forcing.fn(t))

@@ -47,3 +47,23 @@ def test_write_snapshot_returns_the_paths_whose_sizes_sum_to_the_bytes_written(t
     assert all(Path(p).is_file() for p in paths)
     on_disk = sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
     assert sum(Path(p).stat().st_size for p in paths) == on_disk > 3 * 8 * 8 * 8
+
+
+def test_the_field_construction_counter_sees_each_field_once(monkeypatch):
+    # fields.constructions wraps qins.fields._coerce, an optional COUNTS target
+    # that the test above does not check: a fields rewrite that renamed it
+    # would leave that metric at zero without any error
+    import qins.fields as fields
+
+    rows = [row for row in _tracer_targets()["COUNTS"] if row[2] == "fields.constructions"]
+    assert [(m, a) for m, a, *_ in rows] == [("qins.fields", "_coerce")]
+    calls, coerce = [], fields._coerce
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return coerce(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_coerce", counted)
+    g = fields.make_grid(8)
+    fields.VectorField.zeros(g) + fields.ScalarField.zeros(g)
+    assert len(calls) == 3

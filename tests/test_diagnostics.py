@@ -329,7 +329,7 @@ def test_transport_identity_is_exact_for_rigid_translation():
     traj = _rigid_translation_trajectory(g, speed=0.8, dt=0.01, samples=5)
     rho = [ScalarField.constant(g, 1.0) for _ in traj]
     ps = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
-    rep = transport_check(zip(traj, rho), ps, TEMAM)
+    rep = transport_check(zip(traj, rho), ps)
     assert len(rep.times) == 1
     assert rep.gap < 1e-13
     assert rep.jacobian_route_gap < 1e-12
@@ -341,7 +341,7 @@ def test_transport_check_flags_under_resolution():
     # one RK4 macro step covers 5 * 0.1 = 0.5 > h, too far to trust
     traj = _rigid_translation_trajectory(g, speed=5.0, dt=0.05, samples=5)
     ps = ParticleSet.uniform(g.period, nx=4, ny=4)
-    rep = transport_check(traj, ps, TEMAM)
+    rep = transport_check(traj, ps)
     assert rep.under_resolved
     assert rep.jacobian_route_gap is None
 
@@ -351,14 +351,14 @@ def test_transport_check_needs_five_samples():
     traj = _rigid_translation_trajectory(g, speed=0.5, dt=0.01, samples=3)
     ps = ParticleSet.uniform(g.period, nx=4, ny=4)
     with pytest.raises(ValueError):
-        transport_check(traj, ps, TEMAM)
+        transport_check(traj, ps)
 
 
 def test_transport_check_drops_a_trailing_even_sample():
     g = make_grid(16)
     traj = _rigid_translation_trajectory(g, speed=0.8, dt=0.01, samples=6)
     ps = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
-    rep = transport_check(traj, ps, TEMAM)
+    rep = transport_check(traj, ps)
     # six samples truncate to five: one usable interior evaluation
     assert len(rep.times) == 1
 
@@ -377,7 +377,7 @@ def _pinned_transport_inputs():
 def test_transport_check_report_is_pinned_bitwise():
     samples, seeds = _pinned_transport_inputs()
     assert len(samples) == 14  # the trailing even sample is dropped
-    rep = transport_check(samples, seeds, TEMAM)
+    rep = transport_check(samples, seeds)
     hexes = {
         "times": ["0x1.f81f81f81f820p-6", "0x1.f81f81f81f820p-5", "0x1.7a17a17a17a18p-4",
                   "0x1.f81f81f81f820p-4", "0x1.3b13b13b13b14p-3"],
@@ -403,7 +403,7 @@ def test_transport_check_builds_taps_once_per_position_set(monkeypatch):
         return real(px, py, grid)
 
     monkeypatch.setattr(diagnostics, "_interp_taps", counted)
-    transport_check(samples, seeds, TEMAM)
+    transport_check(samples, seeds)
     # 13 usable samples: 6 RK4 steps of 4 stages, then 7 even samples
     assert built == [seeds.positions.shape[0]] * (6 * 4 + 7)
 
@@ -413,11 +413,11 @@ def test_transport_check_errors_hold_for_a_generator():
     ps = ParticleSet.uniform(g.period, nx=4, ny=4)
     traj = _rigid_translation_trajectory(g, speed=0.5, dt=0.01, samples=4)
     with pytest.raises(ValueError, match="five samples"):
-        transport_check(iter(traj), ps, TEMAM)
+        transport_check(iter(traj), ps)
     v, p = traj[0].v, traj[0].p
     uneven = (State(v, p, time=t) for t in (0.0, 0.01, 0.02, 0.03, 0.05))
     with pytest.raises(ValueError, match="uniformly spaced"):
-        transport_check(uneven, ps, TEMAM)
+        transport_check(uneven, ps)
 
 
 def _report_bits(rep) -> tuple:
@@ -448,10 +448,10 @@ def test_audits_of_a_one_shot_generator_equal_those_of_a_list_bitwise(n, count, 
     assert [[x.hex() for x in r] for r in rows] == [[x.hex() for x in r] for r in streamed]
     q = g.period / 4.0
     seeds = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(q, q), extent=(2.0 * q, 2.0 * q))
-    listed = transport_check(samples, seeds, TEMAM)
+    listed = transport_check(samples, seeds)
     assert (listed.jacobian_route_gap is not None) == density
     assert len(listed.times) == (count - 1) // 2 - 1
-    assert _report_bits(listed) == _report_bits(transport_check(run(), seeds, TEMAM))
+    assert _report_bits(listed) == _report_bits(transport_check(run(), seeds))
 
 
 def _traced_peak(run) -> int:

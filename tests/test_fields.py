@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qins.fields import (
     Grid,
@@ -14,6 +16,7 @@ from qins.fields import (
     l2_norm,
     make_grid,
 )
+from qins.models import State, pack_state, unpack_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -49,11 +52,16 @@ def test_scalar_field_validates_shape_and_finiteness():
 
 def test_vector_field_validates_both_components():
     g = make_grid(8)
-    good = np.zeros((8, 8))
-    bad = good.copy()
-    bad[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        VectorField(g, good, bad)
+    for shape in ((8, 8), (3, 8, 8), (2, 8, 4)):
+        with pytest.raises(ValueError, match="must have shape"):
+            VectorField(g, np.zeros(shape))
+    for component in (0, 1):
+        bad = np.zeros((2, 8, 8))
+        bad[component, 5, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            VectorField(g, bad)
+    with pytest.raises(TypeError):  # no constructor takes the components apart
+        VectorField(g, np.zeros((8, 8)), np.zeros((8, 8)))
 
 
 def test_field_arithmetic_pointwise():
@@ -144,3 +152,51 @@ def test_l2_norm_of_vector_field():
     v = VectorField.from_function(g, lambda X, Y: np.sin(X), lambda X, Y: np.sin(X))
     # two identical components: sqrt(2) times the scalar norm
     assert l2_norm(v) == pytest.approx(np.sqrt(2.0) * 4.442882938158366, rel=1e-12)
+
+
+def _same(field, *components):
+    """The field's samples equal these component arrays bit for bit."""
+    want = np.array(components) if len(components) > 1 else components[0]
+    return field.values.shape == want.shape and field.values.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), c=st.floats(-1e3, 1e3).filter(lambda c: abs(c) > 1e-3),
+       seed=st.integers(0, 2**32 - 1))
+def test_field_arithmetic_is_the_componentwise_formula_bitwise(n, c, seed):
+    g, rng = make_grid(n), np.random.default_rng(seed)
+    a, b, ux, uy, vx, vy = rng.standard_normal((6, n, n))
+    b += np.where(b < 0.0, -0.5, 0.5)  # a divisor away from zero
+    s, t = ScalarField(g, a), ScalarField(g, b)
+    u, v = VectorField(g, np.array([ux, uy])), VectorField(g, np.array([vx, vy]))
+    assert _same(s + t, a + b) and _same(s - t, a - b) and _same(-s, -a)
+    assert _same(s * t, a * b) and _same(s / t, a / b) and _same(c * s, a * c)
+    assert _same(u + v, ux + vx, uy + vy) and _same(u - v, ux - vx, uy - vy)
+    assert _same(-u, -ux, -uy) and _same(u * c, ux * c, uy * c) and _same(c * u, c * ux, c * uy)
+    assert _same(u / c, ux / c, uy / c)
+    assert _same(s * u, a * ux, a * uy) and _same(u * s, ux * a, uy * a)
+    assert _same(u / t, ux / b, uy / b)
+    assert isinstance(s * u, VectorField) and isinstance(u / t, VectorField)
+    assert _same(u.dot(v), ux * vx + uy * vy) and _same(u.magnitude_squared(), ux * ux + uy * uy)
+    assert u.max_abs() == max(np.abs(ux).max(), np.abs(uy).max())
+    h2 = g.spacing * g.spacing
+    assert inner_product(u, v) == float(h2 * (ux * vx + uy * vy).sum())
+    assert inner_product(s, t) == float(h2 * (a * b).sum())
+    assert l2_norm(u) == float(np.sqrt(h2 * (ux * ux + uy * uy).sum()))
+    assert l2_norm(s) == float(np.sqrt(h2 * (a * a).sum()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+def test_fields_are_views_of_their_sample_arrays(n, seed):
+    g, rng = make_grid(n), np.random.default_rng(seed)
+    samples = rng.standard_normal((2, n, n))
+    v = VectorField(g, samples)
+    assert v.values is samples
+    assert v.x.base is samples and v.y.base is samples
+    assert _same(v.component(0), samples[0]) and _same(v.component(1), samples[1])
+    y = pack_state(State(v, ScalarField(g, rng.standard_normal((n, n))), 0.25))
+    state = unpack_state(y, g, 0.25)
+    assert np.shares_memory(state.v.values, y) and np.shares_memory(state.p.values, y)
+    y[0, 1, 2], y[1, 2, 3], y[2, 3, 1] = 7.0, 8.0, 9.0
+    assert (state.v.x[1, 2], state.v.y[2, 3], state.p.values[3, 1]) == (7.0, 8.0, 9.0)

@@ -69,7 +69,8 @@ def test_config_rejects_unknown_keys_by_name():
 
 
 def test_config_rejects_the_removed_dimensional_keys(tmp_path):
-    for key in ("rho_star", "p_star", "v_char", "l_char", "mu"):
+    # pressure_transport is not dimensional, but removed the same way
+    for key in ("rho_star", "p_star", "v_char", "l_char", "mu", "pressure_transport"):
         model = {"model": "temam", "re": 100.0, "k": 100.0, key: 1.0}
         with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
             config_from_dict({"experiment": "free_run", "model": model})
@@ -103,6 +104,18 @@ def test_config_validates_values():
         config_from_dict({"experiment": "free_run", "t_final": 0.0})
     with pytest.raises(ConfigError):
         InitialConditionSpec(kind="from_snapshot")
+
+
+def test_config_integer_fields_take_any_integer_type_and_nothing_else():
+    # the Python API sees the type error itself; the JSON readers make it a ConfigError
+    cfg = ExperimentConfig(experiment="free_run", n=np.int64(16), particles=np.int32(4),
+                           initial_condition=InitialConditionSpec(seed=np.uint8(3)))
+    assert (cfg.n, cfg.particles, cfg.initial_condition.seed) == (16, 4, 3)
+    for bad in ({"n": 16.0}, {"snapshot_every": True}, {"particles": "32"}):
+        with pytest.raises(TypeError, match=f"{next(iter(bad))} must be an integer"):
+            ExperimentConfig(experiment="free_run", **bad)
+    with pytest.raises(TypeError, match="modes must be an integer"):
+        InitialConditionSpec(modes=np.float64(2.0))
 
 
 def test_config_from_json_and_echo_round_trip(tmp_path):
@@ -289,7 +302,7 @@ def test_state_snapshot_round_trip_is_bitwise_on_random_samples(n, exponent, tim
     a = 10.0**exponent * np.random.default_rng(seed).standard_normal((3, n, n))
     if transposed:  # fields over strided views, not C-contiguous
         a = a.transpose(0, 2, 1)
-    state = State(VectorField(g, a[0], a[1]), ScalarField(g, a[2]), time)
+    state = State(VectorField(g, a[:2]), ScalarField(g, a[2]), time)
     with tempfile.TemporaryDirectory() as tmp:
         write_snapshot(state, Path(tmp) / "s")
         back = read_snapshot(Path(tmp) / "s")
@@ -578,6 +591,27 @@ def test_cli_bad_random_smooth_parameters_are_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert next(iter(bad)) in err
+
+
+def test_cli_mistyped_config_values_are_config_errors(tmp_path, capsys):
+    random_smooth = {"kind": "random_smooth"}
+    cases = (
+        ("k_list", {"experiment": "k_sweep", "k_list": 5}),
+        ("k_list", {"experiment": "k_sweep", "k_list": ["a"]}),
+        ("k_list", {"experiment": "k_sweep", "k_list": [True, 1000.0]}),
+        ("boost_w", {"experiment": "galilean", "boost_w": ["a", 1]}),
+        ("particles", {"experiment": "transport_check", "particles": 2.5}),
+        ("snapshot_every", {"snapshot_every": 2.5}),
+        ("n", {"n": 16.0}),
+        ("seed", {"initial_condition": {**random_smooth, "seed": 1.5}}),
+        ("modes", {"initial_condition": {**random_smooth, "modes": 2.0}}),
+    )
+    for key, bad in cases:
+        cfg_path = _write_config(tmp_path, **bad)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert key in err
 
 
 def test_cli_mistyped_initial_condition_value_is_a_config_error(tmp_path, capsys):

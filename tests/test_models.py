@@ -156,19 +156,6 @@ def test_pressure_rate_is_minus_k_times_divergence():
     np.testing.assert_allclose(dp.values, -TEMAM.k * divergence(state.v).values, atol=1e-12)
 
 
-def test_material_pressure_transport_adds_advection():
-    g = make_grid(16)
-    state = _smooth_state(g)
-    partial = ModelConfig(model="temam", re=100.0, k=100.0, pressure_transport="partial")
-    material = ModelConfig(model="temam", re=100.0, k=100.0, pressure_transport="material")
-    _, dp_partial = _rates(temam_rhs, state, ForcingSpec.zero(), partial)
-    _, dp_material = _rates(temam_rhs, state, ForcingSpec.zero(), material)
-    advected = state.v.dot(gradient(state.p))
-    np.testing.assert_allclose(
-        dp_material.values, dp_partial.values - advected.values, atol=1e-12
-    )
-
-
 def test_compressible_reduces_to_temam_at_reference_density():
     # with p = 0 the reconstructed density is 1 and the only difference
     # from the extra-force-free quasi-incompressible momentum equation is
@@ -222,7 +209,7 @@ def test_field_level_forces_are_the_first_written_formulas_bitwise(form):
     g = make_grid(17)
     state = _smooth_state(g)
     rng = np.random.default_rng(4)
-    dv_dt = VectorField(g, rng.standard_normal((17, 17)), rng.standard_normal((17, 17)))
+    dv_dt = VectorField(g, rng.standard_normal((2, 17, 17)))
     cfg = ModelConfig(model="temam", re=100.0, k=300.0, convection=form)
     for got, want in ((temam_extra_force(state.v), _reference_temam_force(state.v)),
                       (galilean_alt_force(state, dv_dt, cfg),
@@ -313,7 +300,7 @@ def test_projection_leaves_solenoidal_fields_alone():
 
 def _random_velocity(n, seed):
     rng = np.random.default_rng(seed)
-    return VectorField(make_grid(n), rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    return VectorField(make_grid(n), rng.standard_normal((2, n, n)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,7 +461,7 @@ def test_out_of_stability_step_raises_blowup():
 def test_out_of_stability_projection_step_raises_blowup():
     g = make_grid(16)
     rng = np.random.default_rng(0)
-    state = State(VectorField(g, rng.standard_normal((16, 16)), rng.standard_normal((16, 16))),
+    state = State(VectorField(g, rng.standard_normal((2, 16, 16))),
                   ScalarField.zeros(g), 0.0)
     cfg = ModelConfig(model="incompressible", re=100.0)
     with pytest.raises(SimulationBlowupError, match="advective bound"):
@@ -590,10 +577,7 @@ def _field_rates(state, f, cfg, lag):
         dv = dv + _reference_temam_force(v)
     elif cfg.extra_force == "galilean_alt":
         dv = dv + _reference_galilean_alt_force(state, lag, cfg)
-    dp = (-cfg.k) * divergence(v)
-    if cfg.pressure_transport == "material":
-        dp = dp - v.dot(gradient(p))
-    return dv, dp
+    return dv, (-cfg.k) * divergence(v)
 
 
 def _field_chorin(state, f, cfg, dt):
@@ -645,9 +629,7 @@ ORACLE_CONFIGS = (
     ModelConfig(model="temam", re=100.0, k=100.0, extra_force="none"),
     ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt"),
     ModelConfig(model="temam", re=100.0, k=100.0, convection="skew"),
-    ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt",
-                convection="skew", pressure_transport="material"),
-    ModelConfig(model="temam", re=100.0, k=100.0, pressure_transport="material"),
+    ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt", convection="skew"),
     ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5),
     ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5, convection="skew"),
 )
@@ -892,7 +874,7 @@ def test_direct_nonlinear_part_equals_the_rate_less_its_linear_part(cfg, parity,
     direct = temam_rhs(y, f, cfg, g.spacing, dv_dt_prev=lag, _linear=False)
     want, y_hat = _nonlinear_by_subtraction(y, f, cfg, g.spacing, lag)
     assert np.abs(np.fft.rfft2(direct) - want).max() <= 1e-13 * cfg.k * np.abs(y_hat).max()
-    if cfg.extra_force != "galilean_alt" and cfg.pressure_transport != "material":
+    if cfg.extra_force != "galilean_alt":
         # what lets the stepper transform the velocity alone: N has no
         # pressure part and its velocity part does not read the pressure
         y[2] = rng.standard_normal((n, n))
@@ -936,13 +918,11 @@ def test_etd_agrees_with_rk4_at_a_sound_resolved_step(cfg):
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(8, 24), log_k=st.floats(1.0, 4.5), seed=st.integers(0, 2**32 - 1),
-       extra_force=st.sampled_from(("temam", "none")),
-       transport=st.sampled_from(("partial", "material")))
-def test_etd_is_within_rk4s_own_time_error_on_random_grids(n, log_k, seed, extra_force, transport):
+       extra_force=st.sampled_from(("temam", "none")))
+def test_etd_is_within_rk4s_own_time_error_on_random_grids(n, log_k, seed, extra_force):
     # ETD treats the stiff part exactly, so at a step RK4 resolves it is off
     # RK4 by at most RK4's own error, estimated against RK4 at half the step
-    cfg = ModelConfig(model="temam", re=100.0, k=10.0**log_k, extra_force=extra_force,
-                      pressure_transport=transport)
+    cfg = ModelConfig(model="temam", re=100.0, k=10.0**log_k, extra_force=extra_force)
     state0 = random_smooth_state(make_grid(n), seed=seed, modes=3, amplitude=0.3)
     forcing = trig(state0.grid, 0.7, kx=1, ky=2)
     dt = stable_dt(state0, cfg) / 8.0

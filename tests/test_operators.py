@@ -33,11 +33,7 @@ def _noise_scalar(grid, seed=0):
 
 def _noise_vector(grid, seed=1):
     rng = np.random.default_rng(seed)
-    return VectorField(
-        grid,
-        rng.standard_normal((grid.n, grid.n)),
-        rng.standard_normal((grid.n, grid.n)),
-    )
+    return VectorField(grid, rng.standard_normal((2, grid.n, grid.n)))
 
 
 def test_gradient_exact_on_single_mode():
@@ -248,7 +244,7 @@ def test_summation_by_parts_on_random_grids(n, seed):
     g = make_grid(n)
     rng = np.random.default_rng(seed)
     s = ScalarField(g, rng.standard_normal((n, n)))
-    v = VectorField(g, rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    v = VectorField(g, rng.standard_normal((2, n, n)))
     assert abs(integrate(s * divergence(v)) + inner_product(gradient(s), v)) < 1e-12
 
 
@@ -261,6 +257,36 @@ def test_summation_by_parts_on_random_grids(n, seed):
 def test_skew_convection_is_energy_neutral_on_random_grids(n, scale, seed):
     g = make_grid(n)
     rng = np.random.default_rng(seed)
-    v = VectorField(g, scale * rng.standard_normal((n, n)), scale * rng.standard_normal((n, n)))
+    v = VectorField(g, scale * rng.standard_normal((2, n, n)))
     power = inner_product(v, convection(v, form="skew"))
     assert abs(power) < 1e-12 * l2_norm(v) ** 2 * v.max_abs() / g.spacing
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 40), w=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_operator_facades_are_the_componentwise_kernels_bitwise(n, w, seed):
+    # the façades run the kernels once over a (2, n, n) array; per component they must agree
+    g, rng = make_grid(n), np.random.default_rng(seed)
+    h, (a, vx, vy) = g.spacing, rng.standard_normal((3, n, n))
+    s, v = ScalarField(g, a), VectorField(g, np.array([vx, vy]))
+
+    def same(field, *components):
+        want = np.array(components) if len(components) > 1 else components[0]
+        return field.values.tobytes() == want.tobytes()
+
+    def d(c):  # (w . grad) of one component
+        return w[0] * _ddx(c, h) + w[1] * _ddy(c, h)
+
+    advective = [_ddx(c, h) * vx + _ddy(c, h) * vy for c in (vx, vy)]
+    divergent = [_ddx(c * vx, h) + _ddy(c * vy, h) for c in (vx, vy)]
+    assert same(gradient(s), _ddx(a, h), _ddy(a, h))
+    assert same(laplacian(s), _lap(a, h)) and same(laplacian(v), _lap(vx, h), _lap(vy, h))
+    assert same(convection(v), *advective)
+    assert same(convection(v, "skew"), *[0.5 * (p + q) for p, q in zip(advective, divergent)])
+    div = _ddx(vx, h) + _ddy(vy, h)
+    assert same(divergence(v), div) and same(grad_div(v), _ddx(div, h), _ddy(div, h))
+    assert same(strain_frobenius_sq(v),
+                _ddx(vx, h) ** 2 + _ddy(vx, h) ** 2 + _ddx(vy, h) ** 2 + _ddy(vy, h) ** 2)
+    assert same(directional_derivative(w, s), d(a))
+    assert same(directional_derivative(w, v), d(vx), d(vy))
