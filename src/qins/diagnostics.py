@@ -332,8 +332,9 @@ def transport_check(trajectory, particles: ParticleSet, rho_star: float = 1.0) -
     pairs, rho a density co-evolved under the full mass balance (starting
     from rho_star), the Jacobian is also recovered as rho*/rho at the
     particles and the worst disagreement between the two routes is
-    reported.  Each set of positions (an RK4 stage, an even sample) builds
-    its interpolation taps once and gathers every field it needs through them.
+    reported.  Each set of positions builds its interpolation taps once and
+    gathers every field it needs through them; an RK4 step's first stage sits
+    on the even sample it starts from and reuses that sample's values.
 
     ``trajectory`` is any iterable of states or of such pairs, a generator
     included.  It is streamed: at most four samples are held at a time.
@@ -345,34 +346,41 @@ def transport_check(trajectory, particles: ParticleSet, rho_star: float = 1.0) -
     worst, under_resolved, dt, count = 0.0, False, None, 0
 
     def path_rates(y: np.ndarray, t: float, out: np.ndarray) -> None:
-        # every stage time is a sample time, k to k + 2
-        state, div, _ = window[len(window) - 3 + round(t / dt) - k]
-        taps = _interp_taps(y[:, 0], y[:, 1], grid)
-        out[:, 0], out[:, 1], div_at = _gather(taps, state.v.x, state.v.y, div)
+        # every stage time is a sample time, k to k + 2; the first stage's is k
+        ahead = round(t / dt) - k
+        if ahead:
+            state, div, _ = window[len(window) - 3 + ahead]
+            taps = _interp_taps(y[:, 0], y[:, 1], grid)
+            out[:, 0], out[:, 1], div_at = _gather(taps, state.v.x, state.v.y, div)
+        else:  # the even sample at k gathered these at the same positions
+            out[:, 0], out[:, 1], div_at = at_k
         out[:, 2] = y[:, 2] * div_at
 
-    def even_sample(at: int, interior: bool) -> None:
-        """Region energy, and inside the run its power, at window[at], where y holds the paths."""
+    def even_sample(at: int, interior: bool) -> list[np.ndarray]:
+        """Region energy, and inside the run its power, at window[at], where y holds the paths.
+
+        Returns v and div v at the paths, the rates of a step from there.
+        """
         nonlocal worst
         state, div, rho = window[at]
-        fields = [*state.v.values]
+        fields = [*state.v.values, div]
         if interior:
             before, after = window[at - 1][0].v, window[at + 1][0].v
-            accel = (after.values - before.values) / (2.0 * dt) + convection(state.v).values
-            fields += [*accel, div]
+            fields.extend((after.values - before.values) / (2.0 * dt) + convection(state.v).values)
         if rho is not None:
             fields.append(rho.values)
         pos, jac = y[:, :2], y[:, 2]
-        vx, vy, *at = _gather(_interp_taps(pos[:, 0], pos[:, 1], grid), *fields)
+        vx, vy, dv, *rest = _gather(_interp_taps(pos[:, 0], pos[:, 1], grid), *fields)
         energy.append(np.sum(particles.weights * jac * half_rho * (vx**2 + vy**2)))
         if interior:
-            ax, ay, dv = at[:3]
+            ax, ay = rest[:2]
             fx = rho_star * ax + half_rho * dv * vx
             fy = rho_star * ay + half_rho * dv * vy
             power.append(np.sum(particles.weights * jac * (fx * vx + fy * vy)))
             times.append(state.time)
         if rho is not None:
-            worst = max(worst, float(np.abs(jac - rho_star / at[-1]).max()))
+            worst = max(worst, float(np.abs(jac - rho_star / rest[-1]).max()))
+        return [vx, vy, dv]
 
     # advect (x, y, J) with RK4 over pairs of intervals; positions live at even samples.
     # Once sample k + 2 arrives (k even), the window holds k - 1 (if k > 0) to k + 2.
@@ -386,7 +394,7 @@ def transport_check(trajectory, particles: ParticleSet, rho_star: float = 1.0) -
         k = count - 3
         if k < 0 or k % 2:
             continue
-        even_sample(len(window) - 3, interior=k > 0)
+        at_k = even_sample(len(window) - 3, interior=k > 0)
         moved, _ = step_rk4(path_rates, y, k * dt, 2.0 * dt)
         under_resolved |= bool(np.abs(moved[:, :2] - y[:, :2]).max() > grid.spacing)
         y = moved

@@ -12,6 +12,7 @@ from .experiments import resolve_out_dir, run_experiment
 from .initial_conditions import initial_condition
 from .io import (
     read_snapshot,
+    read_states,
     read_timeseries,
     write_manifest,
     write_snapshot,
@@ -27,6 +28,7 @@ __all__ = [
     "config_from_json",
     "initial_condition",
     "read_snapshot",
+    "read_states",
     "read_timeseries",
     "resolve_out_dir",
     "run_checks",

@@ -11,8 +11,8 @@
 is the same but forces the bulk-modulus sweep, so a config written for
 another experiment can be reused.  ``verify`` runs the acceptance gate.
 ``inspect`` summarizes an output directory (re-hashing every file the
-manifest lists), a ``.state`` snapshot, or a CSV without loading the whole
-package output into anything else.
+manifest lists), a ``.state`` snapshot or trajectory, or a CSV without
+loading the whole package output into anything else.
 
 Exit status: 0 on success, 1 on run/verification failure, 2 on a
 configuration error.  The default output root is ``$QINS_OUT`` or
@@ -35,7 +35,7 @@ from .config import ConfigError, config_from_json
 from .experiments import resolve_out_dir, run_experiment
 from .io import (
     MANIFEST_NAME,
-    read_snapshot,
+    read_states,
     read_timeseries,
     sha256_file,
     snapshot_path,
@@ -110,7 +110,15 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if path.suffix == ".csv":
         return _inspect_csv(path)
     if snapshot_path(path).exists():
-        state = read_snapshot(path)
+        times = []
+        for state in read_states(path):  # one state held at a time
+            times.append(state.time)
+        if not times:
+            raise ValueError("no state record")
+        if len(times) > 1:
+            print(f"{path}: trajectory of {len(times)} records, n={state.grid.n}, "
+                  f"t in [{times[0]:g}, {times[-1]:g}]")
+            return 0
         e_kin = 0.5 * integrate(state.v.magnitude_squared())
         print(
             f"{path}: state at t={state.time:g}, n={state.grid.n}, "

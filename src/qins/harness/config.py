@@ -97,14 +97,14 @@ class ExperimentConfig:
         _require_ints(self, "n", "snapshot_every", "particles")
         if self.n < 4:
             raise ConfigError(f"n must be >= 4, got {self.n}")
-        if not self.t_final > 0.0:
-            raise ConfigError(f"t_final must be positive, got {self.t_final}")
-        if not self.cfl > 0.0:
-            raise ConfigError(f"cfl must be positive, got {self.cfl}")
+        if not 0.0 < self.t_final < math.inf:
+            raise ConfigError(f"t_final must be positive and finite, got {self.t_final}")
+        if not 0.0 < self.cfl < math.inf:
+            raise ConfigError(f"cfl must be positive and finite, got {self.cfl}")
         if len(self.k_list) > 0:
             ks = self.k_list
-            if any(not k > 0.0 for k in ks):
-                raise ConfigError("k_list entries must be positive")
+            if any(not 0.0 < k < math.inf for k in ks):
+                raise ConfigError("k_list entries must be positive and finite")
             if any(b <= a for a, b in zip(ks, ks[1:])):
                 raise ConfigError("k_list must be strictly increasing")
         if self.snapshot_every < 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from ..models import (
 from ..operators import _ddx, _ddy, divergence
 from .config import ConfigError, ExperimentConfig, config_echo
 from .initial_conditions import initial_condition, taylor_green_exact, taylor_green_state
-from .io import RunTimer, write_json, write_manifest, write_snapshot, write_timeseries
+from .io import RunTimer, append_state, write_json, write_manifest, write_snapshot, write_timeseries
 
 
 def resolve_out_dir(cfg: ExperimentConfig, override: str | Path | None = None) -> Path:
@@ -569,10 +570,11 @@ def run_free_run(
     threads: int = 1,
     quiet: bool = False,
 ) -> dict:
-    """Plain run of the configured model with a budget table and snapshots.
+    """Plain run of the configured model with a budget table and a trajectory.
 
-    The run streams: the budget keeps six floats per state, and each
-    snapshot is written when its state appears.
+    The run streams: the budget keeps six floats per state, and every
+    ``snapshot_every``-th state before the last is appended to
+    ``trajectory.state`` when it appears.  The last state is ``final.state``.
     """
     out = resolve_out_dir(cfg, out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -583,22 +585,23 @@ def run_free_run(
     steps, dt_used, states = march(
         state0, cfg.model, forcing, cfg.t_final, dt=stable_dt(state0, cfg.model, cfg.cfl)
     )
-    snapshots = []
+    trajectory = out / "trajectory.state" if cfg.snapshot_every else None
 
-    def recorded():
+    def recorded(f):
         nonlocal final
         for idx, final in enumerate(states):
-            if cfg.snapshot_every and idx % cfg.snapshot_every == 0 and idx < steps:
-                snapshots.extend(write_snapshot(final, out / f"snap_{idx:06d}"))  # the last is final
+            if f and idx % cfg.snapshot_every == 0 and idx < steps:  # the last is final.state
+                append_state(f, final)
             yield final
 
     final, written = None, []
-    if steps >= 2:
-        rows = energy_audit(recorded(), forcing, cfg.model)
-        written.append(write_timeseries(rows, out / "budget.csv"))
-    else:
-        deque(recorded(), maxlen=0)  # too few states for a budget
-    written += snapshots + write_snapshot(final, out / "final")
+    with (trajectory.open("wb") if trajectory else nullcontext()) as f:
+        if steps >= 2:
+            rows = energy_audit(recorded(f), forcing, cfg.model)
+            written.append(write_timeseries(rows, out / "budget.csv"))
+        else:
+            deque(recorded(f), maxlen=0)  # too few states for a budget
+    written += ([trajectory] if trajectory else []) + write_snapshot(final, out / "final")
     report = {
         "experiment": "free_run",
         "model": cfg.model.model,

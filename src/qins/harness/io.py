@@ -1,21 +1,25 @@
 """On-disk formats: snapshots, budget tables, run manifests.
 
-A state snapshot is one ``<stem>.state`` file: a JSON header line
-(``n``, ``period``, ``time``) ended by the first newline, then the raw
-little-endian float64 (3, n, n) block vx, vy, p, row-major.  Values
-round-trip bit for bit.  Budget tables are CSV with 17 significant
-digits, enough to reproduce the float64 exactly.  The manifest is
-written last, only for successful runs, and carries a config echo plus
-a checksum of every other file the run wrote.
+A ``<stem>.state`` file holds one or more state records back to back.
+A record is a JSON header line (``n``, ``period``, ``time``) ended by a
+newline, then the raw little-endian float64 (3, n, n) block vx, vy, p,
+row-major.  A snapshot is a file of one record; a trajectory appends one
+record per stored state.  Values round-trip bit for bit.  Budget tables
+are CSV with 17 significant digits, enough to reproduce the float64
+exactly.  The manifest is written last, only for successful runs, and
+carries a config echo plus a checksum of every other file the run wrote.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time as _time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -37,34 +41,56 @@ def snapshot_path(path_stem: str | Path) -> Path:
     return path if path.suffix == ".state" else path.with_name(path.name + ".state")
 
 
+def append_state(f: BinaryIO, state: State) -> None:
+    """Write one record of ``state`` to the binary file ``f``, each field from its own buffer."""
+    header = {"n": state.grid.n, "period": state.grid.period, "time": float(state.time)}
+    f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+    for values in (state.v.values, state.p.values):
+        f.write(np.ascontiguousarray(values, dtype="<f8"))
+
+
 def write_snapshot(state: State, path_stem: str | Path) -> list[Path]:
-    """Write a full state as one ``.state`` file, each field from its own buffer; ``[path]``."""
+    """Write a full state as a ``.state`` file of one record; ``[path]``."""
     path = snapshot_path(path_stem)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"n": state.grid.n, "period": state.grid.period, "time": float(state.time)}
     with path.open("wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for values in (state.v.values, state.p.values):
-            f.write(np.ascontiguousarray(values, dtype="<f8"))
+        append_state(f, state)
     return [path]
 
 
-def read_snapshot(path_stem: str | Path) -> State:
-    """Read a state written by :func:`write_snapshot`, bit for bit."""
+def read_states(path_stem: str | Path) -> Iterator[State]:
+    """Yield each record of a ``.state`` file as a State, bit for bit, one at a time."""
     path = snapshot_path(path_stem)
-    head, _, block = path.read_bytes().partition(b"\n")
-    try:
-        header = json.loads(head)
-        n, period, time = int(header["n"]), float(header["period"]), float(header["time"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ValueError(f"unreadable snapshot header ({exc})") from None
-    grid = Grid(n, period)
-    if len(block) != 8 * 3 * n * n:
-        raise ValueError(
-            f"snapshot block has {len(block) // 8} samples, header promises {3 * n * n}"
-        )
-    raw = np.frombuffer(block, dtype="<f8").reshape(3, n, n).astype(np.float64)
-    return unpack_state(raw, grid, time)
+    with path.open("rb") as f:
+        for record in itertools.count():
+            head = f.readline()
+            if not head:
+                return
+            try:
+                header = json.loads(head)
+                n, period, time = int(header["n"]), float(header["period"]), float(header["time"])
+            except (ValueError, TypeError, KeyError) as exc:
+                raise ValueError(f"record {record}: unreadable snapshot header ({exc})") from None
+            grid = Grid(n, period)
+            block = f.read(8 * 3 * n * n)
+            if len(block) != 8 * 3 * n * n:
+                raise ValueError(
+                    f"record {record}: block has {len(block) // 8} samples, "
+                    f"header promises {3 * n * n}"
+                )
+            raw = np.frombuffer(block, dtype="<f8").reshape(3, n, n).astype(np.float64)
+            yield unpack_state(raw, grid, time)
+
+
+def read_snapshot(path_stem: str | Path) -> State:
+    """Read a state written by :func:`write_snapshot`: a file of exactly one record."""
+    with closing(read_states(path_stem)) as records:
+        state = next(records, None)
+        if state is None:
+            raise ValueError("no state record")
+        if next(records, None) is not None:
+            raise ValueError("snapshot holds several records; read a trajectory with read_states")
+    return state
 
 
 def write_timeseries(rows: list[EnergyBudgetRow], path: str | Path) -> Path:

@@ -23,6 +23,8 @@ run classical RK4 (``step_rk4``).
 
 from __future__ import annotations
 
+import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,11 +68,10 @@ class ModelConfig:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if not self.re > 0.0:
             raise ValueError(f"re must be positive, got {self.re}")
-        if self.model in ("temam", "compressible"):
-            if self.k is None or not self.k > 0.0:
-                raise ValueError(f"model {self.model!r} needs a positive bulk modulus k, got {self.k}")
-        if self.k is not None and not self.k > 0.0:
-            raise ValueError(f"k must be positive when given, got {self.k}")
+        if self.model in ("temam", "compressible") and self.k is None:
+            raise ValueError(f"model {self.model!r} needs a positive bulk modulus k, got None")
+        if self.k is not None and not 0.0 < self.k < np.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k}")
         if self.zeta_over_mu < 0.0:
             raise ValueError(f"zeta_over_mu must be >= 0, got {self.zeta_over_mu}")
         if self.extra_force not in EXTRA_FORCES:
@@ -305,7 +306,8 @@ def incompressible_step(y: np.ndarray, f, cfg: ModelConfig, h: float, dt: float,
     lap v + f), pressure Poisson solve div(grad p) = div(v*) / dt, then
     correction v = v* - dt grad p.  The new pressure is the projection multiplier
     with mean zero, solved into the new array; the old one is not read.  With ``work``
-    (6, n, n) only the new array and the solve's spectrum allocate; checked finite once.
+    (6, n, n) only the new array and the solve's spectrum allocate; it is checked
+    once (``_checked``).
     """
     if cfg.model != "incompressible":
         raise ValueError(f"incompressible_step called with model {cfg.model!r}")
@@ -318,12 +320,19 @@ def incompressible_step(y: np.ndarray, f, cfg: ModelConfig, h: float, dt: float,
     _ddx(y_new[2], h, w[0])
     _ddy(y_new[2], h, w[1])
     v_star -= np.multiply(w[:2], dt, out=w[:2])  # dt grad p
-    if not np.isfinite(y_new).all():
-        raise ValueError("projection step produced non-finite samples")
-    return y_new
+    return _checked(y_new, "projection step")
 
 
 # -- time stepping -----------------------------------------------------------
+
+
+def _checked(y_new: np.ndarray, step: str) -> np.ndarray:
+    """``y_new``, or ValueError if a sample is non-finite or so large that the
+    sum of the squared samples, a consumer's energy, could overflow.
+    """
+    if not max(y_new.max(), -y_new.min()) < math.sqrt(sys.float_info.max / y_new.size):
+        raise ValueError(f"{step} produced non-finite or overflowing samples")
+    return y_new
 
 
 def _step_bounds(h: float, vmax: float, cfg: ModelConfig) -> dict[str, float]:
@@ -362,14 +371,16 @@ def blowup_guard(v, t: float, h: float, cfg: ModelConfig, dt: float):
     """Re-raise a failed step from time ``t`` as SimulationBlowupError naming each bound.
 
     ``v`` is the (2, n, n) velocity the step starts from.  Overflow is no
-    anomaly to warn about: the steppers and the field constructors reject
-    non-finite samples with ``ValueError``, which is what is caught here.
+    anomaly to warn about: the steppers reject non-finite or overflowing
+    samples, and the field constructors non-finite ones, with ``ValueError``,
+    which is what is caught here.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except ValueError as exc:
-        raise _blowup_error("non-finite samples", float(np.abs(v).max()), t, h, cfg, dt) from exc
+        vmax = float(np.abs(v).max())
+        raise _blowup_error("non-finite or overflowing samples", vmax, t, h, cfg, dt) from exc
 
 
 def _advective_guard(v, t: float, h: float, cfg: ModelConfig, dt: float) -> None:
@@ -399,7 +410,7 @@ def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> tuple:
 
     ``work`` (shape ``(5,) + y.shape``) holds k1..k4 and the stage state, so
     the stages and the combination allocate nothing but ``y_new``.  The new
-    array is checked finite once.  Returns ``(y_new, k1)``; k1 lives in
+    array is checked once (``_checked``).  Returns ``(y_new, k1)``; k1 lives in
     ``work``, which the next step overwrites.
     """
     k1, k2, k3, k4, ys = np.empty((5,) + y.shape) if work is None else work
@@ -410,10 +421,7 @@ def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> tuple:
     np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)  # (dt/6)(k1 + 2k2 + 2k3 + k4) in k2
     k2 += np.multiply(k3, 2.0, out=k3)
     k2 += k4
-    y_new = y + np.multiply(k2, dt / 6.0, out=k2)
-    if not np.isfinite(y_new).all():
-        raise ValueError("RK4 step produced non-finite samples")
-    return y_new, k1
+    return _checked(y + np.multiply(k2, dt / 6.0, out=k2), "RK4 step"), k1
 
 
 # 1/(j+3)! for j = 0..17: the series of phi_3 where |z| < 1
@@ -601,16 +609,15 @@ class ETDRK4:
         a += self._apply(Q, nd, z)  # c = E_1/2 a + Q (2 N(b) - N(y))
         self._stage(nonlinear, a, t + self.dt, nb)
         acc += self._apply(F3, nb, z)
-        y_new = np.fft.irfft2(acc, s=y.shape[1:])
-        if not np.isfinite(y_new).all():
-            raise ValueError("ETDRK4 step produced non-finite samples")
-        return y_new, self.lag
+        return _checked(np.fft.irfft2(acc, s=y.shape[1:]), "ETDRK4 step"), self.lag
 
 
 def _march(y: np.ndarray, t: float, steps: int, dt: float, advance, h: float, cfg: ModelConfig):
     """Yield packed ``(y, t)``, then again after each of ``steps`` steps ``advance(y, t)`` of ``dt``.
 
-    A step that fails with ValueError raises SimulationBlowupError.  Each
+    A step that fails with ValueError raises SimulationBlowupError; the
+    steppers fail on samples that are non-finite or that would overflow,
+    so no consumer is handed a state whose energy it cannot form.  Each
     step makes a new array, so a consumer may keep what it was given.
     """
     yield y, t

@@ -404,8 +404,8 @@ def test_transport_check_builds_taps_once_per_position_set(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "_interp_taps", counted)
     transport_check(samples, seeds)
-    # 13 usable samples: 6 RK4 steps of 4 stages, then 7 even samples
-    assert built == [seeds.positions.shape[0]] * (6 * 4 + 7)
+    # 13 usable samples: 7 even samples, and 6 RK4 steps whose first stage reuses one
+    assert built == [seeds.positions.shape[0]] * (6 * 3 + 7)
 
 
 def test_transport_check_errors_hold_for_a_generator():

@@ -38,7 +38,9 @@ from qins.harness.initial_conditions import (
 )
 from qins.harness.io import (
     MANIFEST_NAME,
+    append_state,
     read_snapshot,
+    read_states,
     read_timeseries,
     sha256_file,
     write_manifest,
@@ -330,6 +332,63 @@ def test_state_snapshot_is_one_header_line_and_one_block(tmp_path):
             read_snapshot(tmp_path / "s")
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 24), records=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_trajectory_round_trip_is_bitwise(n, records, seed):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.integers(-300, 150, (records, 1, 1, 1))
+    blocks = rng.standard_normal((records, 3, n, n)) * scales
+    times = rng.uniform(0.0, 1e6, records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.state"
+        with path.open("wb") as f:
+            for block, time in zip(blocks, times):
+                append_state(f, State(VectorField(g, block[:2]), ScalarField(g, block[2]), time))
+        back = list(read_states(path))
+    assert len(back) == records
+    for state, block, time in zip(back, blocks, times):
+        assert pack_state(state).tobytes() == block.tobytes()
+        assert state.time == time and state.grid == g
+
+
+def test_trajectory_is_single_state_snapshots_back_to_back(tmp_path):
+    g = make_grid(8)
+    states = [replace(random_smooth_state(g, s, 2, 0.3), time=0.5 * s) for s in range(3)]
+    with (tmp_path / "t.state").open("wb") as f:
+        for state in states:
+            append_state(f, state)
+    singles = [write_snapshot(state, tmp_path / "s")[0].read_bytes() for state in states]
+    assert (tmp_path / "t.state").read_bytes() == b"".join(singles)
+
+
+def test_trajectory_names_a_truncated_last_record(tmp_path):
+    g = make_grid(8)
+    with (tmp_path / "t.state").open("wb") as f:
+        for time in (0.0, 0.1, 0.2):
+            append_state(f, replace(taylor_green_state(g), time=time))
+    blob = (tmp_path / "t.state").read_bytes()
+    (tmp_path / "t.state").write_bytes(blob[:-8])
+    records = read_states(tmp_path / "t")
+    assert [s.time for s in (next(records), next(records))] == [0.0, 0.1]
+    with pytest.raises(ValueError, match="record 2: block has 191 samples, header promises 192"):
+        next(records)
+
+
+def test_read_snapshot_refuses_a_trajectory(tmp_path, capsys):
+    g = make_grid(16)
+    with (tmp_path / "ic.state").open("wb") as f:
+        for time in (0.0, 0.01):
+            append_state(f, replace(taylor_green_state(g), time=time))
+    with pytest.raises(ValueError, match="several records"):
+        read_snapshot(tmp_path / "ic")
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "several records" in err
+
+
 def test_timeseries_round_trip_preserves_float64(tmp_path):
     rows = [
         EnergyBudgetRow(1.0 / 3.0, 9.87, 1e-17, 0.25, -0.5, 2.0 / 7.0, -3.3e-12),
@@ -394,7 +453,9 @@ def test_free_run_writes_a_complete_directory(tmp_path):
     assert len(rows) == report["steps"] - 1
     final = read_snapshot(out / "final")
     assert final.time == pytest.approx(0.05, abs=1e-12)
-    assert (out / "snap_000000.state").exists()
+    # every second state before the last, the last being final.state only
+    times = [s.time for s in read_states(out / "trajectory.state")]
+    assert times == [i * report["dt"] for i in range(0, report["steps"], 2)]
 
     manifest = json.loads((out / MANIFEST_NAME).read_text())
     assert manifest["config"]["experiment"] == "free_run"
@@ -404,14 +465,20 @@ def test_free_run_writes_a_complete_directory(tmp_path):
     assert listed == set(manifest["checksums"]) | {MANIFEST_NAME}
 
 
-def test_free_run_writes_one_file_per_stored_state(tmp_path):
+def test_free_run_appends_every_stored_state_to_one_trajectory(tmp_path):
     cfg = _tiny_free_run_config(snapshot_every=1)
-    report = run_experiment(cfg, out_dir=tmp_path, quiet=True)
-    snaps = sorted(p.name for p in tmp_path.glob("snap_*"))
-    # the last stored state is final.state only
-    assert snaps == [f"snap_{i:06d}.state" for i in range(report["steps"])]
-    others = {p.name for p in tmp_path.iterdir()} - set(snaps)
-    assert others == {"final.state", "budget.csv", "report.json", MANIFEST_NAME}
+    report = run_experiment(cfg, out_dir=tmp_path / "run", quiet=True)
+    out = tmp_path / "run"
+    assert {p.name for p in out.iterdir()} == {
+        "trajectory.state", "final.state", "budget.csv", "report.json", MANIFEST_NAME}
+    state0 = initial_condition(cfg.initial_condition, make_grid(cfg.n))
+    _, _, states = qins.march(state0, cfg.model, qins.ForcingSpec.zero(), cfg.t_final,
+                              dt=qins.stable_dt(state0, cfg.model, cfg.cfl))
+    # the trajectory holds each state before the last as its own snapshot would
+    singles = b""
+    for _, state in zip(range(report["steps"]), states):
+        singles += write_snapshot(state, tmp_path / "single")[0].read_bytes()
+    assert (out / "trajectory.state").read_bytes() == singles
 
 
 def test_manifest_of_a_reused_directory_lists_only_this_run(tmp_path):
@@ -423,11 +490,12 @@ def test_manifest_of_a_reused_directory_lists_only_this_run(tmp_path):
         json.loads((tmp_path / d / MANIFEST_NAME).read_text())["checksums"]
         for d in ("fresh", "reused")
     )
-    assert reused == fresh
-    # the earlier run's later snapshots stay on disk, uncertified
-    assert set(p.name for p in (tmp_path / "reused").glob("snap_*")) > {
-        rel for rel in reused if rel.startswith("snap_")
-    }
+    assert reused == fresh  # the longer run's trajectory was rewritten, not appended to
+    run_experiment(replace(cfg, snapshot_every=0), out_dir=tmp_path / "reused", quiet=True)
+    reused = json.loads((tmp_path / "reused" / MANIFEST_NAME).read_text())["checksums"]
+    # the earlier run's trajectory stays on disk, uncertified
+    assert set(reused) == set(fresh) - {"trajectory.state"}
+    assert (tmp_path / "reused" / "trajectory.state").exists()
 
 
 def test_free_run_is_deterministic(tmp_path):
@@ -511,6 +579,19 @@ def test_cli_run_and_inspect(tmp_path, capsys):
         assert main(["inspect", str(out / snapshot)]) == 0
         assert "state at t=" in capsys.readouterr().out
     assert main(["inspect", str(out / "report.json")]) == 0
+
+
+def test_cli_inspect_summarizes_a_trajectory(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, snapshot_every=2)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    records = (report["steps"] + 1) // 2
+    last = (records - 1) * 2 * report["dt"]
+    capsys.readouterr()
+    assert main(["inspect", str(out / "trajectory.state")]) == 0
+    assert capsys.readouterr().out == (
+        f"{out / 'trajectory.state'}: trajectory of {records} records, n=16, t in [0, {last:g}]\n")
 
 
 def test_cli_inspect_catches_tampering(tmp_path):
@@ -612,6 +693,30 @@ def test_cli_mistyped_config_values_are_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert key in err
+
+
+@pytest.mark.parametrize("key, bad", (
+    ("t_final", {"t_final": float("inf")}),
+    ("cfl", {"cfl": float("inf")}),
+    ("k", {"model": {"model": "temam", "re": 100.0, "k": float("inf")}}),
+))
+def test_cli_non_finite_config_values_are_config_errors(tmp_path, capsys, key, bad):
+    cfg_path = _write_config(tmp_path, n=8, **bad)  # json writes inf as Infinity
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"{key} must be positive and finite, got inf" in err
+
+
+def test_cli_names_a_blowup_whose_samples_are_still_finite(tmp_path, capsys):
+    # the velocity jumps to about 1e200 in one step: finite, but its energy overflows
+    cfg_path = _write_config(tmp_path, n=8, t_final=500.0)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: non-finite or overflowing samples at t=")
+    assert err.count("\n") == 1
+    assert "advective bound" in err and "acoustic bound" in err
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
 
 
 def test_cli_mistyped_initial_condition_value_is_a_config_error(tmp_path, capsys):

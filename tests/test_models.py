@@ -477,7 +477,7 @@ BLOWUP_MESSAGES = (
      "step past the advective bound at t=0 with dt=7.854e-01; |v|_inf=9.734e-01, "
      "advective bound 4.034e-01, diffusive bound 3.855e+00, acoustic bound 3.927e-02"),
     (ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5),
-     "non-finite samples at t=0 with dt=7.854e-01; |v|_inf=9.734e-01, "
+     "non-finite or overflowing samples at t=0 with dt=7.854e-01; |v|_inf=9.734e-01, "
      "advective bound 4.034e-01, diffusive bound 3.855e+00, acoustic bound 3.927e-02"),
 )
 
@@ -489,6 +489,20 @@ def test_blowup_message_names_the_failing_step_and_every_bound(cfg, message):
     with pytest.raises(SimulationBlowupError) as info:
         simulate(_smooth_state(g), cfg, ForcingSpec.zero(), 1000 * dt, dt=dt)
     assert str(info.value) == message
+
+
+def test_steppers_refuse_samples_whose_squares_could_overflow_their_sum():
+    # 192 samples: their squares sum to a finite value up to about 9.7e152 each
+    y = np.zeros((3, 8, 8))
+    for sample, ok in ((1e152, True), (1e153, False), (np.inf, False)):
+        def rates(ys, t, out):
+            out.fill(sample)
+
+        if ok:
+            step_rk4(rates, y, 0.0, 1.0)  # every sample of the new array is the rate
+        else:
+            with pytest.raises(ValueError, match="RK4 step produced non-finite or overflowing"):
+                step_rk4(rates, y, 0.0, 1.0)
 
 
 def test_galilean_alt_runs_stably_with_the_lagged_acceleration():
