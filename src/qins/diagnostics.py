@@ -53,9 +53,6 @@ class EnergyBudgetRow:
     residual: float
 
 
-CSV_HEADER = "time,e_kin,e_press,dissipation,injection,defect_predicted,residual"
-
-
 def _first_gap(t_prev: float, t: float, dt: float | None) -> float:
     """``dt``, or ``t - t_prev`` if None, once the gap ``t - t_prev`` is checked against it."""
     gap = t - t_prev
@@ -395,7 +392,7 @@ def transport_check(trajectory, particles: ParticleSet, rho_star: float = 1.0) -
         if k < 0 or k % 2:
             continue
         at_k = even_sample(len(window) - 3, interior=k > 0)
-        moved, _ = step_rk4(path_rates, y, k * dt, 2.0 * dt)
+        moved = step_rk4(path_rates, y, k * dt, 2.0 * dt)
         under_resolved |= bool(np.abs(moved[:, :2] - y[:, :2]).max() > grid.spacing)
         y = moved
         np.mod(y[:, :2], grid.period, out=y[:, :2])

@@ -47,7 +47,7 @@ from .experiments import (
     run_taylor_green,
 )
 from .initial_conditions import initial_condition
-from .io import MANIFEST_NAME, RunTimer, read_snapshot, write_json, write_manifest
+from .io import MANIFEST_NAME, read_snapshot, write_json, write_manifest
 
 ROUND_OFF = 1e-12  # identity checks run on O(1) fields, so this is absolute
 
@@ -617,7 +617,7 @@ def verify(
     every file that a driver manifest one level below lists.
     """
     out = _resolve_root(out_root)
-    timer = RunTimer.start()
+    started = time.perf_counter()
     results = run_checks(out, profile=profile, quiet=quiet)
     all_passed = all(r.passed for r in results)
     write_json(
@@ -640,10 +640,10 @@ def verify(
     written = [out / "results.json"]
     for sub in sorted(out.glob(f"*/{MANIFEST_NAME}")):
         written += [sub.parent / rel for rel in json.loads(sub.read_text())["checksums"]]
-    write_manifest(out, {"profile": profile}, timer.elapsed(), written)
+    write_manifest(out, {"profile": profile}, time.perf_counter() - started, written)
     print(
         ("all checks passed" if all_passed else "SOME CHECKS FAILED")
-        + f" ({timer.elapsed():.1f}s total)",
+        + f" ({time.perf_counter() - started:.1f}s total)",
         flush=True,
     )
     return 0 if all_passed else 1

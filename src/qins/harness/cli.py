@@ -11,8 +11,8 @@
 is the same but forces the bulk-modulus sweep, so a config written for
 another experiment can be reused.  ``verify`` runs the acceptance gate.
 ``inspect`` summarizes an output directory (re-hashing every file the
-manifest lists), a ``.state`` snapshot or trajectory, or a CSV without
-loading the whole package output into anything else.
+manifest lists), a ``.state`` snapshot or trajectory, or a table, whose
+kind it tells by the header, whatever the file is called.
 
 Exit status: 0 on success, 1 on run/verification failure, 2 on a
 configuration error.  The default output root is ``$QINS_OUT`` or
@@ -28,15 +28,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..fields import integrate
-from ..diagnostics import divergence_norm
+from ..diagnostics import EnergyBudgetRow, divergence_norm
 from ..models import SimulationBlowupError
 from .acceptance import PROFILES, verify
 from .config import ConfigError, config_from_json
 from .experiments import resolve_out_dir, run_experiment
 from .io import (
+    BUDGET_COLUMNS,
     MANIFEST_NAME,
+    format_row,
     read_states,
-    read_timeseries,
+    read_table,
     sha256_file,
     snapshot_path,
 )
@@ -82,20 +84,17 @@ def _inspect_dir(path: Path) -> int:
     return 0
 
 
-def _inspect_csv(path: Path) -> int:
-    if path.name == "transport.csv" or path.name == "members.csv":
-        lines = path.read_text().strip().splitlines()
-        if not lines:
-            raise ValueError("empty table, no header")
-        print(f"{path}: {len(lines) - 1} rows, columns {lines[0]}")
-        if len(lines) > 1:
-            print(f"  last: {lines[-1]}")
+def _inspect_table(path: Path) -> int:
+    columns, rows = read_table(path)
+    if columns != BUDGET_COLUMNS:
+        print(f"{path}: {len(rows)} rows, columns {','.join(columns)}")
+        if rows:
+            print(f"  last: {format_row(rows[-1])}")
         return 0
-    rows = read_timeseries(path)
     if not rows:
         raise ValueError("budget table has a header but no rows")
-    print(f"{path}: {len(rows)} budget rows, t in [{rows[0].time:g}, {rows[-1].time:g}]")
-    last = rows[-1]
+    first, last = EnergyBudgetRow(*rows[0]), EnergyBudgetRow(*rows[-1])
+    print(f"{path}: {len(rows)} budget rows, t in [{first.time:g}, {last.time:g}]")
     print(
         f"  last: e_kin {last.e_kin:.6g}, e_press {last.e_press:.6g}, "
         f"residual {last.residual:.3e}"
@@ -107,8 +106,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.path)
     if path.is_dir():
         return _inspect_dir(path)
-    if path.suffix == ".csv":
-        return _inspect_csv(path)
     if snapshot_path(path).exists():
         times = []
         for state in read_states(path):  # one state held at a time
@@ -128,6 +125,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if path.suffix == ".json" and path.exists():
         print(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=1))
         return 0
+    if path.is_file():
+        return _inspect_table(path)
     print(f"{path}: not a run directory, snapshot, or table", file=sys.stderr)
     return 1
 

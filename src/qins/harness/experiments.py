@@ -1,8 +1,9 @@
 """Experiment drivers: complete, reproducible runs with their own records.
 
-Every driver writes into one output directory: data files, a
-``report.json`` with the headline numbers, and finally a manifest with
-the config echo and a sha256 of every other file.  The manifest is
+Every driver writes into one output directory: data files in the
+formats of ``io``, then, through ``_finish``, a ``report.json`` with the
+headline numbers and finally a manifest with the config echo and a
+sha256 of every other file.  The manifest is
 written only after the run has fully succeeded, so its presence marks a
 finished directory.  All numeric output is deterministic for a fixed
 config and seed; wall time appears only in the manifest.
@@ -19,6 +20,7 @@ workloads in ``perfbench/workloads.py`` pass ``threads=1``.
 from __future__ import annotations
 
 import os
+import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import replace
@@ -59,7 +61,16 @@ from ..models import (
 from ..operators import _ddx, _ddy, divergence
 from .config import ConfigError, ExperimentConfig, config_echo
 from .initial_conditions import initial_condition, taylor_green_exact, taylor_green_state
-from .io import RunTimer, append_state, write_json, write_manifest, write_snapshot, write_timeseries
+from .io import (
+    MEMBERS_COLUMNS,
+    TRANSPORT_COLUMNS,
+    append_state,
+    write_json,
+    write_manifest,
+    write_snapshot,
+    write_table,
+    write_timeseries,
+)
 
 
 def resolve_out_dir(cfg: ExperimentConfig, override: str | Path | None = None) -> Path:
@@ -71,9 +82,22 @@ def resolve_out_dir(cfg: ExperimentConfig, override: str | Path | None = None) -
     return Path(os.environ.get("QINS_OUT", "qins_out")) / cfg.experiment
 
 
-def _say(quiet: bool, msg: str) -> None:
+def _start(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, float]:
+    """The run's output directory, made if missing, and the clock reading it starts at."""
+    out = resolve_out_dir(cfg, out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, time.perf_counter()
+
+
+def _finish(cfg: ExperimentConfig, out: Path, started: float, written: list[Path],
+            report: dict, quiet: bool, *lines: str) -> dict:
+    """Write ``report.json``, then the manifest over it and ``written``; print ``lines``."""
+    written = [*written, write_json(out / "report.json", report)]
+    write_manifest(out, config_echo(cfg), time.perf_counter() - started, written)
     if not quiet:
-        print(msg, flush=True)
+        for line in lines:
+            print(line, flush=True)
+    return report
 
 
 def _initial_state(spec, grid, t_final: float) -> State:
@@ -113,9 +137,7 @@ def run_taylor_green(
     step is refined like h^2 to keep the time error from masking the
     spatial order.
     """
-    out = resolve_out_dir(cfg, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timer = RunTimer.start()
+    out, started = _start(cfg, out_dir)
     cfg_inc = ModelConfig(
         model="incompressible", re=cfg.model.re, convection=cfg.model.convection
     )
@@ -146,14 +168,11 @@ def run_taylor_green(
         "fine": fine,
         "observed_order": order,
     }
-    written.append(write_json(out / "report.json", report))
-    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
-    _say(
-        quiet,
+    return _finish(
+        cfg, out, started, written, report, quiet,
         f"taylor_green: error {coarse['velocity_error']:.3e} (n={coarse['n']}) -> "
         f"{fine['velocity_error']:.3e} (n={fine['n']}), order {order:.3f}",
     )
-    return report
 
 
 # -- bulk-modulus sweep --------------------------------------------------------
@@ -181,9 +200,7 @@ def run_k_sweep(
     with dt rather than with the stiffness, and at the largest K it is of
     the same order as the O(1/K) terminal difference.
     """
-    out = resolve_out_dir(cfg, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timer = RunTimer.start()
+    out, started = _start(cfg, out_dir)
     forcing = ForcingSpec.zero()
     grid = make_grid(cfg.n)
     raw = _initial_state(cfg.initial_condition, grid, cfg.t_final)
@@ -209,7 +226,7 @@ def run_k_sweep(
         np.copyto(out, dv.values)
 
     ref = _march(v0.values, state0.time, ref_steps, ref_dt,
-                 lambda ys, ts: step_rk4(ref_rates, ys, ts, ref_dt)[0], grid.spacing, cfg_ref)
+                 lambda ys, ts: step_rk4(ref_rates, ys, ts, ref_dt), grid.spacing, cfg_ref)
     y, _ = deque(ref, maxlen=1)[0]  # the last sample
     ref_v = VectorField(grid, y)
 
@@ -252,27 +269,17 @@ def run_k_sweep(
         "diff_strictly_decreasing": _strictly_decreasing(diffs),
         "div_slope": _loglog_slope([m["k"] for m in ok], divs),
     }
-    lines = ["k,dt,steps,max_div_norm,terminal_velocity_diff"]
-    for m in ok:
-        lines.append(
-            f"{m['k']:.17g},{m['dt']:.17g},{m['steps']},"
-            f"{m['max_div_norm']:.17g},{m['terminal_velocity_diff']:.17g}"
-        )
-    (out / "members.csv").write_text("\n".join(lines) + "\n")
-    written = [out / "members.csv", write_json(out / "report.json", report)]
-    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
-    for m in members:
-        if "failed" in m:
-            _say(quiet, f"k_sweep: k={m['k']:g} FAILED: {m['failed']}")
-        else:
-            _say(
-                quiet,
-                f"k_sweep: k={m['k']:g} max|div v|={m['max_div_norm']:.3e} "
-                f"terminal diff={m['terminal_velocity_diff']:.3e}",
-            )
+    table = write_table(out / "members.csv", MEMBERS_COLUMNS,
+                        ([m[c] for c in MEMBERS_COLUMNS] for m in ok))
+    lines = [
+        f"k_sweep: k={m['k']:g} FAILED: {m['failed']}" if "failed" in m else
+        f"k_sweep: k={m['k']:g} max|div v|={m['max_div_norm']:.3e} "
+        f"terminal diff={m['terminal_velocity_diff']:.3e}"
+        for m in members
+    ]
     if report["div_slope"] is not None:
-        _say(quiet, f"k_sweep: divergence slope {report['div_slope']:.3f}")
-    return report
+        lines.append(f"k_sweep: divergence slope {report['div_slope']:.3f}")
+    return _finish(cfg, out, started, [table], report, quiet, *lines)
 
 
 # -- energy budget audit -------------------------------------------------------
@@ -335,9 +342,7 @@ def run_energy_audit(
     quiet: bool = False,
 ) -> dict:
     """Paired budget audit of the relaxed model (extra force on vs off)."""
-    out = resolve_out_dir(cfg, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timer = RunTimer.start()
+    out, started = _start(cfg, out_dir)
     rows_on, rows_off, dt_used = paired_energy_audit(
         cfg.n, cfg.t_final, cfg.model, cfg.initial_condition, cfg.cfl
     )
@@ -353,15 +358,12 @@ def run_energy_audit(
         "samples": len(rows_on) + 2,
         **audit_summary(rows_on, rows_off),
     }
-    written.append(write_json(out / "report.json", report))
-    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
-    _say(
-        quiet,
+    return _finish(
+        cfg, out, started, written, report, quiet,
         f"energy_audit: |residual| {report['max_abs_residual_on']:.3e} with the force, "
         f"|residual-defect| {report['max_abs_residual_off_minus_defect']:.3e} without "
         f"(defect scale {report['defect_scale']:.3e})",
     )
-    return report
 
 
 # -- frame-change experiment ---------------------------------------------------
@@ -383,9 +385,7 @@ def run_galilean(
     with the alternative force enabled; its terminal norm is fitted
     against k, and should fall off like 1/k.
     """
-    out = resolve_out_dir(cfg, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timer = RunTimer.start()
+    out, started = _start(cfg, out_dir)
     grid = make_grid(cfg.n)
     h = grid.spacing
     wx, wy = cfg.boost_w
@@ -439,17 +439,14 @@ def run_galilean(
         "temam_gap_rel_err": rel_gap_err,
         "alt_force": {"members": alts, "slope": slope},
     }
-    written.append(write_json(out / "report.json", report))
-    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
-    _say(
-        quiet,
+    lines = [
         f"galilean: standard gap {rep.standard_gap:.3e}, "
         f"extra-force gap {rep.temam_gap:.6e} vs closed form "
-        f"{rep.temam_gap_closed_form:.6e}",
-    )
+        f"{rep.temam_gap_closed_form:.6e}"
+    ]
     if slope is not None:
-        _say(quiet, f"galilean: alternative force norm slope {slope:.3f} in k")
-    return report
+        lines.append(f"galilean: alternative force norm slope {slope:.3f} in k")
+    return _finish(cfg, out, started, written, report, quiet, *lines)
 
 
 # -- particle transport audit --------------------------------------------------
@@ -487,7 +484,7 @@ def simulate_with_density(
     y = np.concatenate([pack_state(state0), np.ones((1, grid.n, grid.n))])
     work = np.empty((5,) + y.shape)
     samples = _march(y, state0.time, steps, dt_used,
-                     lambda ys, ts: step_rk4(rates, ys, ts, dt_used, work)[0], h, cfg)
+                     lambda ys, ts: step_rk4(rates, ys, ts, dt_used, work), h, cfg)
     return steps, dt_used, ((unpack_state(y, grid, t), ScalarField(grid, y[3])) for y, t in samples)
 
 
@@ -528,18 +525,13 @@ def run_transport_check(
     quiet: bool = False,
 ) -> dict:
     """Referential transport audit along particle paths (see particle_transport)."""
-    out = resolve_out_dir(cfg, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timer = RunTimer.start()
+    out, started = _start(cfg, out_dir)
     state0 = _initial_state(cfg.initial_condition, make_grid(cfg.n), cfg.t_final)
     model = replace(cfg.model, model="temam", k=cfg.model.k or 100.0)
     rep, samples, dt_used = particle_transport(
         state0, model, cfg.t_final, cfg.cfl, cfg.particles
     )
-    lines = ["time,lhs,rhs"]
-    for t, a, b in zip(rep.times, rep.lhs, rep.rhs):
-        lines.append(f"{t:.17g},{a:.17g},{b:.17g}")
-    (out / "transport.csv").write_text("\n".join(lines) + "\n")
+    table = write_table(out / "transport.csv", TRANSPORT_COLUMNS, zip(rep.times, rep.lhs, rep.rhs))
     report = {
         "experiment": "transport_check",
         "n": cfg.n,
@@ -551,14 +543,11 @@ def run_transport_check(
         "jacobian_route_gap": rep.jacobian_route_gap,
         "under_resolved": rep.under_resolved,
     }
-    written = [out / "transport.csv", write_json(out / "report.json", report)]
-    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
-    _say(
-        quiet,
+    return _finish(
+        cfg, out, started, [table], report, quiet,
         f"transport_check: gap {rep.gap:.3e}, jacobian routes within "
         f"{rep.jacobian_route_gap:.3e}" + (" (UNDER-RESOLVED)" if rep.under_resolved else ""),
     )
-    return report
 
 
 # -- free run ------------------------------------------------------------------
@@ -576,9 +565,7 @@ def run_free_run(
     ``snapshot_every``-th state before the last is appended to
     ``trajectory.state`` when it appears.  The last state is ``final.state``.
     """
-    out = resolve_out_dir(cfg, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timer = RunTimer.start()
+    out, started = _start(cfg, out_dir)
     state0 = _initial_state(cfg.initial_condition, make_grid(cfg.n), cfg.t_final)
     forcing = ForcingSpec.zero()
     # the budget differences the samples in time, so keep every run sound-resolved
@@ -612,14 +599,11 @@ def run_free_run(
         "e_kin_final": 0.5 * integrate(final.v.magnitude_squared()),
         "div_norm_final": divergence_norm(final),
     }
-    written.append(write_json(out / "report.json", report))
-    write_manifest(out, config_echo(cfg), timer.elapsed(), written)
-    _say(
-        quiet,
+    return _finish(
+        cfg, out, started, written, report, quiet,
         f"free_run: {report['steps']} steps to t={final.time:g}, "
         f"e_kin {report['e_kin_final']:.6g}, |div v| {report['div_norm_final']:.3e}",
     )
-    return report
 
 
 DRIVERS = {

@@ -1,13 +1,19 @@
-"""On-disk formats: snapshots, budget tables, run manifests.
+"""The run directory's formats: snapshots, tables, run manifests.
 
 A ``<stem>.state`` file holds one or more state records back to back.
 A record is a JSON header line (``n``, ``period``, ``time``) ended by a
 newline, then the raw little-endian float64 (3, n, n) block vx, vy, p,
 row-major.  A snapshot is a file of one record; a trajectory appends one
-record per stored state.  Values round-trip bit for bit.  Budget tables
-are CSV with 17 significant digits, enough to reproduce the float64
-exactly.  The manifest is written last, only for successful runs, and
-carries a config echo plus a checksum of every other file the run wrote.
+record per stored state.  Values round-trip bit for bit.
+
+Every table a run writes is CSV whose header names its columns, and whose
+values carry 17 significant digits, enough to reproduce a float64
+exactly.  This module declares the three kinds, the energy budget
+(``budget*.csv``), the bulk-modulus sweep members (``members.csv``) and
+the particle transport audit (``transport.csv``), and reads a table back
+by recognising its header, whatever the file is called.  The manifest is
+written last, only for successful runs, and carries a config echo plus a
+checksum of every other file the run wrote.
 """
 
 from __future__ import annotations
@@ -15,19 +21,25 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import time as _time
+import os
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import astuple, fields
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from ..diagnostics import CSV_HEADER, EnergyBudgetRow
+from ..diagnostics import EnergyBudgetRow
 from ..fields import Grid
 from ..models import State, unpack_state
 
 MANIFEST_NAME = "manifest.json"
+
+# the columns of each table kind; a table is recognised by its header alone
+BUDGET_COLUMNS = tuple(f.name for f in fields(EnergyBudgetRow))
+MEMBERS_COLUMNS = ("k", "dt", "steps", "max_div_norm", "terminal_velocity_diff")
+TRANSPORT_COLUMNS = ("time", "lhs", "rhs")
+TABLES = (BUDGET_COLUMNS, MEMBERS_COLUMNS, TRANSPORT_COLUMNS)
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -72,13 +84,13 @@ def read_states(path_stem: str | Path) -> Iterator[State]:
             except (ValueError, TypeError, KeyError) as exc:
                 raise ValueError(f"record {record}: unreadable snapshot header ({exc})") from None
             grid = Grid(n, period)
-            block = f.read(8 * 3 * n * n)
-            if len(block) != 8 * 3 * n * n:
+            size = 8 * 3 * n * n
+            left = os.fstat(f.fileno()).st_size - f.tell()  # before a read of ``size`` bytes
+            if left < size:
                 raise ValueError(
-                    f"record {record}: block has {len(block) // 8} samples, "
-                    f"header promises {3 * n * n}"
+                    f"record {record}: block has {left // 8} samples, header promises {3 * n * n}"
                 )
-            raw = np.frombuffer(block, dtype="<f8").reshape(3, n, n).astype(np.float64)
+            raw = np.frombuffer(f.read(size), dtype="<f8").reshape(3, n, n).astype(np.float64)
             yield unpack_state(raw, grid, time)
 
 
@@ -93,42 +105,43 @@ def read_snapshot(path_stem: str | Path) -> State:
     return state
 
 
-def write_timeseries(rows: list[EnergyBudgetRow], path: str | Path) -> Path:
-    """Write budget rows as CSV with full float64 precision."""
+def format_row(row: Iterable) -> str:
+    """One table line: each value with 17 significant digits, so ints such as steps stay ints."""
+    return ",".join(f"{value:.17g}" for value in row)
+
+
+def write_table(path: str | Path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> Path:
+    """Write a table of one of the ``TABLES`` kinds: the header, then one line per row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                f"{value:.17g}"
-                for value in (
-                    r.time,
-                    r.e_kin,
-                    r.e_press,
-                    r.dissipation,
-                    r.injection,
-                    r.defect_predicted,
-                    r.residual,
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join([",".join(columns), *map(format_row, rows)]) + "\n")
     return path
 
 
+def read_table(path: str | Path) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
+    """``(columns, rows)`` of a table, its kind told by the header; ValueError for any other."""
+    header, *lines = Path(path).read_text().strip().splitlines() or [""]
+    columns = tuple(header.split(","))
+    if columns not in TABLES:
+        raise ValueError(f"unknown table header {header!r}")
+    rows = [tuple(float(token) for token in line.split(",")) for line in lines]
+    for row in rows:
+        if len(row) != len(columns):
+            raise ValueError(f"expected {len(columns)} columns, got {len(row)}")
+    return columns, rows
+
+
+def write_timeseries(rows: list[EnergyBudgetRow], path: str | Path) -> Path:
+    """Write budget rows as a table with full float64 precision."""
+    return write_table(path, BUDGET_COLUMNS, map(astuple, rows))
+
+
 def read_timeseries(path: str | Path) -> list[EnergyBudgetRow]:
-    """Read a budget CSV back into rows."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path} is not a budget table (bad header)")
-    rows = []
-    for line in lines[1:]:
-        vals = [float(tok) for tok in line.split(",")]
-        if len(vals) != 7:
-            raise ValueError(f"{path}: expected 7 columns, got {len(vals)}")
-        rows.append(EnergyBudgetRow(*vals))
-    return rows
+    """Read a budget table back into rows; ValueError for a table of another kind."""
+    columns, rows = read_table(path)
+    if columns != BUDGET_COLUMNS:
+        raise ValueError(f"{path} is not a budget table (header {','.join(columns)})")
+    return [EnergyBudgetRow(*row) for row in rows]
 
 
 def sha256_file(path: str | Path) -> str:
@@ -137,20 +150,6 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class RunTimer:
-    """Wall-clock bracket for manifests."""
-
-    started: float
-
-    @classmethod
-    def start(cls) -> "RunTimer":
-        return cls(_time.perf_counter())
-
-    def elapsed(self) -> float:
-        return _time.perf_counter() - self.started
 
 
 def write_manifest(

@@ -362,6 +362,8 @@ def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None 
         raise ValueError("t_final must exceed the state's current time")
     span = t_final - state.time
     base = dt if dt is not None else stable_dt(state, cfg, cfl)
+    if not 0.0 < base < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {base}")
     steps = max(1, int(np.ceil(span / base - 1e-12)))
     return steps, span / steps
 
@@ -405,13 +407,13 @@ def _blowup_error(what: str, vmax: float, t: float, h: float, cfg: ModelConfig,
     )
 
 
-def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> tuple:
-    """One classical RK4 step of dy/dt = rates(y, t, out) for one array.
+def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> np.ndarray:
+    """One classical RK4 step of dy/dt = rates(y, t, out) for one array: ``y_new``.
 
     ``work`` (shape ``(5,) + y.shape``) holds k1..k4 and the stage state, so
     the stages and the combination allocate nothing but ``y_new``.  The new
-    array is checked once (``_checked``).  Returns ``(y_new, k1)``; k1 lives in
-    ``work``, which the next step overwrites.
+    array is checked once (``_checked``).  k1, the rate at (y, t), stays in
+    ``work[0]`` until the next step overwrites it.
     """
     k1, k2, k3, k4, ys = np.empty((5,) + y.shape) if work is None else work
     rates(y, t, k1)
@@ -421,7 +423,7 @@ def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> tuple:
     np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)  # (dt/6)(k1 + 2k2 + 2k3 + k4) in k2
     k2 += np.multiply(k3, 2.0, out=k3)
     k2 += k4
-    return _checked(y + np.multiply(k2, dt / 6.0, out=k2), "RK4 step"), k1
+    return _checked(y + np.multiply(k2, dt / 6.0, out=k2), "RK4 step")
 
 
 # 1/(j+3)! for j = 0..17: the series of phi_3 where |z| < 1
@@ -578,12 +580,11 @@ class ETDRK4:
         np.fft.irfftn(z[:c], self.stage.shape[1:], axes=(-2, -1), out=self.stage[:c])
         return np.fft.rfft2(nonlinear(self.stage, t, self.rate)[:c], out=out)
 
-    def step(self, nonlinear, y: np.ndarray, t: float) -> tuple:
-        """One step from packed (vx, vy, p); ``nonlinear(y, t, out)`` writes N at (y, t).
+    def step(self, nonlinear, y: np.ndarray, t: float) -> np.ndarray:
+        """``y_new`` one step from packed (vx, vy, p); ``nonlinear(y, t, out)`` writes N at (y, t).
 
-        Returns ``(y_new, r1)`` like ``step_rk4``, r1 the full velocity rate
-        at (y, t) for galilean_alt's lag (a buffer the next step overwrites),
-        else None.
+        For galilean_alt the full velocity rate at (y, t) is left in ``lag``,
+        which the next step overwrites.
         """
         E, E_HALF, Q, F1, F2, F3 = range(6)
         z, a, acc = self.spectral  # z: the transform of y, then scratch and the b stage
@@ -609,7 +610,7 @@ class ETDRK4:
         a += self._apply(Q, nd, z)  # c = E_1/2 a + Q (2 N(b) - N(y))
         self._stage(nonlinear, a, t + self.dt, nb)
         acc += self._apply(F3, nb, z)
-        return _checked(np.fft.irfft2(acc, s=y.shape[1:]), "ETDRK4 step"), self.lag
+        return _checked(np.fft.irfft2(acc, s=y.shape[1:]), "ETDRK4 step")
 
 
 def _march(y: np.ndarray, t: float, steps: int, dt: float, advance, h: float, cfg: ModelConfig):
@@ -660,7 +661,8 @@ def march(state: State, cfg: ModelConfig, forcing: ForcingSpec, t_final: float,
     elif not projection:
         work = np.empty((5,) + y.shape)
     rhs_work = np.empty((_SOURCE_WORK if projection else _TEMAM_WORK,) + y.shape[1:])
-    lag = None if projection else np.zeros_like(y[:2])  # last step's acceleration, for galilean_alt
+    # the last step's acceleration, which only galilean_alt reads
+    lag = np.zeros_like(y[:2]) if cfg.extra_force == "galilean_alt" else None
 
     def rates(ys: np.ndarray, ts: float, out: np.ndarray) -> np.ndarray:
         if cfg.model == "compressible":
@@ -672,9 +674,9 @@ def march(state: State, cfg: ModelConfig, forcing: ForcingSpec, t_final: float,
             return incompressible_step(ys, force(ts), cfg, h, dt_used, rhs_work)
         if etd:
             _advective_guard(ys[:2], ts, h, cfg, dt_used)
-        ys, k1 = etd.step(rates, ys, ts) if etd else step_rk4(rates, ys, ts, dt_used, work)
-        if k1 is not None:
-            np.copyto(lag, k1[:2])
+        ys = etd.step(rates, ys, ts) if etd else step_rk4(rates, ys, ts, dt_used, work)
+        if lag is not None:
+            np.copyto(lag, etd.lag if etd else work[0, :2])
         return ys
 
     samples = _march(y, state.time, steps, dt_used, advance, h, cfg)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qins
-from qins.diagnostics import CSV_HEADER, EnergyBudgetRow
+from qins.diagnostics import EnergyBudgetRow
 from qins.fields import ScalarField, VectorField, integrate, l2_norm, make_grid
 from qins.harness.cli import main
 from qins.harness.config import (
@@ -37,6 +37,7 @@ from qins.harness.initial_conditions import (
     taylor_green_state,
 )
 from qins.harness.io import (
+    BUDGET_COLUMNS,
     MANIFEST_NAME,
     append_state,
     read_snapshot,
@@ -633,7 +634,7 @@ def test_cli_inspect_reports_a_malformed_table_or_header(tmp_path, capsys):
 
 
 def test_cli_inspect_reports_an_empty_table(tmp_path, capsys):
-    (tmp_path / "budget.csv").write_text(CSV_HEADER + "\n")
+    (tmp_path / "budget.csv").write_text(",".join(BUDGET_COLUMNS) + "\n")
     (tmp_path / "transport.csv").write_text("")
     (tmp_path / "members.csv").write_text("\n")
     for name in ("budget.csv", "transport.csv", "members.csv"):
@@ -641,6 +642,46 @@ def test_cli_inspect_reports_an_empty_table(tmp_path, capsys):
         assert main(["inspect", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("taylor_green", {}),
+    ("k_sweep", {"k_list": [100.0, 1000.0]}),
+    ("energy_audit", {}),
+    ("galilean", {"k_list": [100.0, 1000.0]}),
+    ("transport_check", {"particles": 4}),
+    ("free_run", {"snapshot_every": 2}),
+])
+def test_cli_inspects_every_file_a_driver_writes(tmp_path, experiment, extra):
+    cfg_path = _write_config(tmp_path, experiment=experiment, **extra)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert main(["inspect", str(out)]) == 0
+    listed = json.loads((out / MANIFEST_NAME).read_text())["checksums"]
+    for rel in listed:
+        assert main(["inspect", str(out / rel)]) == 0, rel
+    # a table is known by its header, whatever the file is called
+    for rel in filter(lambda rel: rel.endswith(".csv"), listed):
+        renamed = tmp_path / "renamed.dat"
+        renamed.write_bytes((out / rel).read_bytes())
+        assert main(["inspect", str(renamed)]) == 0, rel
+
+
+def test_a_snapshot_header_promising_more_than_the_file_holds_is_unreadable(tmp_path, capsys):
+    # a block of 3 * 1048576^2 samples is never allocated: the bytes left are counted first
+    write_snapshot(taylor_green_state(make_grid(16)), tmp_path / "ic")
+    block = (tmp_path / "ic.state").read_bytes().split(b"\n", 1)[1]
+    header = json.dumps({"n": 1048576, "period": 2.0 * np.pi, "time": 0.0}, sort_keys=True)
+    (tmp_path / "ic.state").write_bytes(header.encode() + b"\n" + block)
+    assert main(["inspect", str(tmp_path / "ic")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {tmp_path / 'ic'}: record 0: block has 768 samples")
+    assert err.count("\n") == 1
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "record 0" in err
 
 
 def test_cli_snapshot_on_the_wrong_grid_is_a_config_error(tmp_path):

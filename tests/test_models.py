@@ -376,7 +376,7 @@ def test_rk4_local_error_is_fifth_order():
         np.multiply(y, -1.0, out=out)
 
     def one_step_err(dt: float) -> float:
-        p, _ = step_rk4(decay, np.ones((1, g.n, g.n)), 0.0, dt)
+        p = step_rk4(decay, np.ones((1, g.n, g.n)), 0.0, dt)
         return abs(float(p[0, 0, 0]) - np.exp(-dt))
 
     ratio = one_step_err(0.2) / one_step_err(0.1)
@@ -411,11 +411,10 @@ def test_step_rk4_combines_the_stages_as_written(shape, dt, scale, seed):
     k4 = rate(y + k3 * dt, t + dt)
     expected = (y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tobytes()
     work = np.empty((5,) + y.shape)
-    y_new, first = step_rk4(rates, y, t, dt, work)
-    assert y_new.tobytes() == expected
-    assert first.tobytes() == k1.tobytes()  # galilean_alt lags this rate
-    assert step_rk4(rates, y, t, dt, work)[0].tobytes() == expected
-    assert step_rk4(rates, y, t, dt)[0].tobytes() == expected
+    assert step_rk4(rates, y, t, dt, work).tobytes() == expected
+    assert work[0].tobytes() == k1.tobytes()  # galilean_alt lags this rate
+    assert step_rk4(rates, y, t, dt, work).tobytes() == expected
+    assert step_rk4(rates, y, t, dt).tobytes() == expected
 
 
 def test_simulate_trims_dt_to_land_on_t_final():
@@ -449,6 +448,15 @@ def test_simulate_rejects_empty_span():
     g = make_grid(16)
     with pytest.raises(ValueError):
         simulate(State.rest(g), TEMAM, ForcingSpec.zero(), 0.0)
+
+
+@pytest.mark.parametrize("step", [
+    {"dt": -0.01}, {"dt": 0.0}, {"dt": np.inf}, {"dt": np.nan}, {"cfl": -0.4}, {"cfl": 0.0},
+])
+def test_simulate_rejects_a_step_that_is_not_positive_and_finite(step):
+    # each once took one step of 0.05 or failed with a ZeroDivisionError or a NaN conversion
+    with pytest.raises(ValueError, match="time step must be positive and finite"):
+        simulate(_taylor_green(make_grid(16)), TEMAM, ForcingSpec.zero(), 0.05, **step)
 
 
 def test_out_of_stability_step_raises_blowup():
@@ -907,10 +915,10 @@ def _etd_run(state0, cfg, forcing, steps, dt):
 
     y, t = pack_state(state0), state0.time
     for _ in range(steps):
-        y, r1 = etd.step(nonlinear, y, t)
+        y = etd.step(nonlinear, y, t)
         t += dt
-        if r1 is not None:
-            np.copyto(lag, r1[:2])
+        if etd.lag is not None:
+            np.copyto(lag, etd.lag)
     return y
 
 
@@ -985,9 +993,9 @@ def test_a_step_up_to_the_acoustic_bound_is_still_bitwise_rk4(monkeypatch):
     force, lag = forcing.sampler(g, 0.0), np.zeros((2, 16, 16))
     y, work = pack_state(state0), np.empty((5, 3, 16, 16))
     for i in range(4):
-        y, k1 = step_rk4(lambda ys, t, out: temam_rhs(ys, force(t), cfg, h, out, lag),
-                         y, i * dt, dt, work)
-        np.copyto(lag, k1[:2])
+        y = step_rk4(lambda ys, t, out: temam_rhs(ys, force(t), cfg, h, out, lag),
+                     y, i * dt, dt, work)
+        np.copyto(lag, work[0, :2])
     assert all(_same_bits(a, b) for a, b in zip(_arrays(final), y))
 
     # one ulp past the bound, the same run takes ETD steps
