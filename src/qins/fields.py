@@ -42,8 +42,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError(f"grid needs at least 4 cells per side, got n={self.n}")
-        if not self.period > 0.0:
-            raise ValueError(f"grid period must be positive, got {self.period}")
+        if not 0.0 < self.period < np.inf:
+            raise ValueError(f"grid period must be positive and finite, got {self.period}")
 
     @property
     def spacing(self) -> float:

@@ -1,6 +1,6 @@
 """Experiment harness: configs, initial conditions, file formats, drivers, CLI."""
 
-from .acceptance import CriterionResult, run_checks, verify
+from .acceptance import CriterionResult, verify
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -31,7 +31,6 @@ __all__ = [
     "read_states",
     "read_timeseries",
     "resolve_out_dir",
-    "run_checks",
     "run_experiment",
     "verify",
     "write_manifest",

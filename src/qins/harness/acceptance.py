@@ -2,22 +2,20 @@
 
 ``verify`` runs every check, prints one pass/fail line per guarantee,
 writes ``results.json`` plus a manifest into the output directory, and
-returns a process exit code.  Each check re-derives its numbers from
-scratch; nothing is cached between runs, so two invocations with the
-same profile produce byte-identical data files.
+returns the results.  Each check re-derives its numbers from scratch;
+nothing is cached between runs, so two invocations produce
+byte-identical data files.
 
-A check is a plain verdict function ``check(prof, out, quiet) ->
-(passed, headline, details)``.  ``run_checks`` times every call against
-the check's pinned budget in ``CHECKS``; budgets are enforced only in
-the ``desk`` profile, and the ``quick`` profile runs the same logic on
-smaller grids for fast iteration.
+A check is a plain verdict function ``check(out, quiet) -> (passed,
+headline, details)`` whose grid sizes and run lengths are written next
+to its thresholds.  ``verify`` times every call against the check's
+pinned budget in ``CHECKS``, and a check that overruns it fails.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +45,7 @@ from .experiments import (
     run_taylor_green,
 )
 from .initial_conditions import initial_condition
-from .io import MANIFEST_NAME, read_snapshot, write_json, write_manifest
+from .io import MANIFEST_NAME, default_out_dir, read_snapshot, write_json, write_manifest
 
 ROUND_OFF = 1e-12  # identity checks run on O(1) fields, so this is absolute
 
@@ -56,56 +54,6 @@ RELAXED = ModelConfig(model="temam", re=100.0, k=100.0)
 PULSE = InitialConditionSpec(kind="taylor_green_pulse", amplitude=0.1)
 
 Verdict = tuple[bool, str, dict]  # (passed, headline, details)
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Grid sizes and run lengths for one verification profile."""
-
-    name: str
-    ops_ns: tuple[int, int] = (64, 128)
-    tg_n: int = 32
-    sweep_n: int = 64
-    sweep_ks: tuple[float, ...] = (1e2, 1e3, 1e4, 1e5)
-    sweep_t: float = 0.5
-    audit_n: int = 32
-    audit_t: float = 0.5
-    ident_ns: tuple[int, int] = (64, 128)
-    power_n: int = 32
-    power_t: float = 0.25
-    gal_n: int = 64
-    gal_t: float = 0.5
-    gal_ks: tuple[float, ...] = (1e2, 1e3, 1e4, 1e5)
-    transport_n: int = 32
-    transport_t: float = 0.4
-    det_n: int = 32
-    det_t: float = 0.1
-    enforce_budgets: bool = True
-
-
-PROFILES = {
-    "desk": Profile(name="desk"),
-    "quick": Profile(
-        name="quick",
-        ops_ns=(32, 64),
-        tg_n=24,
-        sweep_n=32,
-        sweep_ks=(1e2, 1e3, 1e4),
-        sweep_t=0.25,
-        audit_n=24,
-        audit_t=0.4,
-        ident_ns=(32, 64),
-        power_n=24,
-        power_t=0.2,
-        gal_n=32,
-        gal_t=0.4,
-        transport_n=24,
-        transport_t=0.3,
-        det_n=16,
-        det_t=0.05,
-        enforce_budgets=False,
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -125,9 +73,10 @@ def _order(coarse_err: float, fine_err: float) -> float:
     return float(np.log2(coarse_err / fine_err))
 
 
-def _pulse_dt(n: int) -> float:
-    """Stable step for the pulse on an n grid; the paired 2n runs halve it."""
-    return stable_dt(initial_condition(PULSE, make_grid(n)), RELAXED, 0.4)
+def _refined(run, n: int) -> tuple:
+    """``run(n, dt)`` at the pulse's stable step on an n grid, then ``run(2n, dt/2)``."""
+    dt = stable_dt(initial_condition(PULSE, make_grid(n)), RELAXED, 0.4)
+    return run(n, dt), run(2 * n, dt / 2.0)
 
 
 # -- manufactured fields shared by the operator and identity checks ------------
@@ -219,10 +168,11 @@ def _test_density(grid):
 # -- C1: operator convergence and summation by parts ---------------------------
 
 
-def check_operators(prof: Profile, out: Path, quiet: bool) -> Verdict:
+def check_operators(out: Path, quiet: bool) -> Verdict:
     errs: dict[str, list[float]] = {}
     ibp_rels = []
-    for n in prof.ops_ns:
+    grids = (64, 128)
+    for n in grids:
         grid = make_grid(n)
         s = _test_scalar(grid)
         v = _test_vector(grid)
@@ -246,7 +196,7 @@ def check_operators(prof: Profile, out: Path, quiet: bool) -> Verdict:
         worst_order >= 1.9 and worst_ibp <= ROUND_OFF,
         f"min order {worst_order:.2f}, parts-summation rel {worst_ibp:.1e}",
         {
-            "grids": list(prof.ops_ns),
+            "grids": list(grids),
             "errors": {k: list(map(float, v)) for k, v in errs.items()},
             "orders": {k: float(v) for k, v in orders.items()},
             "integration_by_parts_rel": list(map(float, ibp_rels)),
@@ -257,10 +207,10 @@ def check_operators(prof: Profile, out: Path, quiet: bool) -> Verdict:
 # -- C2: vortex benchmark ------------------------------------------------------
 
 
-def check_taylor_green(prof: Profile, out: Path, quiet: bool) -> Verdict:
+def check_taylor_green(out: Path, quiet: bool) -> Verdict:
     cfg = ExperimentConfig(
         experiment="taylor_green",
-        n=prof.tg_n,
+        n=32,
         t_final=1.0,
         model=ModelConfig(model="incompressible", re=100.0),
     )
@@ -280,13 +230,13 @@ def check_taylor_green(prof: Profile, out: Path, quiet: bool) -> Verdict:
 # -- C3: bulk-modulus sweep ----------------------------------------------------
 
 
-def check_k_sweep(prof: Profile, out: Path, quiet: bool) -> Verdict:
+def check_k_sweep(out: Path, quiet: bool) -> Verdict:
     cfg = ExperimentConfig(
         experiment="k_sweep",
-        n=prof.sweep_n,
-        t_final=prof.sweep_t,
+        n=64,
+        t_final=0.5,
         model=RELAXED,
-        k_list=prof.sweep_ks,
+        k_list=(1e2, 1e3, 1e4, 1e5),
         initial_condition=InitialConditionSpec(kind="taylor_green_pulse", amplitude=0.05),
     )
     report = run_k_sweep(cfg, out_dir=out / "k_sweep", quiet=quiet)
@@ -316,10 +266,10 @@ def check_k_sweep(prof: Profile, out: Path, quiet: bool) -> Verdict:
 # -- C4: energy budget closure -------------------------------------------------
 
 
-def check_energy_budget(prof: Profile, out: Path, quiet: bool) -> Verdict:
-    n, t, dt = prof.audit_n, prof.audit_t, _pulse_dt(prof.audit_n)
-    on_c, off_c, dt_c = paired_energy_audit(n, t, RELAXED, PULSE, 0.4, dt=dt)
-    on_f, off_f, dt_f = paired_energy_audit(2 * n, t, RELAXED, PULSE, 0.4, dt=dt / 2.0)
+def check_energy_budget(out: Path, quiet: bool) -> Verdict:
+    (on_c, off_c, dt_c), (on_f, off_f, dt_f) = _refined(
+        lambda n, dt: paired_energy_audit(n, 0.5, RELAXED, PULSE, 0.4, dt=dt), 32
+    )
     coarse, fine = audit_summary(on_c, off_c), audit_summary(on_f, off_f)
     err_on = (coarse["max_abs_residual_on"], fine["max_abs_residual_on"])
     err_off = (
@@ -358,11 +308,11 @@ def check_energy_budget(prof: Profile, out: Path, quiet: bool) -> Verdict:
 # -- C5: inertial bookkeeping identities ----------------------------------------
 
 
-def check_inertia_identities(prof: Profile, out: Path, quiet: bool) -> Verdict:
+def check_inertia_identities(out: Path, quiet: bool) -> Verdict:
     # manufactured velocity, acceleration and density on each identity grid
     fields = [
         (_test_vector(g), _test_accel(g), _test_density(g))
-        for g in map(make_grid, prof.ident_ns)
+        for g in map(make_grid, (64, 128))
     ]
 
     # pointwise identities at round-off on the first grid
@@ -401,7 +351,7 @@ def check_inertia_identities(prof: Profile, out: Path, quiet: bool) -> Verdict:
     def power_error(n: int, dt: float) -> float:
         g = make_grid(n)
         _, dt_used, states = march(
-            initial_condition(PULSE, g), RELAXED, ForcingSpec.zero(), prof.power_t, dt=dt
+            initial_condition(PULSE, g), RELAXED, ForcingSpec.zero(), 0.25, dt=dt
         )
         ones = ScalarField.constant(g, 1.0)
         worst, before, mid = 0.0, None, None
@@ -418,8 +368,7 @@ def check_inertia_identities(prof: Profile, out: Path, quiet: bool) -> Verdict:
             before, mid = mid, after
         return worst
 
-    dt0 = _pulse_dt(prof.power_n)
-    power_errs = (power_error(prof.power_n, dt0), power_error(2 * prof.power_n, dt0 / 2.0))
+    power_errs = _refined(power_error, 32)
     power_order = _order(*power_errs)
     details["power_consistency"] = list(map(float, power_errs))
     details["power_consistency_order"] = float(power_order)
@@ -440,13 +389,13 @@ def check_inertia_identities(prof: Profile, out: Path, quiet: bool) -> Verdict:
 # -- C6: frame-change behavior ---------------------------------------------------
 
 
-def check_frame_behavior(prof: Profile, out: Path, quiet: bool) -> Verdict:
+def check_frame_behavior(out: Path, quiet: bool) -> Verdict:
     cfg = ExperimentConfig(
         experiment="galilean",
-        n=prof.gal_n,
-        t_final=prof.gal_t,
+        n=64,
+        t_final=0.5,
         model=RELAXED,
-        k_list=prof.gal_ks,
+        k_list=(1e2, 1e3, 1e4, 1e5),
         initial_condition=PULSE,
         boost_w=(1.0, 0.0),
     )
@@ -479,14 +428,13 @@ def check_frame_behavior(prof: Profile, out: Path, quiet: bool) -> Verdict:
 # -- C7: referential transport ---------------------------------------------------
 
 
-def check_transport(prof: Profile, out: Path, quiet: bool) -> Verdict:
+def check_transport(out: Path, quiet: bool) -> Verdict:
     def report(n: int, dt: float):
         state0 = initial_condition(PULSE, make_grid(n))
-        rep, _, _ = particle_transport(state0, RELAXED, prof.transport_t, 0.4, 32, dt=dt)
+        rep, _, _ = particle_transport(state0, RELAXED, 0.4, 0.4, 32, dt=dt)
         return rep
 
-    dt = _pulse_dt(prof.transport_n)
-    rep_c, rep_f = report(prof.transport_n, dt), report(2 * prof.transport_n, dt / 2.0)
+    rep_c, rep_f = _refined(report, 32)
     gap_order = _order(rep_c.gap, rep_f.gap)
     j_order = _order(rep_c.jacobian_route_gap, rep_f.jacobian_route_gap)
     passed = (
@@ -514,11 +462,11 @@ def check_transport(prof: Profile, out: Path, quiet: bool) -> Verdict:
 # -- C8: bit-reproducibility -----------------------------------------------------
 
 
-def check_determinism(prof: Profile, out: Path, quiet: bool) -> Verdict:
+def check_determinism(out: Path, quiet: bool) -> Verdict:
     cfg = ExperimentConfig(
         experiment="free_run",
-        n=prof.det_n,
-        t_final=prof.det_t,
+        n=32,
+        t_final=0.1,
         model=RELAXED,
         initial_condition=InitialConditionSpec(kind="random_smooth", seed=7, amplitude=0.3),
         snapshot_every=5,
@@ -550,7 +498,7 @@ def check_determinism(prof: Profile, out: Path, quiet: bool) -> Verdict:
     )
 
 
-# (cid, name, time budget in seconds enforced by the desk profile, check)
+# (cid, name, time budget in seconds, check)
 CHECKS = (
     ("C1", "operator convergence and summation by parts", 30.0, check_operators),
     ("C2", "decaying-vortex benchmark order", 60.0, check_taylor_green),
@@ -563,37 +511,28 @@ CHECKS = (
 )
 
 
-def _resolve_root(out_root: str | Path | None) -> Path:
-    if out_root:
-        return Path(out_root)
-    return Path(os.environ.get("QINS_OUT", "qins_out")) / "verify"
+def verify(out_root: str | Path | None = None, quiet: bool = False) -> list[CriterionResult]:
+    """Run the acceptance gate, printing one pass/fail line per check; returns the results.
 
-
-def run_checks(
-    out_root: str | Path | None = None,
-    profile: str = "desk",
-    quiet: bool = False,
-) -> list[CriterionResult]:
-    """Run every check, printing one pass/fail line each; returns the results.
-
-    Each check is timed here and, when the profile enforces budgets,
-    fails if it overran its budget; ``details["budget_s"]`` records it.
-    ``quiet`` silences only the inner drivers, never the pass/fail lines.
+    Each check is timed here and fails if it overran its budget;
+    ``details["budget_s"]`` records it.  ``quiet`` silences only the inner
+    drivers, never the pass/fail lines.  The gate writes ``results.json``
+    (headline numbers, no wall times, so reruns are byte-identical) and a
+    manifest into ``out_root``, by default ``default_out_dir("verify")``.
+    The manifest lists ``results.json`` and every file that a driver
+    manifest one level below lists.
     """
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}, expected one of {sorted(PROFILES)}")
-    prof = PROFILES[profile]
-    out = _resolve_root(out_root)
+    out = Path(out_root) if out_root is not None else default_out_dir("verify")
     out.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
     results = []
     for cid, name, budget_s, check in CHECKS:
-        started = time.perf_counter()
-        passed, headline, details = check(prof, out, quiet)
-        seconds = time.perf_counter() - started
-        if prof.enforce_budgets:
-            passed = passed and seconds <= budget_s
+        check_started = time.perf_counter()
+        passed, headline, details = check(out, quiet)
+        seconds = time.perf_counter() - check_started
         result = CriterionResult(
-            cid, name, passed, seconds, headline, {**details, "budget_s": budget_s}
+            cid, name, passed and seconds <= budget_s, seconds, headline,
+            {**details, "budget_s": budget_s},
         )
         results.append(result)
         print(
@@ -601,29 +540,10 @@ def run_checks(
             f"{result.headline} ({result.seconds:.1f}s)",
             flush=True,
         )
-    return results
-
-
-def verify(
-    out_root: str | Path | None = None,
-    profile: str = "desk",
-    quiet: bool = False,
-) -> int:
-    """Run the acceptance gate; returns 0 only if every check passes.
-
-    On top of :func:`run_checks` this writes ``results.json`` (headline
-    numbers, no wall times, so reruns are byte-identical) and a manifest
-    into the output directory.  The manifest lists ``results.json`` and
-    every file that a driver manifest one level below lists.
-    """
-    out = _resolve_root(out_root)
-    started = time.perf_counter()
-    results = run_checks(out, profile=profile, quiet=quiet)
     all_passed = all(r.passed for r in results)
     write_json(
         out / "results.json",
         {
-            "profile": profile,
             "all_passed": all_passed,
             "results": [
                 {
@@ -640,10 +560,10 @@ def verify(
     written = [out / "results.json"]
     for sub in sorted(out.glob(f"*/{MANIFEST_NAME}")):
         written += [sub.parent / rel for rel in json.loads(sub.read_text())["checksums"]]
-    write_manifest(out, {"profile": profile}, time.perf_counter() - started, written)
+    write_manifest(out, {"experiment": "verify"}, time.perf_counter() - started, written)
     print(
         ("all checks passed" if all_passed else "SOME CHECKS FAILED")
         + f" ({time.perf_counter() - started:.1f}s total)",
         flush=True,
     )
-    return 0 if all_passed else 1
+    return results

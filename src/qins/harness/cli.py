@@ -4,12 +4,13 @@
 
     qins run CONFIG.json [--out DIR] [--quiet]
     qins sweep-k CONFIG.json [--out DIR] [--quiet]
-    qins verify [--profile desk|quick] [--out DIR] [--quiet]
+    qins verify [--out DIR] [--quiet]
     qins inspect PATH
 
 ``run`` dispatches a JSON config to its experiment driver; ``sweep-k``
 is the same but forces the bulk-modulus sweep, so a config written for
-another experiment can be reused.  ``verify`` runs the acceptance gate.
+another experiment can be reused.  ``verify`` runs the acceptance gate,
+every check at its fixed sizes and within its time budget.
 ``inspect`` summarizes an output directory (re-hashing every file the
 manifest lists), a ``.state`` snapshot or trajectory, or a table, whose
 kind it tells by the header, whatever the file is called.
@@ -30,7 +31,7 @@ from pathlib import Path
 from ..fields import integrate
 from ..diagnostics import EnergyBudgetRow, divergence_norm
 from ..models import SimulationBlowupError
-from .acceptance import PROFILES, verify
+from .acceptance import verify
 from .config import ConfigError, config_from_json
 from .experiments import resolve_out_dir, run_experiment
 from .io import (
@@ -147,9 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(sweep_p)
 
     verify_p = sub.add_parser("verify", help="run the acceptance gate")
-    verify_p.add_argument(
-        "--profile", choices=sorted(PROFILES), default="desk", help="check sizes and budgets"
-    )
     _add_common(verify_p)
 
     inspect_p = sub.add_parser("inspect", help="summarize a run directory, snapshot, or table")
@@ -162,7 +160,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep-k":
             return _cmd_run(args, force_experiment="k_sweep")
         if args.command == "verify":
-            return verify(out_root=args.out, profile=args.profile, quiet=args.quiet)
+            results = verify(out_root=args.out, quiet=args.quiet)
+            return 0 if all(r.passed for r in results) else 1
         try:
             return _cmd_inspect(args)
         except (KeyError, ValueError) as exc:  # a table or header it cannot parse

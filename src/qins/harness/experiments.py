@@ -19,7 +19,6 @@ workloads in ``perfbench/workloads.py`` pass ``threads=1``.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from contextlib import nullcontext
@@ -65,6 +64,7 @@ from .io import (
     MEMBERS_COLUMNS,
     TRANSPORT_COLUMNS,
     append_state,
+    default_out_dir,
     write_json,
     write_manifest,
     write_snapshot,
@@ -74,12 +74,12 @@ from .io import (
 
 
 def resolve_out_dir(cfg: ExperimentConfig, override: str | Path | None = None) -> Path:
-    """Output directory: explicit override, then the config, then $QINS_OUT."""
+    """Output directory: explicit override, then the config, then ``default_out_dir``."""
     if override is not None:
         return Path(override)
     if cfg.out_dir:
         return Path(cfg.out_dir)
-    return Path(os.environ.get("QINS_OUT", "qins_out")) / cfg.experiment
+    return default_out_dir(cfg.experiment)
 
 
 def _start(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, float]:
@@ -106,6 +106,17 @@ def _initial_state(spec, grid, t_final: float) -> State:
     if state.time >= t_final:
         raise ConfigError(f"initial state at t={state.time:g} is not before t_final={t_final:g}")
     return state
+
+
+def _temam(model: ModelConfig, k: float = 100.0) -> ModelConfig:
+    """``model`` retargeted to the relaxed model, at its own k or else at ``k``."""
+    return replace(model, model="temam", k=model.k or k)
+
+
+def _slow_manifold(state: State, forcing: ForcingSpec, model: ModelConfig) -> State:
+    """``state`` with its velocity projected divergence-free and its pressure made consistent."""
+    v0, _ = project_divergence_free(state.v)
+    return State(v0, consistent_pressure(v0, forcing, model, state.time), state.time)
 
 
 def _strictly_decreasing(seq) -> bool:
@@ -204,14 +215,11 @@ def run_k_sweep(
     forcing = ForcingSpec.zero()
     grid = make_grid(cfg.n)
     raw = _initial_state(cfg.initial_condition, grid, cfg.t_final)
-    base_model = replace(cfg.model, model="temam", k=cfg.model.k or cfg.k_list[0])
-
-    v0, _ = project_divergence_free(raw.v)
-    p0 = consistent_pressure(v0, forcing, base_model, raw.time)
-    state0 = State(v0, p0, raw.time)
+    base_model = _temam(cfg.model, cfg.k_list[0])
+    state0 = _slow_manifold(raw, forcing, base_model)
     preparation = {
         "div_norm_raw": l2_norm(divergence(raw.v)),
-        "div_norm_prepared": l2_norm(divergence(v0)),
+        "div_norm_prepared": l2_norm(divergence(state0.v)),
     }
 
     cfg_ref = ModelConfig(
@@ -225,8 +233,9 @@ def run_k_sweep(
         dv, _ = project_divergence_free(VectorField(grid, src))
         np.copyto(out, dv.values)
 
-    ref = _march(v0.values, state0.time, ref_steps, ref_dt,
-                 lambda ys, ts: step_rk4(ref_rates, ys, ts, ref_dt), grid.spacing, cfg_ref)
+    work = np.empty((5,) + state0.v.values.shape)
+    ref = _march(state0.v.values, state0.time, ref_steps, ref_dt,
+                 lambda ys, ts: step_rk4(ref_rates, ys, ts, ref_dt, work), grid.spacing, cfg_ref)
     y, _ = deque(ref, maxlen=1)[0]  # the last sample
     ref_v = VectorField(grid, y)
 
@@ -302,7 +311,7 @@ def paired_energy_audit(
     """
     state0 = _initial_state(ic_spec, make_grid(n), t_final)
     forcing = ForcingSpec.zero()
-    base = replace(model, model="temam", k=model.k or 100.0)
+    base = _temam(model)
     cfg_on = replace(base, extra_force="temam")
     cfg_off = replace(base, extra_force="none")
     dt_used = dt if dt is not None else stable_dt(state0, cfg_on, cfl)
@@ -396,7 +405,7 @@ def run_galilean(
     else:
         t_boost = cfg.t_final
     forcing = ForcingSpec.zero()
-    base_model = replace(cfg.model, model="temam", k=cfg.model.k or 100.0)
+    base_model = _temam(cfg.model)
     state0 = _initial_state(cfg.initial_condition, grid, t_boost)
     state_r, _, dt_used = simulate(state0, base_model, forcing, t_boost, cfl=cfg.cfl)
     rep = galilean_invariance_report(state_r, cfg.boost_w, base_model)
@@ -408,9 +417,7 @@ def run_galilean(
     # raw compressive data carries acoustic pressure that grows like
     # sqrt(k) and would mask the 1/k decay being measured (the gap report
     # above keeps the raw state, it wants the divergence)
-    v0p, _ = project_divergence_free(state0.v)
-    p0 = consistent_pressure(v0p, forcing, base_model, state0.time)
-    prepared0 = State(v0p, p0, state0.time)
+    prepared0 = _slow_manifold(state0, forcing, base_model)
 
     def alt_member(k: float) -> dict:
         cfg_k = replace(base_model, k=k, extra_force="galilean_alt")
@@ -527,7 +534,7 @@ def run_transport_check(
     """Referential transport audit along particle paths (see particle_transport)."""
     out, started = _start(cfg, out_dir)
     state0 = _initial_state(cfg.initial_condition, make_grid(cfg.n), cfg.t_final)
-    model = replace(cfg.model, model="temam", k=cfg.model.k or 100.0)
+    model = _temam(cfg.model)
     rep, samples, dt_used = particle_transport(
         state0, model, cfg.t_final, cfg.cfl, cfg.particles
     )

@@ -42,6 +42,11 @@ TRANSPORT_COLUMNS = ("time", "lhs", "rhs")
 TABLES = (BUDGET_COLUMNS, MEMBERS_COLUMNS, TRANSPORT_COLUMNS)
 
 
+def default_out_dir(name: str) -> Path:
+    """Where the run ``name`` writes unless told: ``$QINS_OUT/<name>``, else ``qins_out/<name>``."""
+    return Path(os.environ.get("QINS_OUT", "qins_out")) / name
+
+
 def write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return path
@@ -80,10 +85,12 @@ def read_states(path_stem: str | Path) -> Iterator[State]:
                 return
             try:
                 header = json.loads(head)
-                n, period, time = int(header["n"]), float(header["period"]), float(header["time"])
+                n, time = int(header["n"]), float(header["time"])
+                grid = Grid(n, float(header["period"]))
+                if not np.isfinite(time):
+                    raise ValueError(f"time must be finite, got {time}")
             except (ValueError, TypeError, KeyError) as exc:
                 raise ValueError(f"record {record}: unreadable snapshot header ({exc})") from None
-            grid = Grid(n, period)
             size = 8 * 3 * n * n
             left = os.fstat(f.fileno()).st_size - f.tell()  # before a read of ``size`` bytes
             if left < size:

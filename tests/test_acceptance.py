@@ -1,25 +1,32 @@
-"""Acceptance gate: every shipped guarantee at desk-profile sizes.
+"""Acceptance gate: every shipped guarantee, each at its fixed sizes.
 
-The checks run once per session into a temporary directory; each test
+The gate runs once per session into a temporary directory; each test
 then asserts one criterion, so a regression names the broken guarantee
-directly.  The desk profile enforces the pinned runtime budgets, which
-makes this module the performance gate as well.  Tolerances live next
-to the checks themselves in ``qins.harness.acceptance``.
+directly.  Every check must also finish within its pinned runtime
+budget, which makes this module the performance gate as well.  Sizes
+and tolerances live next to the checks themselves in
+``qins.harness.acceptance``.
 """
 
+import json
 import time
 
 import pytest
 
 from qins.harness import acceptance
-from qins.harness.acceptance import run_checks
+from qins.harness.acceptance import verify
+from qins.harness.cli import main
 
 
 @pytest.fixture(scope="session")
-def criteria(tmp_path_factory):
+def gate(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance")
-    results = run_checks(out_root=out, profile="desk", quiet=True)
-    return {r.cid: r for r in results}
+    return out, verify(out_root=out, quiet=True)
+
+
+@pytest.fixture(scope="session")
+def criteria(gate):
+    return {r.cid: r for r in gate[1]}
 
 
 def _require(criteria, cid):
@@ -59,14 +66,24 @@ def test_c8_bit_reproducibility(criteria):
     _require(criteria, "C8")
 
 
-def test_runner_enforces_budgets_only_in_the_desk_profile(tmp_path, monkeypatch):
-    def stub(prof, out, quiet):
+def test_the_gate_directory_records_every_check_and_inspects_clean(gate):
+    out, _ = gate
+    results = json.loads((out / "results.json").read_text())
+    assert sorted(results) == ["all_passed", "results"] and results["all_passed"]
+    assert [r["cid"] for r in results["results"]] == [f"C{i}" for i in range(1, 9)]
+    assert all(r["passed"] for r in results["results"])
+    assert main(["inspect", str(out)]) == 0
+
+
+def test_a_check_fails_only_when_it_overruns_its_budget(tmp_path, monkeypatch):
+    def stub(out, quiet):
         time.sleep(0.01)
         return True, "stub", {"value": 1.0}
 
-    monkeypatch.setattr(acceptance, "CHECKS", (("C0", "stub check", 0.0, stub),))
-    (desk,) = run_checks(out_root=tmp_path / "desk", profile="desk", quiet=True)
-    (quick,) = run_checks(out_root=tmp_path / "quick", profile="quick", quiet=True)
-    assert not desk.passed and desk.seconds > 0.0
-    assert quick.passed
-    assert desk.details == quick.details == {"value": 1.0, "budget_s": 0.0}
+    checks = (("C0", "overrun", 0.0, stub), ("C9", "within", 60.0, stub))
+    monkeypatch.setattr(acceptance, "CHECKS", checks)
+    over, within = verify(out_root=tmp_path, quiet=True)
+    assert not over.passed and over.seconds > 0.0
+    assert within.passed
+    assert over.details == {"value": 1.0, "budget_s": 0.0}
+    assert within.details == {"value": 1.0, "budget_s": 60.0}

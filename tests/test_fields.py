@@ -36,8 +36,9 @@ def test_grid_spacing_and_cell_centers():
 def test_grid_rejects_degenerate_sizes():
     with pytest.raises(ValueError):
         make_grid(3)
-    with pytest.raises(ValueError):
-        Grid(8, 0.0)
+    for period in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(8, period)
 
 
 def test_scalar_field_validates_shape_and_finiteness():

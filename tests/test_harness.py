@@ -684,6 +684,23 @@ def test_a_snapshot_header_promising_more_than_the_file_holds_is_unreadable(tmp_
     assert err.startswith("config error: ") and err.count("\n") == 1 and "record 0" in err
 
 
+@pytest.mark.parametrize("key, bad", [("time", float("nan")), ("period", float("inf"))])
+def test_a_snapshot_header_with_a_non_finite_time_or_period_is_unreadable(tmp_path, capsys,
+                                                                          key, bad):
+    write_snapshot(taylor_green_state(make_grid(16)), tmp_path / "ic")
+    head, block = (tmp_path / "ic.state").read_bytes().split(b"\n", 1)
+    header = {**json.loads(head), key: bad}
+    (tmp_path / "ic.state").write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + block)
+    assert main(["inspect", str(tmp_path / "ic")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {tmp_path / 'ic'}: record 0: unreadable snapshot header")
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "record 0" in err
+
+
 def test_cli_snapshot_on_the_wrong_grid_is_a_config_error(tmp_path):
     write_snapshot(taylor_green_state(make_grid(8)), tmp_path / "ic")
     ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
