@@ -194,11 +194,11 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     _ddx(y[:c], h, dx[:c])
     _ddy(y[:c], h, dy[:c])
     _convection(v, h, cfg.convection, conv, dx[:2], dy[:2], (t, lap, dv))
-    np.negative(conv, out=dv)
-    if _linear:
-        dv -= grad_p
-        dv += np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap)
-    dv += f
+    # lap v / Re - (conv + grad p), or N's 0.0 - conv (+0.0 where conv is 0); conv is kept
+    rate = np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap) if _linear else 0.0
+    np.subtract(rate, np.add(conv, grad_p, out=t) if _linear else conv, out=dv)
+    if np.ndim(f) or f:  # the sampler's no-force 0.0 adds nothing
+        dv += f
     np.add(dx[0], dy[1], out=div)
     if cfg.extra_force != "none":
         dv += _extra_force(cfg.extra_force, y, div, conv, dv_dt_prev, cfg.k, t, lap[0])
@@ -235,13 +235,13 @@ def compressible_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None) -> 
 
 
 @lru_cache
-def _poisson_symbol(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _poisson_inverse(n: int, h: float) -> np.ndarray:
     sin_x, sin_y, _ = stencil_symbols(n, h)
     sym = -(sin_x**2 + sin_y**2) / (h * h)
-    null = np.flatnonzero(np.outer(2 * np.arange(n) % n == 0, 2 * np.arange(n // 2 + 1) % n == 0))
-    sym.flat[null] = 1.0
-    sym.flags.writeable = null.flags.writeable = False
-    return sym, null
+    null = np.outer(2 * np.arange(n) % n == 0, 2 * np.arange(n // 2 + 1) % n == 0)
+    inv = np.divide(1.0, sym, out=np.zeros_like(sym), where=~null)
+    inv.flags.writeable = False
+    return inv
 
 
 def solve_pressure_poisson(rhs: np.ndarray, h: float, out=None) -> np.ndarray:
@@ -254,15 +254,13 @@ def solve_pressure_poisson(rhs: np.ndarray, h: float, out=None) -> np.ndarray:
     constant mode, plus the three checkerboard modes on even grids.  Those
     modes are dropped, which projects the right-hand side onto the
     operator's range (the compatibility condition) and fixes the solution
-    gauge at mean zero.  They are masked by an index cached with the symbol per
-    (n, h): sin(pi)^2 is about 1e-32, not 0, and dividing by it would swamp the solution.
+    gauge at mean zero.  The inverse symbol, cached read-only per (n, h), is 0
+    there: sin(pi)^2 is about 1e-32, not 0, and its inverse would swamp the solution.
     """
     if rhs.ndim != 2 or rhs.shape[0] != rhs.shape[1]:
         raise ValueError(f"pressure Poisson right-hand side must be (n, n), got {rhs.shape}")
-    sym, null = _poisson_symbol(rhs.shape[0], h)
     p_hat = np.fft.rfft2(rhs)
-    p_hat /= sym
-    p_hat.flat[null] = 0.0
+    p_hat *= _poisson_inverse(rhs.shape[0], h)
     return np.fft.irfftn(p_hat, rhs.shape, axes=(-2, -1), out=out)
 
 
@@ -277,9 +275,9 @@ def _momentum_source(v: np.ndarray, f, cfg: ModelConfig, h: float, out=None,
     """-(v.grad)v + (1/Re) lap v + f of packed (2, n, n) v; ``work`` is (6, n, n)."""
     t, s, u = np.empty((3,) + v.shape) if work is None else (work[0:2], work[2:4], work[4:6])
     out = _convection(v, h, cfg.convection, out, work=(t, s, u))
-    np.negative(out, out=out)
-    out += np.multiply(_lap(v, h, s, t), 1.0 / cfg.re, out=s)
-    out += f
+    np.subtract(np.multiply(_lap(v, h, s, t), 1.0 / cfg.re, out=s), out, out=out)
+    if np.ndim(f) or f:  # as in temam_rhs
+        out += f
     return out
 
 

@@ -4,8 +4,9 @@ The stencils are slice kernels over the last two axes of any array (x,
 then y), so one call serves every channel of a packed ``(c, n, n)``
 state.  Along x they wrap with edge slices; along y each shift is one
 pass over the flattened array, after which the two wrap columns are
-written exactly.  They write into ``out`` when given, which the y
-kernels require C-contiguous (``ValueError`` otherwise).
+written exactly; one multiply by 0.5/h or 1/h^2, not a division, scales
+the result.  They write into ``out`` when given, which the y kernels
+require C-contiguous (``ValueError`` otherwise).
 The field functions are thin façades over them: each passes a field's
 sample array, (n, n) or (2, n, n), to the kernels as it is and wraps
 the result.  The first-derivative operator is antisymmetric under the
@@ -36,7 +37,7 @@ def _neighbours(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _ddx(a: np.ndarray, h: float, out=None) -> np.ndarray:
     out = _neighbours(np.subtract, a, np.empty_like(a) if out is None else out)
-    out /= 2.0 * h
+    out *= 0.5 / h
     return out
 
 
@@ -50,17 +51,17 @@ def _flat(a: np.ndarray, out) -> tuple:
 
 
 def _ddy(a: np.ndarray, h: float, out=None) -> np.ndarray:
-    """(a[j+1] - a[j-1]) / (2h): one pass over the flat array, then the wrap columns."""
+    """(a[j+1] - a[j-1]) * (0.5/h): one pass over the flat array, then the wrap columns."""
     a, out, af, of = _flat(a, out)
     np.subtract(af[2:], af[:-2], out=of[1:-1])
     np.subtract(a[..., 1], a[..., -1], out=out[..., 0])
     np.subtract(a[..., 0], a[..., -2], out=out[..., -1])
-    out /= 2.0 * h
+    out *= 0.5 / h
     return out
 
 
 def _lap(a: np.ndarray, h: float, out=None, tmp=None) -> np.ndarray:
-    """((((a[i+1] + a[i-1]) + a[j+1]) + a[j-1]) - 4a) / h^2; ``tmp`` holds 4a.
+    """((((a[i+1] + a[i-1]) + a[j+1]) + a[j-1]) - 4a) * (1/h^2); ``tmp`` holds 4a.
 
     Each y term is a flat pass; its wrap column is summed beforehand in
     ``tmp`` and written back after it.
@@ -75,7 +76,7 @@ def _lap(a: np.ndarray, h: float, out=None, tmp=None) -> np.ndarray:
     of[1:] += af[:-1]
     out[..., 0] = edge
     out -= np.multiply(a, 4.0, out=tmp)
-    out /= h * h
+    out *= 1.0 / (h * h)
     return out
 
 
@@ -83,10 +84,10 @@ def stencil_symbols(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Fourier symbols of the stencils on the ``rfft2`` half plane of an n grid.
 
     With theta = 2 pi m / n on each axis (x is axis -2, the full one),
-    ``_ddx`` and ``_ddy`` multiply a mode by i sin(theta_x) / h and
-    i sin(theta_y) / h, and ``_lap`` by (2 cos theta_x + 2 cos theta_y - 4)
-    / h^2.  Returns ``(sin theta_x, sin theta_y, lap)`` shaped (n, 1),
-    (1, n//2 + 1) and (n, n//2 + 1).
+    ``_ddx`` and ``_ddy`` (scaled by 0.5/h) multiply a mode by i sin(theta_x)
+    / h and i sin(theta_y) / h, and ``_lap`` (scaled by 1/h^2) by (2 cos
+    theta_x + 2 cos theta_y - 4) / h^2.  Returns ``(sin theta_x, sin
+    theta_y, lap)`` shaped (n, 1), (1, n//2 + 1) and (n, n//2 + 1).
     """
     theta_x = 2.0 * np.pi * np.fft.fftfreq(n)[:, None]
     theta_y = 2.0 * np.pi * np.fft.rfftfreq(n)[None, :]

@@ -274,9 +274,8 @@ def test_cached_poisson_solve_is_bitwise_the_rebuilt_one(grids, seed):
         out = np.full((n, n), np.nan)
         assert solve_pressure_poisson(rhs, h, out=out) is out
         assert _same_bits(out, want)
-        for cached in models._poisson_symbol(n, h):
-            with pytest.raises(ValueError, match="read-only"):
-                cached[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            models._poisson_inverse(n, h)[0] = 2.0
 
 
 def test_projection_removes_the_gradient_part():
@@ -576,6 +575,24 @@ def test_no_force_and_a_zero_table_give_the_same_runs_bitwise(n, t0):
             rows = [np.array([astuple(r) for r in energy_audit(stored, f, cfg)])
                     for f in (ForcingSpec.zero(), zeros)]
             assert _same_bits(*rows)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_rate_kernels_skip_no_force_with_the_bits_of_a_zero_force(n):
+    # the scalar 0.0 is not added; a rest state of +0.0 pins the sign of the reordered sums' zeros
+    g, zeros = make_grid(n), np.zeros((2, n, n))
+    temam_cfgs = [c for c in ORACLE_CONFIGS if c.model == "temam"]
+    for state in (_smooth_state(g), random_smooth_state(g, n, 3, 0.5), State.rest(g)):
+        y = pack_state(state)
+        for cfg, linear in ((c, linear) for c in temam_cfgs for linear in (True, False)):
+            want = temam_rhs(y, zeros, cfg, g.spacing, _linear=linear)
+            assert _same_bits(temam_rhs(y, 0.0, cfg, g.spacing, _linear=linear), want)
+            assert state.v.max_abs() > 0.0 or not np.signbit(want[:2]).any()
+        for form in CONVECTION_FORMS:
+            cfg = ModelConfig(model="incompressible", re=100.0, convection=form)
+            want = models._momentum_source(y[:2], zeros, cfg, g.spacing)
+            assert _same_bits(models._momentum_source(y[:2], 0.0, cfg, g.spacing), want)
+            assert state.v.max_abs() > 0.0 or not np.signbit(want).any()
 
 
 # -- packed core against a field-level oracle ------------------------------------

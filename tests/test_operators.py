@@ -184,47 +184,77 @@ def test_strain_frobenius_sq_on_single_mode():
 # -- slice kernels against the np.roll stencils --------------------------------
 
 # The np.roll forms the slice kernels replaced, applied over the last two
-# axes; the kernels must reproduce them bit for bit.
+# axes; the kernels must reproduce them bit for bit.  Both scale by the
+# reciprocal, 0.5/h (which is 1/(2h) exactly) or 1/h^2.
+
+
+def _roll_diff(a, axis):
+    return np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)
 
 
 def _roll_ddx(a, h):
-    return (np.roll(a, -1, axis=-2) - np.roll(a, 1, axis=-2)) / (2.0 * h)
+    return _roll_diff(a, -2) * (0.5 / h)
 
 
 def _roll_ddy(a, h):
-    return (np.roll(a, -1, axis=-1) - np.roll(a, 1, axis=-1)) / (2.0 * h)
+    return _roll_diff(a, -1) * (0.5 / h)
 
 
-def _roll_lap(a, h):
+def _roll_lap_sum(a):
     return (
         np.roll(a, -1, axis=-2) + np.roll(a, 1, axis=-2)
         + np.roll(a, -1, axis=-1) + np.roll(a, 1, axis=-1)
         - 4.0 * a
-    ) / (h * h)
+    )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def _roll_lap(a, h):
+    return _roll_lap_sum(a) * (1.0 / (h * h))
+
+
+_STENCIL_DRAWS = given(
     n=st.integers(4, 40),
     lead=st.lists(st.integers(1, 3), min_size=0, max_size=2),
     h=st.floats(1e-3, 10.0),
     scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=4, lead=[], h=1.0, scale=1.0, seed=0)
-@example(n=5, lead=[3], h=0.1, scale=1e8, seed=1)
-def test_slice_kernels_equal_the_roll_stencils_bitwise(n, lead, h, scale, seed):
+
+
+def _stencil_sources(n, lead, scale, seed):
+    """Contiguous, a transposed view, a strided stack, one channel of a packed (3, n, n)."""
     rng = np.random.default_rng(seed)
     a = scale * rng.standard_normal((*lead, n, n))
     stack = scale * rng.standard_normal((6, n, n))
-    # contiguous, a transposed view, a strided stack, one channel of a packed (3, n, n)
-    for src in (a, a.swapaxes(-1, -2), stack[::2], stack[:3][1]):
+    return a, a.swapaxes(-1, -2), stack[::2], stack[:3][1]
+
+
+@settings(max_examples=60, deadline=None)
+@_STENCIL_DRAWS
+@example(n=4, lead=[], h=1.0, scale=1.0, seed=0)
+@example(n=5, lead=[3], h=0.1, scale=1e8, seed=1)
+def test_slice_kernels_equal_the_roll_stencils_bitwise(n, lead, h, scale, seed):
+    for src in _stencil_sources(n, lead, scale, seed):
         for kernel, oracle in ((_ddx, _roll_ddx), (_ddy, _roll_ddy), (_lap, _roll_lap)):
             expected = oracle(src, h).tobytes()
             assert kernel(src, h).tobytes() == expected
             out = np.full(src.shape, np.nan)
             assert kernel(src, h, out) is out
             assert out.tobytes() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@_STENCIL_DRAWS
+def test_reciprocal_scaling_is_within_4_eps_of_dividing(n, lead, h, scale, seed):
+    # the kernels once divided each sample by 2h or h^2; the reciprocal moves the last bits only
+    for src in _stencil_sources(n, lead, scale, seed):
+        for kernel, divided in (
+            (_ddx, _roll_diff(src, -2) / (2.0 * h)),
+            (_ddy, _roll_diff(src, -1) / (2.0 * h)),
+            (_lap, _roll_lap_sum(src) / (h * h)),
+        ):
+            err = np.abs(kernel(src, h) - divided)
+            assert (err <= 4.0 * np.finfo(float).eps * np.abs(divided)).all()
 
 
 @pytest.mark.parametrize("kernel", [_ddy, _lap])
