@@ -391,7 +391,8 @@ def run_galilean(
     interpolation error).  The state is advanced to that time with the
     relaxed model and the inertial term and extra force are compared
     across frames.  Separately, one run per k in ``k_list`` is advanced
-    with the alternative force enabled; its terminal norm is fitted
+    with the alternative force enabled; the force of its final state,
+    -(p/K)(dv/dt + (v.grad)v) with the model's own rate, is fitted in norm
     against k, and should fall off like 1/k.
     """
     out, started = _start(cfg, out_dir)
@@ -422,11 +423,7 @@ def run_galilean(
     def alt_member(k: float) -> dict:
         cfg_k = replace(base_model, k=k, extra_force="galilean_alt")
         final, _, _ = simulate(prepared0, cfg_k, forcing, t_boost, cfl=cfg.cfl)
-        # acceleration estimate without the alternative force itself; the
-        # neglected feedback shifts the norm by O(1/k^2)
-        rates = temam_rhs(pack_state(final), 0.0, replace(cfg_k, extra_force="none"), h)
-        force = galilean_alt_force(final, unpack_state(rates, grid).v, cfg_k)
-        return {"k": k, "alt_force_norm": l2_norm(force)}
+        return {"k": k, "alt_force_norm": l2_norm(galilean_alt_force(final, cfg_k))}
 
     alts = [alt_member(k) for k in cfg.k_list]
     slope = _loglog_slope([a["k"] for a in alts], [a["alt_force_norm"] for a in alts])

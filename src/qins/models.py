@@ -6,7 +6,9 @@ Three systems share one state (velocity, pressure, time):
   pressure is the Lagrange multiplier of the divergence constraint.
 * ``temam``           - quasi-incompressible relaxation: the pressure
   evolves by dp/dt = -K div v and the momentum equation may carry an
-  extra force -(1/2)(div v) v that restores the energy balance.
+  extra force -(1/2)(div v) v that restores the energy balance, or the
+  frame-indifferent -(p/K)(dv/dt + (v.grad)v), which makes it a momentum
+  balance of density 1 + p/K.
 * ``compressible``    - barotropic system in (v, p) with density
   1 + p/K and a dilatational viscous term.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -72,8 +74,8 @@ class ModelConfig:
             raise ValueError(f"model {self.model!r} needs a positive bulk modulus k, got None")
         if self.k is not None and not 0.0 < self.k < np.inf:
             raise ValueError(f"k must be positive and finite, got {self.k}")
-        if self.zeta_over_mu < 0.0:
-            raise ValueError(f"zeta_over_mu must be >= 0, got {self.zeta_over_mu}")
+        if not 0.0 <= self.zeta_over_mu < np.inf:
+            raise ValueError(f"zeta_over_mu must be >= 0 and finite, got {self.zeta_over_mu}")
         if self.extra_force not in EXTRA_FORCES:
             raise ValueError(f"unknown extra_force {self.extra_force!r}")
         if self.convection not in CONVECTION_FORMS:
@@ -134,52 +136,52 @@ class ForcingSpec:
 # -- right-hand sides --------------------------------------------------------
 
 
-def _extra_force(kind: str, y: np.ndarray, div, conv, dv_dt, k, out=None, scale=None):
-    """Extra force ``kind`` of packed (vx, vy, p) into ``out``; ``scale`` is (n, n) scratch.
+def _extra_force(v: np.ndarray, div, out=None, scale=None) -> np.ndarray:
+    """-(1/2)(div v) v of packed (2, n, n) v into ``out``; ``scale`` is (n, n) scratch."""
+    return np.multiply(v, np.multiply(div, -0.5, out=scale), out=out)
 
-    temam: -(1/2)(div v) v.  galilean_alt: -(p/K)(dv_dt + conv), ``conv`` the
-    convection term, ``dv_dt`` the Eulerian acceleration (None is zero).
-    """
-    if kind == "temam":
-        return np.multiply(y[:2], np.multiply(div, -0.5, out=scale), out=out)
-    accel = np.add(0.0 if dv_dt is None else dv_dt, conv, out=out)
-    return np.multiply(accel, np.multiply(y[2], -1.0 / k, out=scale), out=out)
+
+def _density(p: np.ndarray, k: float, out=None) -> np.ndarray:
+    """rho_hat = 1 + p/K into ``out``; ValueError unless it is positive everywhere."""
+    rho = np.add(np.divide(p, k, out=out), 1.0, out=out)
+    if not rho.min() > 0.0:
+        raise ValueError("reconstructed density 1 + p/K reached zero")
+    return rho
 
 
 def temam_extra_force(v: VectorField) -> VectorField:
     """The quasi-incompressible extra force, -(1/2)(div v) v."""
-    div = divergence(v).values
-    return VectorField(v.grid, _extra_force("temam", v.values, div, None, None, None))
+    return VectorField(v.grid, _extra_force(v.values, divergence(v).values))
 
 
-def galilean_alt_force(state: State, dv_dt: VectorField, cfg: ModelConfig) -> VectorField:
-    """Frame-indifferent alternative to the extra force, -(p/K) dv/dt|material.
+def galilean_alt_force(state: State, cfg: ModelConfig, f=0.0) -> VectorField:
+    """Frame-indifferent alternative to the extra force, -(p/K)(dv/dt + (v.grad)v).
 
-    Dimensionless reduction of -rho* (p/K) (dv/dt + (v.grad)v); the
-    prefactor vanishes as K grows, so the force is a strict-compressibility
-    correction.  ``dv_dt`` is the caller's current estimate of the Eulerian
-    acceleration (the time loop lags it by one accepted step, starting
-    from zero).
+    Dimensionless reduction of -rho* (p/K) Dv/Dt; the prefactor vanishes as
+    K grows, so the force is a strict-compressibility correction.  dv/dt is
+    the galilean_alt rate (``temam_rhs``) of ``state`` under body force ``f``.
     """
     if cfg.k is None:
         raise ValueError("galilean_alt force needs a bulk modulus")
-    y = pack_state(state)
-    conv = _convection(y[:2], state.grid.spacing, cfg.convection)
-    f = _extra_force("galilean_alt", y, None, conv, dv_dt.values, cfg.k)
-    return VectorField(state.grid, f)
+    y, h = pack_state(state), state.grid.spacing
+    accel = temam_rhs(y, f, replace(cfg, extra_force="galilean_alt"), h)[:2]
+    accel += _convection(y[:2], h, cfg.convection)
+    return VectorField(state.grid, np.multiply(accel, np.multiply(y[2], -1.0 / cfg.k), out=accel))
 
 
 _TEMAM_WORK = 13  # channels of the work array temam_rhs needs
 _SOURCE_WORK = 6  # and those _momentum_source and incompressible_step need
 
 
-def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev=None,
-              work=None, _linear: bool = True) -> np.ndarray:
+def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, work=None,
+              _linear: bool = True) -> np.ndarray:
     """Right-hand side of the quasi-incompressible system on packed (vx, vy, p).
 
     Momentum: -(v.grad)v - grad p + (1/Re) lap v + f + extra force, with f
-    of shape (2, n, n) or a scalar.  Pressure: dp/dt = -K div v.
-    galilean_alt reads the lagged acceleration ``dv_dt_prev`` (None is zero).
+    of shape (2, n, n) or a scalar.  Pressure: dp/dt = -K div v.  The
+    galilean_alt force -(p/K)(dv/dt + (v.grad)v) is linear in the rate, so
+    the momentum equation is solved for it: rho_hat (dv/dt + (v.grad)v) =
+    -grad p + (1/Re) lap v + f, with the density rho_hat = 1 + p/K > 0.
     Given ``out`` and ``work`` (13, n, n), it allocates nothing.
     ``_linear=False`` drops -grad p, (1/Re) lap v and -K div v, the linear
     part ETDRK4 integrates exactly, and gives its N.
@@ -190,18 +192,26 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, dv_dt_prev
     w = np.empty((_TEMAM_WORK,) + y.shape[1:]) if work is None else work
     dx, dy, conv, t, lap, div = w[0:3], w[3:6], w[6:8], w[8:10], w[10:12], w[12]
     v, dv, grad_p = y[:2], out[:2], w[2:6:3]  # grad_p: channels 2 of dx and dy
-    c = 3 if _linear else 2  # gradients read
+    alt = cfg.extra_force == "galilean_alt"
+    c = 3 if _linear or alt else 2  # gradients read
     _ddx(y[:c], h, dx[:c])
     _ddy(y[:c], h, dy[:c])
     _convection(v, h, cfg.convection, conv, dx[:2], dy[:2], (t, lap, dv))
-    # lap v / Re - (conv + grad p), or N's 0.0 - conv (+0.0 where conv is 0); conv is kept
-    rate = np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap) if _linear else 0.0
-    np.subtract(rate, np.add(conv, grad_p, out=t) if _linear else conv, out=dv)
-    if np.ndim(f) or f:  # the sampler's no-force 0.0 adds nothing
-        dv += f
     np.add(dx[0], dy[1], out=div)
-    if cfg.extra_force != "none":
-        dv += _extra_force(cfg.extra_force, y, div, conv, dv_dt_prev, cfg.k, t, lap[0])
+    if alt:  # (lap v/Re - grad p + f)/rho_hat - conv, or N's (f - (p/K)(lap v/Re - grad p))/...
+        rate = np.subtract(np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap), grad_p, out=lap)
+        if not _linear:  # its zeros are +0.0 with or without f
+            np.subtract(f, np.multiply(rate, np.divide(y[2], cfg.k, out=t[0]), out=rate), out=rate)
+        elif np.ndim(f) or f:
+            rate += f
+        np.subtract(np.divide(rate, _density(y[2], cfg.k, t[0]), out=rate), conv, out=dv)
+    else:  # lap v / Re - (conv + grad p), or N's 0.0 - conv (+0.0 where conv is 0)
+        rate = np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap) if _linear else 0.0
+        np.subtract(rate, np.add(conv, grad_p, out=t) if _linear else conv, out=dv)
+        if np.ndim(f) or f:  # the sampler's no-force 0.0 adds nothing
+            dv += f
+        if cfg.extra_force == "temam":
+            dv += _extra_force(v, div, t, lap[0])
     np.multiply(div, -cfg.k if _linear else 0.0, out=out[2])
     return out
 
@@ -215,9 +225,7 @@ def compressible_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None) -> 
     if cfg.model != "compressible":
         raise ValueError(f"compressible_rhs called with model {cfg.model!r}")
     v, p = y[:2], y[2]
-    rho_hat = 1.0 + p / cfg.k
-    if not (rho_hat > 0.0).all():
-        raise ValueError("reconstructed density 1 + p/K reached zero")
+    rho_hat = _density(p, cfg.k)
     div = _ddx(v[0], h) + _ddy(v[1], h)
     momentum = -(rho_hat * _convection(v, h, cfg.convection))
     momentum -= _grad(p, h)
@@ -368,19 +376,19 @@ def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None 
 
 @contextmanager
 def blowup_guard(v, t: float, h: float, cfg: ModelConfig, dt: float):
-    """Re-raise a failed step from time ``t`` as SimulationBlowupError naming each bound.
+    """Re-raise a failed step from time ``t`` as SimulationBlowupError led by its cause.
 
     ``v`` is the (2, n, n) velocity the step starts from.  Overflow is no
     anomaly to warn about: the steppers reject non-finite or overflowing
-    samples, and the field constructors non-finite ones, with ``ValueError``,
-    which is what is caught here.
+    samples, the field constructors non-finite ones and the density guard
+    a density 1 + p/K that is not positive, with ``ValueError``, which is
+    what is caught here; its text leads the message, then each bound.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except ValueError as exc:
-        vmax = float(np.abs(v).max())
-        raise _blowup_error("non-finite or overflowing samples", vmax, t, h, cfg, dt) from exc
+        raise _blowup_error(str(exc), float(np.abs(v).max()), t, h, cfg, dt) from exc
 
 
 def _advective_guard(v, t: float, h: float, cfg: ModelConfig, dt: float) -> None:
@@ -410,8 +418,7 @@ def step_rk4(rates, y: np.ndarray, t: float, dt: float, work=None) -> np.ndarray
 
     ``work`` (shape ``(5,) + y.shape``) holds k1..k4 and the stage state, so
     the stages and the combination allocate nothing but ``y_new``.  The new
-    array is checked once (``_checked``).  k1, the rate at (y, t), stays in
-    ``work[0]`` until the next step overwrites it.
+    array is checked once (``_checked``).
     """
     k1, k2, k3, k4, ys = np.empty((5,) + y.shape) if work is None else work
     rates(y, t, k1)
@@ -529,10 +536,11 @@ class ETDRK4:
     On the torus the stiff part of the temam model is linear with
     constant coefficients, L(v, p) = (-grad p + lap v / Re, -K div v), and
     the stencils' Fourier symbols diagonalise it (``etd_coefficients``).
-    The rest, N, is convection, the extra force (or galilean_alt) and the
-    forcing: ``temam_rhs`` without its linear lines, evaluated directly.
-    The stages transform only the channels N reads and writes, the
-    velocity and, for galilean_alt, the pressure.  Scheme: Cox & Matthews,
+    The rest, N, is convection, the extra force and the forcing:
+    ``temam_rhs`` without its linear lines, evaluated directly.  N has no
+    pressure part, so the stages transform only the channels N reads: the
+    velocity and, for galilean_alt, whose density 1 + p/K weighs the whole
+    momentum balance, the pressure.  Scheme: Cox & Matthews,
     J. Comput. Phys. 176 (2002), with coefficients as in Kassam &
     Trefethen, SIAM J. Sci. Comput. 26 (2005).
     The coefficients fix dt for the stepper; ``step`` allocates only the new state.
@@ -543,14 +551,12 @@ class ETDRK4:
         self.s = np.stack(np.broadcast_arrays(sin_x / h, sin_y / h))  # symbol vector
         self.coef = etd_coefficients(cfg, symbols, h, dt)
         self.ig, self.igk = -1j * self.coef[:, 2], (-1j * cfg.k) * self.coef[:, 2]
-        self.nu_lap, self.dt = lap / cfg.re, dt
-        self.channels = 3 if cfg.extra_force == "galilean_alt" else 2  # those N reads and writes
+        self.dt = dt
+        self.reads = 3 if cfg.extra_force == "galilean_alt" else 2  # the channels N reads
         self.spectral = np.empty((3, 3) + lap.shape, dtype=complex)  # stages
-        self.nonlinear = np.empty((4, self.channels) + lap.shape, dtype=complex)  # N of stages
+        self.nonlinear = np.empty((4, 2) + lap.shape, dtype=complex)  # N of stages
         self.scratch = np.empty((2, 2) + lap.shape, dtype=complex)
         self.stage, self.rate = np.zeros((2, 3, n, n))
-        # the first stage's full velocity rate outlives the step only as galilean_alt's lag
-        self.lag = np.empty((2, n, n)) if cfg.extra_force == "galilean_alt" else None
 
     def _apply(self, which: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = function ``which`` of L dt times z = (v, p), or (v) with p = 0; may be z.
@@ -574,24 +580,17 @@ class ETDRK4:
 
     def _stage(self, nonlinear, z: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """out = the transform of N at the stage whose transform is z."""
-        c = self.channels
+        c = self.reads
         np.fft.irfftn(z[:c], self.stage.shape[1:], axes=(-2, -1), out=self.stage[:c])
-        return np.fft.rfft2(nonlinear(self.stage, t, self.rate)[:c], out=out)
+        return np.fft.rfft2(nonlinear(self.stage, t, self.rate)[:2], out=out)
 
     def step(self, nonlinear, y: np.ndarray, t: float) -> np.ndarray:
-        """``y_new`` one step from packed (vx, vy, p); ``nonlinear(y, t, out)`` writes N at (y, t).
-
-        For galilean_alt the full velocity rate at (y, t) is left in ``lag``,
-        which the next step overwrites.
-        """
+        """``y_new`` one step from packed (vx, vy, p); ``nonlinear(y, t, out)`` writes N at (y, t)."""
         E, E_HALF, Q, F1, F2, F3 = range(6)
         z, a, acc = self.spectral  # z: the transform of y, then scratch and the b stage
         nv, na, nb, nd = self.nonlinear  # N(y), N(a), N(b) then N(c), differences
         np.fft.rfft2(y, out=z)
-        np.fft.rfft2(nonlinear(y, t, self.rate)[:self.channels], out=nv)
-        if self.lag is not None:  # with L y, whose velocity part is lap v / Re - grad p
-            lv = np.multiply(self.nu_lap, z[:2]) + nv[:2] - 1j * self.s * z[2]
-            np.fft.irfftn(lv, y.shape[1:], axes=(-2, -1), out=self.lag)
+        np.fft.rfft2(nonlinear(y, t, self.rate)[:2], out=nv)
         self._apply(E, z, acc)
         self._apply(E_HALF, z, a)
         a += self._apply(Q, nv, z)  # a = E_1/2 y + Q N(y)
@@ -659,23 +658,19 @@ def march(state: State, cfg: ModelConfig, forcing: ForcingSpec, t_final: float,
     elif not projection:
         work = np.empty((5,) + y.shape)
     rhs_work = np.empty((_SOURCE_WORK if projection else _TEMAM_WORK,) + y.shape[1:])
-    # the last step's acceleration, which only galilean_alt reads
-    lag = np.zeros_like(y[:2]) if cfg.extra_force == "galilean_alt" else None
 
     def rates(ys: np.ndarray, ts: float, out: np.ndarray) -> np.ndarray:
         if cfg.model == "compressible":
             return compressible_rhs(ys, force(ts), cfg, h, out)
-        return temam_rhs(ys, force(ts), cfg, h, out, lag, rhs_work, _linear=etd is None)
+        return temam_rhs(ys, force(ts), cfg, h, out, rhs_work, _linear=etd is None)
 
     def advance(ys: np.ndarray, ts: float) -> np.ndarray:
         if projection:
             return incompressible_step(ys, force(ts), cfg, h, dt_used, rhs_work)
         if etd:
             _advective_guard(ys[:2], ts, h, cfg, dt_used)
-        ys = etd.step(rates, ys, ts) if etd else step_rk4(rates, ys, ts, dt_used, work)
-        if lag is not None:
-            np.copyto(lag, etd.lag if etd else work[0, :2])
-        return ys
+            return etd.step(rates, ys, ts)
+        return step_rk4(rates, ys, ts, dt_used, work)
 
     samples = _march(y, state.time, steps, dt_used, advance, h, cfg)
     return steps, dt_used, samples if _packed else (unpack_state(y, grid, t) for y, t in samples)

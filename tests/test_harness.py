@@ -511,10 +511,9 @@ def test_free_run_is_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_density_run_shares_the_trajectory_of_simulate():
+def _assert_density_run_shares_the_trajectory_of_simulate(cfg):
     g = make_grid(16)
     state0 = random_smooth_state(g, seed=3, modes=2, amplitude=0.3)
-    cfg = ModelConfig(model="temam", re=100.0, k=100.0)
     forcing = qins.ForcingSpec.zero()
     _, dt_used, samples = simulate_with_density(state0, cfg, forcing, 0.05, 0.4)
     states, densities = zip(*samples)
@@ -528,6 +527,16 @@ def test_density_run_shares_the_trajectory_of_simulate():
         np.testing.assert_array_equal(a.v.x, b.v.x)
         np.testing.assert_array_equal(a.v.y, b.v.y)
         np.testing.assert_array_equal(a.p.values, b.p.values)
+
+
+def test_density_run_shares_the_trajectory_of_simulate():
+    _assert_density_run_shares_the_trajectory_of_simulate(
+        ModelConfig(model="temam", re=100.0, k=100.0))
+
+
+def test_galilean_alt_density_run_shares_the_trajectory_of_simulate():
+    _assert_density_run_shares_the_trajectory_of_simulate(
+        ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt"))
 
 
 def test_density_run_names_a_blowup():
@@ -771,7 +780,7 @@ def test_cli_names_a_blowup_whose_samples_are_still_finite(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, n=8, t_final=500.0)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("run failed: non-finite or overflowing samples at t=")
+    assert err.startswith("run failed: RK4 step produced non-finite or overflowing samples at t=")
     assert err.count("\n") == 1
     assert "advective bound" in err and "acoustic bound" in err
     assert not (tmp_path / "out" / MANIFEST_NAME).exists()
