@@ -209,11 +209,11 @@ def galilean_invariance_report(
     original frame and in a frame moving with velocity -w (velocity
     gains +w, samples shift by w * time, and the Eulerian time
     derivative transforms by the chain rule with the same discrete
-    gradient the convection uses).  With the advective convection form
-    the discrete cancellation is exact, so the reported gap sits at
-    round-off.  The extra force -(1/2)(div v) v has no such cancellation:
-    its frame difference is -(1/2)(div v) w, and the report returns both
-    the directly evaluated gap and that closed form.
+    gradient the convection uses).  The discrete cancellation is exact,
+    so the reported gap sits at round-off.  The extra force -(1/2)(div v)
+    v has no such cancellation: its frame difference is -(1/2)(div v) w,
+    and the report returns both the directly evaluated gap and that
+    closed form.
     """
     if cfg.model != "temam":
         raise ValueError("the frame-invariance report is defined for the temam model")
@@ -222,7 +222,7 @@ def galilean_invariance_report(
     v = state.v
 
     dv_dt = unpack_state(temam_rhs(pack_state(state), 0.0, cfg, grid.spacing), grid).v  # unforced
-    inertial_here = dv_dt + convection(v, cfg.convection)
+    inertial_here = dv_dt + convection(v)
     force_here = temam_extra_force(v)
 
     sx, sy = _shift_cells(grid, wx, wy, state.time)
@@ -233,7 +233,7 @@ def galilean_invariance_report(
     v_boosted = galilean_boost(state, (wx, wy)).v
     # chain rule: the boosted-frame Eulerian derivative loses (w . grad) v
     dv_dt_boosted = moved(dv_dt - directional_derivative((wx, wy), v), sx, sy)
-    inertial_there = dv_dt_boosted + convection(v_boosted, cfg.convection)
+    inertial_there = dv_dt_boosted + convection(v_boosted)
     force_there = temam_extra_force(v_boosted)
 
     standard_gap = l2_norm(moved(inertial_there, -sx, -sy) - inertial_here)

@@ -149,9 +149,7 @@ def run_taylor_green(
     spatial order.
     """
     out, started = _start(cfg, out_dir)
-    cfg_inc = ModelConfig(
-        model="incompressible", re=cfg.model.re, convection=cfg.model.convection
-    )
+    cfg_inc = ModelConfig(model="incompressible", re=cfg.model.re)
 
     def one(n: int):
         grid = make_grid(n)
@@ -222,9 +220,7 @@ def run_k_sweep(
         "div_norm_prepared": l2_norm(divergence(state0.v)),
     }
 
-    cfg_ref = ModelConfig(
-        model="incompressible", re=cfg.model.re, convection=cfg.model.convection
-    )
+    cfg_ref = ModelConfig(model="incompressible", re=cfg.model.re)
     ref_steps, ref_dt = fixed_step(state0, cfg_ref, cfg.t_final, cfl=cfg.cfl)
     force = forcing.sampler(grid, state0.time)
 

@@ -9,8 +9,11 @@ Three systems share one state (velocity, pressure, time):
   extra force -(1/2)(div v) v that restores the energy balance, or the
   frame-indifferent -(p/K)(dv/dt + (v.grad)v), which makes it a momentum
   balance of density 1 + p/K.
-* ``compressible``    - barotropic system in (v, p) with density
-  1 + p/K and a dilatational viscous term.
+* ``compressible``    - barotropic system in (v, p): the galilean_alt
+  momentum balance of density 1 + p/K plus a dilatational viscous term,
+  with the pressure rate dp/dt = -K div((1 + p/K) v).
+
+``temam_rhs`` is the one right-hand side of both relaxed-pressure models.
 
 The systems are posed in dimensionless form, as in the paper, with the
 Reynolds number Re and the bulk modulus K as their parameters.
@@ -35,13 +38,11 @@ import numpy as np
 
 from .fields import Grid, ScalarField, VectorField
 from .operators import (
-    _convection, _ddx, _ddy, _grad, _lap, convection, divergence, gradient, laplacian,
-    stencil_symbols,
+    _convection, _ddx, _ddy, _lap, convection, divergence, gradient, laplacian, stencil_symbols,
 )
 
 MODELS = ("incompressible", "temam", "compressible")
 EXTRA_FORCES = ("temam", "none", "galilean_alt")
-CONVECTION_FORMS = ("advective", "skew")
 
 DEFAULT_CFL = 0.4
 
@@ -63,7 +64,6 @@ class ModelConfig:
     k: float | None = None
     zeta_over_mu: float = 0.0
     extra_force: str = "temam"
-    convection: str = "advective"
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -78,8 +78,6 @@ class ModelConfig:
             raise ValueError(f"zeta_over_mu must be >= 0 and finite, got {self.zeta_over_mu}")
         if self.extra_force not in EXTRA_FORCES:
             raise ValueError(f"unknown extra_force {self.extra_force!r}")
-        if self.convection not in CONVECTION_FORMS:
-            raise ValueError(f"unknown convection form {self.convection!r}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,7 @@ def galilean_alt_force(state: State, cfg: ModelConfig, f=0.0) -> VectorField:
         raise ValueError("galilean_alt force needs a bulk modulus")
     y, h = pack_state(state), state.grid.spacing
     accel = temam_rhs(y, f, replace(cfg, extra_force="galilean_alt"), h)[:2]
-    accel += _convection(y[:2], h, cfg.convection)
+    accel += _convection(y[:2], h)
     return VectorField(state.grid, np.multiply(accel, np.multiply(y[2], -1.0 / cfg.k), out=accel))
 
 
@@ -175,31 +173,38 @@ _SOURCE_WORK = 6  # and those _momentum_source and incompressible_step need
 
 def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, work=None,
               _linear: bool = True) -> np.ndarray:
-    """Right-hand side of the quasi-incompressible system on packed (vx, vy, p).
+    """Right-hand side of both relaxed-pressure models on packed (vx, vy, p).
 
-    Momentum: -(v.grad)v - grad p + (1/Re) lap v + f + extra force, with f
-    of shape (2, n, n) or a scalar.  Pressure: dp/dt = -K div v.  The
+    Temam model: momentum -(v.grad)v - grad p + (1/Re) lap v + f + extra
+    force, with f of shape (2, n, n) or a scalar, and dp/dt = -K div v.  The
     galilean_alt force -(p/K)(dv/dt + (v.grad)v) is linear in the rate, so
     the momentum equation is solved for it: rho_hat (dv/dt + (v.grad)v) =
     -grad p + (1/Re) lap v + f, with the density rho_hat = 1 + p/K > 0.
+    The compressible model is that balance plus the dilatational viscosity
+    ((zeta/mu + 1/3)/Re) grad div v, with dp/dt = -K div(rho_hat v).
     Given ``out`` and ``work`` (13, n, n), it allocates nothing.
     ``_linear=False`` drops -grad p, (1/Re) lap v and -K div v, the linear
-    part ETDRK4 integrates exactly, and gives its N.
+    part ETDRK4 integrates exactly, and gives the temam model's N.
     """
-    if cfg.model != "temam":
+    if cfg.model == "incompressible":
         raise ValueError(f"temam_rhs called with model {cfg.model!r}")
     out = np.empty_like(y) if out is None else out
     w = np.empty((_TEMAM_WORK,) + y.shape[1:]) if work is None else work
     dx, dy, conv, t, lap, div = w[0:3], w[3:6], w[6:8], w[8:10], w[10:12], w[12]
     v, dv, grad_p = y[:2], out[:2], w[2:6:3]  # grad_p: channels 2 of dx and dy
-    alt = cfg.extra_force == "galilean_alt"
+    comp = cfg.model == "compressible"
+    alt = comp or cfg.extra_force == "galilean_alt"
     c = 3 if _linear or alt else 2  # gradients read
     _ddx(y[:c], h, dx[:c])
     _ddy(y[:c], h, dy[:c])
-    _convection(v, h, cfg.convection, conv, dx[:2], dy[:2], (t, lap, dv))
+    _convection(v, h, conv, dx[:2], dy[:2], (t, lap, dv))
     np.add(dx[0], dy[1], out=div)
     if alt:  # (lap v/Re - grad p + f)/rho_hat - conv, or N's (f - (p/K)(lap v/Re - grad p))/...
         rate = np.subtract(np.multiply(_lap(v, h, lap, t), 1.0 / cfg.re, out=lap), grad_p, out=lap)
+        if comp:  # + ((zeta/mu + 1/3)/Re) grad div v
+            _ddx(div, h, t[0])
+            _ddy(div, h, t[1])
+            rate += np.multiply(t, (cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re, out=t)
         if not _linear:  # its zeros are +0.0 with or without f
             np.subtract(f, np.multiply(rate, np.divide(y[2], cfg.k, out=t[0]), out=rate), out=rate)
         elif np.ndim(f) or f:
@@ -212,30 +217,12 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, work=None,
             dv += f
         if cfg.extra_force == "temam":
             dv += _extra_force(v, div, t, lap[0])
-    np.multiply(div, -cfg.k if _linear else 0.0, out=out[2])
-    return out
-
-
-def compressible_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None) -> np.ndarray:
-    """Right-hand side of the barotropic compressible system on packed (v, p).
-
-    The density never appears as a state variable: it is reconstructed
-    pointwise as rho_hat = 1 + p/K.  Errors out if that ever dips to zero.
-    """
-    if cfg.model != "compressible":
-        raise ValueError(f"compressible_rhs called with model {cfg.model!r}")
-    v, p = y[:2], y[2]
-    rho_hat = _density(p, cfg.k)
-    div = _ddx(v[0], h) + _ddy(v[1], h)
-    momentum = -(rho_hat * _convection(v, h, cfg.convection))
-    momentum -= _grad(p, h)
-    momentum += (1.0 / cfg.re) * _lap(v, h)
-    momentum += ((cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re) * _grad(div, h)
-    momentum += f
-    out = np.empty_like(y) if out is None else out
-    np.divide(momentum, rho_hat, out=out[:2])
-    flux = rho_hat * v
-    np.multiply(_ddx(flux[0], h) + _ddy(flux[1], h), -cfg.k, out=out[2])
+    if comp:  # -K div(rho_hat v), its flux where conv was and rho_hat still in t[0]
+        flux = np.multiply(v, t[0], out=conv)
+        np.add(_ddx(flux[0], h, lap[0]), _ddy(flux[1], h, lap[1]), out=out[2])
+        out[2] *= -cfg.k
+    else:
+        np.multiply(div, -cfg.k if _linear else 0.0, out=out[2])
     return out
 
 
@@ -282,7 +269,7 @@ def _momentum_source(v: np.ndarray, f, cfg: ModelConfig, h: float, out=None,
                      work=None) -> np.ndarray:
     """-(v.grad)v + (1/Re) lap v + f of packed (2, n, n) v; ``work`` is (6, n, n)."""
     t, s, u = np.empty((3,) + v.shape) if work is None else (work[0:2], work[2:4], work[4:6])
-    out = _convection(v, h, cfg.convection, out, work=(t, s, u))
+    out = _convection(v, h, out, work=(t, s, u))
     np.subtract(np.multiply(_lap(v, h, s, t), 1.0 / cfg.re, out=s), out, out=out)
     if np.ndim(f) or f:  # as in temam_rhs
         out += f
@@ -299,7 +286,7 @@ def consistent_pressure(
     artificial acoustic transient.
     """
     # field operators, not _momentum_source: the relaxed-stiff trace expects both in set-up
-    rate = -convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v)
+    rate = -convection(v) + (1.0 / cfg.re) * laplacian(v)
     src = VectorField(v.grid, rate.values + forcing.sampler(v.grid, t)(t))
     return ScalarField(v.grid, solve_pressure_poisson(divergence(src).values, v.grid.spacing))
 
@@ -660,8 +647,6 @@ def march(state: State, cfg: ModelConfig, forcing: ForcingSpec, t_final: float,
     rhs_work = np.empty((_SOURCE_WORK if projection else _TEMAM_WORK,) + y.shape[1:])
 
     def rates(ys: np.ndarray, ts: float, out: np.ndarray) -> np.ndarray:
-        if cfg.model == "compressible":
-            return compressible_rhs(ys, force(ts), cfg, h, out)
         return temam_rhs(ys, force(ts), cfg, h, out, rhs_work, _linear=etd is None)
 
     def advance(ys: np.ndarray, ts: float) -> np.ndarray:

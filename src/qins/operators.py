@@ -95,20 +95,12 @@ def stencil_symbols(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.sin(theta_x), np.sin(theta_y), lap
 
 
-def _convection(v: np.ndarray, h: float, form: str, out=None, dx=None, dy=None, work=None):
+def _convection(v: np.ndarray, h: float, out=None, dx=None, dy=None, work=None):
     """(v . grad) v of packed (2, n, n) v; dx, dy = _ddx(v), _ddy(v); work 3 of v's shape."""
     # one block if missing: separate (2, n, n) temporaries page-fault afresh at n = 128
     t, s, u = np.empty((3,) + v.shape) if work is None else work
     out = np.multiply(_ddx(v, h, s) if dx is None else dx, v[0], out=out)
     out += np.multiply(_ddy(v, h, u) if dy is None else dy, v[1], out=t)
-    if form == "advective":
-        return out
-    if form != "skew":
-        raise ValueError(f"unknown convection form {form!r}")
-    s = _ddx(np.multiply(v, v[0], out=t), h, s)
-    s += _ddy(np.multiply(v, v[1], out=t), h, u)
-    out += s
-    out *= 0.5
     return out
 
 
@@ -136,15 +128,9 @@ def laplacian(field):
     return type(field)(field.grid, _lap(field.values, field.grid.spacing))
 
 
-def convection(v: VectorField, form: str = "advective") -> VectorField:
-    """Self-convection (v . grad) v.
-
-    ``advective`` is the plain form v_j d_j v_i.  ``skew`` averages the
-    advective and divergence forms; its discrete inner product with v
-    vanishes identically, which makes it the right choice when a kinetic
-    energy budget has to close without a convective contribution.
-    """
-    return VectorField(v.grid, _convection(v.values, v.grid.spacing, form))
+def convection(v: VectorField) -> VectorField:
+    """Self-convection (v . grad) v in advective form, v_j d_j v_i."""
+    return VectorField(v.grid, _convection(v.values, v.grid.spacing))
 
 
 def grad_div(v: VectorField) -> VectorField:

@@ -72,8 +72,9 @@ def test_config_rejects_unknown_keys_by_name():
 
 
 def test_config_rejects_the_removed_dimensional_keys(tmp_path):
-    # pressure_transport is not dimensional, but removed the same way
-    for key in ("rho_star", "p_star", "v_char", "l_char", "mu", "pressure_transport"):
+    # pressure_transport and convection are not dimensional, but removed the same way
+    for key in ("rho_star", "p_star", "v_char", "l_char", "mu", "pressure_transport",
+                "convection"):
         model = {"model": "temam", "re": 100.0, "k": 100.0, key: 1.0}
         with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
             config_from_dict({"experiment": "free_run", "model": model})

@@ -13,13 +13,11 @@ from qins import models
 from qins.diagnostics import divergence_norm, energy_audit
 from qins.fields import ScalarField, VectorField, integrate, l2_norm, make_grid
 from qins.models import (
-    CONVECTION_FORMS,
     ETDRK4,
     ForcingSpec,
     ModelConfig,
     SimulationBlowupError,
     State,
-    compressible_rhs,
     consistent_pressure,
     etd_coefficients,
     galilean_alt_force,
@@ -77,8 +75,6 @@ def test_model_config_rejects_unknown_names():
         ModelConfig(model="boussinesq", re=100.0)
     with pytest.raises(ValueError):
         ModelConfig(model="temam", re=100.0, k=100.0, extra_force="magic")
-    with pytest.raises(ValueError):
-        ModelConfig(model="temam", re=100.0, k=100.0, convection="upwind")
 
 
 def test_bulk_modulus_required_by_compressible_models():
@@ -130,7 +126,7 @@ def _reference_temam_force(v):
 
 def _reference_galilean_alt_force(state, rate, cfg):
     """-(p/K)(dv/dt + (v.grad)v) as the field-level formula was first written, dv/dt = ``rate``."""
-    return ((-1.0 / cfg.k) * state.p) * (rate + convection(state.v, cfg.convection))
+    return ((-1.0 / cfg.k) * state.p) * (rate + convection(state.v))
 
 
 def test_extra_force_closed_form_on_single_mode():
@@ -173,7 +169,7 @@ def test_compressible_reduces_to_temam_at_reference_density():
     forcing = ForcingSpec.zero()
     comp = ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.0)
     plain = ModelConfig(model="temam", re=100.0, k=100.0, extra_force="none")
-    dv_c, dp_c = _rates(compressible_rhs, state, forcing, comp)
+    dv_c, dp_c = _rates(temam_rhs, state, forcing, comp)
     dv_t, dp_t = _rates(temam_rhs, state, forcing, plain)
     extra = (1.0 / (3.0 * comp.re)) * grad_div(v)
     np.testing.assert_allclose(dv_c.x, (dv_t + extra).x, atol=1e-13)
@@ -185,16 +181,14 @@ def test_compressible_rejects_vacuum_pressure():
     g = make_grid(8)
     state = State(VectorField.zeros(g), ScalarField.constant(g, -200.0), 0.0)
     with pytest.raises(ValueError):
-        _rates(compressible_rhs, state, ForcingSpec.zero(), ModelConfig(model="compressible", re=100.0, k=100.0))
+        _rates(temam_rhs, state, ForcingSpec.zero(), ModelConfig(model="compressible", re=100.0, k=100.0))
 
 
 def test_rhs_model_guards():
     g = make_grid(8)
     state = State.rest(g)
-    with pytest.raises(ValueError):
-        _rates(temam_rhs, state, ForcingSpec.zero(), ModelConfig(model="compressible", re=10.0, k=1.0))
-    with pytest.raises(ValueError):
-        _rates(compressible_rhs, state, ForcingSpec.zero(), TEMAM)
+    with pytest.raises(ValueError, match="temam_rhs called with model 'incompressible'"):
+        _rates(temam_rhs, state, ForcingSpec.zero(), ModelConfig(model="incompressible", re=10.0))
     with pytest.raises(ValueError):
         incompressible_step(pack_state(state), 0.0, TEMAM, g.spacing, 0.01)
 
@@ -214,14 +208,12 @@ def test_galilean_alt_force_scales_inversely_with_k():
         galilean_alt_force(state, ModelConfig(model="incompressible", re=100.0))
 
 
-@pytest.mark.parametrize("form", CONVECTION_FORMS)
-def test_field_level_forces_are_the_first_written_formulas_bitwise(form):
+def test_field_level_forces_are_the_first_written_formulas_bitwise():
     # both go through temam_rhs's packed kernel now; the references do not
     g = make_grid(17)
     state = _smooth_state(g)
     f = np.random.default_rng(4).standard_normal((2, 17, 17))
-    cfg = ModelConfig(model="temam", re=100.0, k=300.0, extra_force="galilean_alt",
-                      convection=form)
+    cfg = ModelConfig(model="temam", re=100.0, k=300.0, extra_force="galilean_alt")
     rate = VectorField(g, temam_rhs(pack_state(state), f, cfg, g.spacing)[:2])
     for got, want in ((temam_extra_force(state.v), _reference_temam_force(state.v)),
                       (galilean_alt_force(state, cfg, f),
@@ -541,26 +533,48 @@ def test_a_run_from_vacuum_names_the_density_as_its_cause(cfg, dt):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(4, 32), log_k=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1),
-       form=st.sampled_from(CONVECTION_FORMS))
-def test_galilean_alt_rate_satisfies_the_force_s_own_definition(n, log_k, seed, form):
+@given(n=st.integers(4, 32), log_k=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_galilean_alt_rate_satisfies_the_force_s_own_definition(n, log_k, seed):
     # rate_v = rate_none_v - (p/K)(rate_v + conv) on rough random states with 1 + p/K in
     # (0.1, 4), elementwise to round-off of the terms of rho_hat (rate_v + conv)
     k, g, rng = 10.0**log_k, make_grid(n), np.random.default_rng(seed)
     y = rng.standard_normal((3, n, n))
     y[2] = k * rng.uniform(-0.9, 3.0, (n, n))
     f = rng.standard_normal((2, n, n))
-    cfg = ModelConfig(model="temam", re=100.0, k=k, extra_force="galilean_alt", convection=form)
+    cfg = ModelConfig(model="temam", re=100.0, k=k, extra_force="galilean_alt")
     rate = temam_rhs(y, f, cfg, g.spacing)
     rate_none = temam_rhs(y, f, replace(cfg, extra_force="none"), g.spacing)
     v, p = VectorField(g, y[:2]), ScalarField(g, y[2])
-    conv = convection(v, form).values
+    conv = convection(v).values
     force = (y[2] / -k) * (rate[:2] + conv)
     terms = (np.abs(laplacian(v).values) / cfg.re + np.abs(gradient(p).values) + np.abs(f)
              + np.abs(conv))
     residual = np.abs(rate[:2] - (rate_none[:2] + force))
     assert (residual <= 32 * np.finfo(float).eps * terms / (1.0 + y[2] / k)).all()  # 8 seen
     assert _same_bits(rate[2], rate_none[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 32), log_k=st.floats(0.0, 6.0), zeta=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_compressible_rate_is_the_conservative_formula_to_round_off(n, log_k, zeta, seed):
+    # the kernel solves the galilean_alt balance plus c grad div v; the conservative form
+    # (-rho_hat conv - grad p + lap v / Re + c grad div v + f) / rho_hat it replaced, on rough
+    # random states with 1 + p/K in (0.1, 4), elementwise to round-off of its terms
+    k, g, rng = 10.0**log_k, make_grid(n), np.random.default_rng(seed)
+    y = rng.standard_normal((3, n, n))
+    y[2] = k * rng.uniform(-0.9, 3.0, (n, n))
+    f = rng.standard_normal((2, n, n))
+    cfg = ModelConfig(model="compressible", re=100.0, k=k, zeta_over_mu=zeta)
+    rate = temam_rhs(y, f, cfg, g.spacing)
+    v, p = VectorField(g, y[:2]), ScalarField(g, y[2])
+    rho, c = 1.0 + y[2] / k, (zeta + 1.0 / 3.0) / cfg.re
+    terms = [-rho * convection(v).values, -gradient(p).values, laplacian(v).values / cfg.re,
+             c * grad_div(v).values, f]
+    residual = np.abs(rate[:2] - sum(terms) / rho)
+    assert (residual <= 32 * np.finfo(float).eps * sum(map(np.abs, terms)) / rho).all()
+    # the pressure rate -K div(rho_hat v) keeps the old flux's operations
+    assert _same_bits(rate[2], (-k * divergence(VectorField(g, rho * y[:2]))).values)
 
 
 def test_galilean_alt_rk4_runs_are_fourth_order_in_time():
@@ -672,11 +686,10 @@ def test_rate_kernels_skip_no_force_with_the_bits_of_a_zero_force(n):
             want = temam_rhs(y, zeros, cfg, g.spacing, _linear=linear)
             assert _same_bits(temam_rhs(y, 0.0, cfg, g.spacing, _linear=linear), want)
             assert state.v.max_abs() > 0.0 or not np.signbit(want[:2]).any()
-        for form in CONVECTION_FORMS:
-            cfg = ModelConfig(model="incompressible", re=100.0, convection=form)
-            want = models._momentum_source(y[:2], zeros, cfg, g.spacing)
-            assert _same_bits(models._momentum_source(y[:2], 0.0, cfg, g.spacing), want)
-            assert state.v.max_abs() > 0.0 or not np.signbit(want).any()
+        cfg = ModelConfig(model="incompressible", re=100.0)
+        want = models._momentum_source(y[:2], zeros, cfg, g.spacing)
+        assert _same_bits(models._momentum_source(y[:2], 0.0, cfg, g.spacing), want)
+        assert state.v.max_abs() > 0.0 or not np.signbit(want).any()
 
 
 # -- packed core against a field-level oracle ------------------------------------
@@ -686,19 +699,14 @@ def _field_rates(state, f, cfg):
     """The right-hand sides written with the public field operators."""
     v, p = state.v, state.p
     rho = ScalarField(state.grid, 1.0 + p.values / cfg.k)
-    if cfg.model == "compressible":
-        momentum = (
-            -(rho * convection(v, cfg.convection))
-            - gradient(p)
-            + (1.0 / cfg.re) * laplacian(v)
-            + ((cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re) * grad_div(v)
-            + f
-        )
-        return momentum / rho, (-cfg.k) * divergence(rho * v)
+    if cfg.model == "compressible":  # the galilean_alt balance plus the dilatational viscosity
+        rate = ((1.0 / cfg.re) * laplacian(v) - gradient(p)
+                + ((cfg.zeta_over_mu + 1.0 / 3.0) / cfg.re) * grad_div(v) + f)
+        return rate / rho - convection(v), (-cfg.k) * divergence(rho * v)
     if cfg.extra_force == "galilean_alt":  # rho (dv/dt + conv) = -grad p + lap v / Re + f
-        dv = ((1.0 / cfg.re) * laplacian(v) - gradient(p) + f) / rho - convection(v, cfg.convection)
+        dv = ((1.0 / cfg.re) * laplacian(v) - gradient(p) + f) / rho - convection(v)
         return dv, (-cfg.k) * divergence(v)
-    dv = -convection(v, cfg.convection) - gradient(p) + (1.0 / cfg.re) * laplacian(v) + f
+    dv = -convection(v) - gradient(p) + (1.0 / cfg.re) * laplacian(v) + f
     if cfg.extra_force == "temam":
         dv = dv + _reference_temam_force(v)
     return dv, (-cfg.k) * divergence(v)
@@ -707,7 +715,7 @@ def _field_rates(state, f, cfg):
 def _field_chorin(state, f, cfg, dt):
     """The Chorin projection step over fields: predictor, pressure solve, correction."""
     v, g = state.v, state.grid
-    v_star = v + dt * (-convection(v, cfg.convection) + (1.0 / cfg.re) * laplacian(v) + f)
+    v_star = v + dt * (-convection(v) + (1.0 / cfg.re) * laplacian(v) + f)
     p = ScalarField(g, _reference_poisson(divergence(v_star).values / dt, g.spacing))
     return State(v_star - dt * gradient(p), p, state.time + dt)
 
@@ -751,10 +759,7 @@ ORACLE_CONFIGS = (
     ModelConfig(model="temam", re=100.0, k=100.0, extra_force="temam"),
     ModelConfig(model="temam", re=100.0, k=100.0, extra_force="none"),
     ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt"),
-    ModelConfig(model="temam", re=100.0, k=100.0, convection="skew"),
-    ModelConfig(model="temam", re=100.0, k=100.0, extra_force="galilean_alt", convection="skew"),
     ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5),
-    ModelConfig(model="compressible", re=100.0, k=100.0, zeta_over_mu=0.5, convection="skew"),
 )
 
 
@@ -794,10 +799,9 @@ ORACLE_FORCINGS = {"trig": lambda g: trig(g, 0.7, kx=1, ky=2), "callable": _puls
 
 @pytest.mark.parametrize("n", [16, 17])
 @pytest.mark.parametrize("forcing", sorted(ORACLE_FORCINGS))
-@pytest.mark.parametrize("form", CONVECTION_FORMS)
-def test_incompressible_simulate_matches_the_field_level_chorin_step_bitwise(form, forcing, n):
+def test_incompressible_simulate_matches_the_field_level_chorin_step_bitwise(forcing, n):
     g = make_grid(n)
-    cfg = ModelConfig(model="incompressible", re=100.0, convection=form)
+    cfg = ModelConfig(model="incompressible", re=100.0)
     forcing = ORACLE_FORCINGS[forcing](g)
     state0 = _smooth_state(g)
     _, dt, states = march(state0, cfg, forcing, 0.2, dt=stable_dt(state0, cfg) / 4.0)

@@ -125,22 +125,6 @@ def test_convection_is_quadratically_homogeneous():
     np.testing.assert_allclose(c3.y, 9.0 * c1.y, rtol=1e-12, atol=1e-12)
 
 
-def test_skew_convection_is_energy_neutral():
-    g = make_grid(24)
-    v = _noise_vector(g, seed=4)
-    skew_power = inner_product(v, convection(v, form="skew"))
-    advective_power = inner_product(v, convection(v, form="advective"))
-    assert abs(skew_power) < 1e-12 * l2_norm(v) ** 2
-    # the advective form has no such cancellation on rough data
-    assert abs(advective_power) > 1e-6
-
-
-def test_convection_rejects_unknown_form():
-    v = VectorField.zeros(make_grid(8))
-    with pytest.raises(ValueError):
-        convection(v, form="rotational")
-
-
 def test_grad_div_is_the_operator_composition():
     g = make_grid(16)
     v = _noise_vector(g, seed=5)
@@ -279,20 +263,6 @@ def test_summation_by_parts_on_random_grids(n, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(4, 40),
-    scale=st.sampled_from([1e-3, 1.0, 1e3]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_skew_convection_is_energy_neutral_on_random_grids(n, scale, seed):
-    g = make_grid(n)
-    rng = np.random.default_rng(seed)
-    v = VectorField(g, scale * rng.standard_normal((2, n, n)))
-    power = inner_product(v, convection(v, form="skew"))
-    assert abs(power) < 1e-12 * l2_norm(v) ** 2 * v.max_abs() / g.spacing
-
-
-@settings(max_examples=40, deadline=None)
 @given(n=st.integers(4, 40), w=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
        seed=st.integers(0, 2**32 - 1))
 def test_operator_facades_are_the_componentwise_kernels_bitwise(n, w, seed):
@@ -309,11 +279,9 @@ def test_operator_facades_are_the_componentwise_kernels_bitwise(n, w, seed):
         return w[0] * _ddx(c, h) + w[1] * _ddy(c, h)
 
     advective = [_ddx(c, h) * vx + _ddy(c, h) * vy for c in (vx, vy)]
-    divergent = [_ddx(c * vx, h) + _ddy(c * vy, h) for c in (vx, vy)]
     assert same(gradient(s), _ddx(a, h), _ddy(a, h))
     assert same(laplacian(s), _lap(a, h)) and same(laplacian(v), _lap(vx, h), _lap(vy, h))
     assert same(convection(v), *advective)
-    assert same(convection(v, "skew"), *[0.5 * (p + q) for p, q in zip(advective, divergent)])
     div = _ddx(vx, h) + _ddy(vy, h)
     assert same(divergence(v), div) and same(grad_div(v), _ddx(div, h), _ddy(div, h))
     assert same(strain_frobenius_sq(v),
