@@ -252,33 +252,27 @@ def galilean_invariance_report(
 
 @dataclass(frozen=True)
 class ParticleSet:
-    """Sample points for a convecting region, with Jacobians and weights.
+    """Sample points for a convecting region, with their weights.
 
     ``weights`` are referential quadrature weights (midpoint rule over
-    the seeded rectangle); ``jacobians`` start at one and are integrated
-    along paths by dJ/dt = J div v.
+    the seeded rectangle).  The particles start undeformed: each path's
+    Jacobian starts at one and is integrated by dJ/dt = J div v.
     """
 
     positions: np.ndarray
-    jacobians: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.float64)
-        jac = np.asarray(self.jacobians, dtype=np.float64)
         wts = np.asarray(self.weights, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"positions must be (m, 2), got {pos.shape}")
-        m = pos.shape[0]
-        if jac.shape != (m,) or wts.shape != (m,):
-            raise ValueError("jacobians and weights must match the particle count")
-        for name, arr in (("positions", pos), ("jacobians", jac), ("weights", wts)):
+        if wts.shape != (pos.shape[0],):
+            raise ValueError("weights must match the particle count")
+        for name, arr in (("positions", pos), ("weights", wts)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if not (jac > 0.0).all():
-            raise ValueError("jacobians must be positive")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "jacobians", jac)
         object.__setattr__(self, "weights", wts)
 
     @classmethod
@@ -296,8 +290,7 @@ class ParticleSet:
         ys = origin[1] + (np.arange(ny) + 0.5) * (ey / ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         positions = np.column_stack([X.ravel(), Y.ravel()])
-        m = nx * ny
-        return cls(positions, np.ones(m), np.full(m, (ex / nx) * (ey / ny)))
+        return cls(positions, np.full(nx * ny, (ex / nx) * (ey / ny)))
 
 
 @dataclass(frozen=True)
@@ -312,22 +305,23 @@ class TransportReport:
     under_resolved: bool
 
 
-def transport_check(trajectory, particles: ParticleSet, rho_star: float = 1.0) -> TransportReport:
+def transport_check(trajectory, particles: ParticleSet) -> TransportReport:
     """Check d/dt of the referential kinetic energy of a convecting region.
 
     Particles are advected through the sampled velocity with classical
     RK4 (one particle step consumes two snapshot intervals, the midpoint
     snapshot serving the middle stages), and each carries a Jacobian
-    integrated by dJ/dt = J div v.  At every other sample the region
-    integrals
+    integrated by dJ/dt = J div v from J = 1.  The model is dimensionless,
+    so the reference density is rho* = 1.  At every other sample the
+    region integrals
 
         lhs = d/dt sum w J rho* |v|^2 / 2
         rhs = sum w J (rho* dv/dt|material + (rho*/2)(div v) v) . v
 
     are formed, the derivative by centered differences; ``gap`` is the
     largest pointwise discrepancy.  When the samples are ``(state, rho)``
-    pairs, rho a density co-evolved under the full mass balance (starting
-    from rho_star), the Jacobian is also recovered as rho*/rho at the
+    pairs, rho a density co-evolved under the full mass balance from
+    rho = rho*, the Jacobian is also recovered as rho*/rho at the
     particles and the worst disagreement between the two routes is
     reported.  Each set of positions builds its interpolation taps once and
     gathers every field it needs through them; an RK4 step's first stage sits
@@ -337,8 +331,7 @@ def transport_check(trajectory, particles: ParticleSet, rho_star: float = 1.0) -
     included.  It is streamed: at most four samples are held at a time.
     An even number of samples drops the last one.
     """
-    half_rho = 0.5 * rho_star
-    y = np.column_stack([particles.positions, particles.jacobians])
+    y = np.column_stack([particles.positions, np.ones(len(particles.positions))])
     window, times, energy, power = [], [], [], []  # window: (state, div v, rho) per sample
     worst, under_resolved, dt, count = 0.0, False, None, 0
 
@@ -368,15 +361,15 @@ def transport_check(trajectory, particles: ParticleSet, rho_star: float = 1.0) -
             fields.append(rho.values)
         pos, jac = y[:, :2], y[:, 2]
         vx, vy, dv, *rest = _gather(_interp_taps(pos[:, 0], pos[:, 1], grid), *fields)
-        energy.append(np.sum(particles.weights * jac * half_rho * (vx**2 + vy**2)))
+        energy.append(np.sum(particles.weights * jac * 0.5 * (vx**2 + vy**2)))
         if interior:
             ax, ay = rest[:2]
-            fx = rho_star * ax + half_rho * dv * vx
-            fy = rho_star * ay + half_rho * dv * vy
+            fx = ax + 0.5 * dv * vx
+            fy = ay + 0.5 * dv * vy
             power.append(np.sum(particles.weights * jac * (fx * vx + fy * vy)))
             times.append(state.time)
         if rho is not None:
-            worst = max(worst, float(np.abs(jac - rho_star / rest[-1]).max()))
+            worst = max(worst, float(np.abs(jac - 1.0 / rest[-1]).max()))
         return [vx, vy, dv]
 
     # advect (x, y, J) with RK4 over pairs of intervals; positions live at even samples.

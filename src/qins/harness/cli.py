@@ -3,14 +3,12 @@
 ::
 
     qins run CONFIG.json [--out DIR] [--quiet]
-    qins sweep-k CONFIG.json [--out DIR] [--quiet]
     qins verify [--out DIR] [--quiet]
     qins inspect PATH
 
-``run`` dispatches a JSON config to its experiment driver; ``sweep-k``
-is the same but forces the bulk-modulus sweep, so a config written for
-another experiment can be reused.  ``verify`` runs the acceptance gate,
-every check at its fixed sizes and within its time budget.
+``run`` dispatches a JSON config to its experiment driver.  ``verify``
+runs the acceptance gate, every check at its fixed sizes and within its
+time budget.
 ``inspect`` summarizes an output directory (re-hashing every file the
 manifest lists), a ``.state`` snapshot or trajectory, or a table, whose
 kind it tells by the header, whatever the file is called.
@@ -25,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ..fields import integrate
@@ -50,10 +47,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
 
-def _cmd_run(args: argparse.Namespace, force_experiment: str | None = None) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from_json(args.config)
-    if force_experiment and cfg.experiment != force_experiment:
-        cfg = replace(cfg, experiment=force_experiment)
     run_experiment(cfg, out_dir=args.out, quiet=args.quiet)
     if not args.quiet:
         print(f"wrote {resolve_out_dir(cfg, args.out)}")
@@ -143,10 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("config", help="path to the experiment config")
     _add_common(run_p)
 
-    sweep_p = sub.add_parser("sweep-k", help="run the bulk-modulus sweep for a config")
-    sweep_p.add_argument("config", help="path to the experiment config")
-    _add_common(sweep_p)
-
     verify_p = sub.add_parser("verify", help="run the acceptance gate")
     _add_common(verify_p)
 
@@ -157,8 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "sweep-k":
-            return _cmd_run(args, force_experiment="k_sweep")
         if args.command == "verify":
             results = verify(out_root=args.out, quiet=args.quiet)
             return 0 if all(r.passed for r in results) else 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 from ..models import ModelConfig
@@ -184,15 +184,4 @@ def config_from_json(path: str | Path) -> ExperimentConfig:
 
 def config_echo(cfg: ExperimentConfig) -> dict:
     """JSON-serializable echo of a config, for manifests."""
-
-    def scrub(value):
-        if isinstance(value, tuple):
-            return [scrub(v) for v in value]
-        if hasattr(value, "__dataclass_fields__"):
-            return {
-                f.name: scrub(getattr(value, f.name))
-                for f in dataclass_fields(value)
-            }
-        return value
-
-    return scrub(cfg)
+    return asdict(cfg)

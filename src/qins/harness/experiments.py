@@ -57,7 +57,7 @@ from ..models import (
     temam_rhs,
     unpack_state,
 )
-from ..operators import _ddx, _ddy, divergence
+from ..operators import _ddx, _ddy
 from .config import ConfigError, ExperimentConfig, config_echo
 from .initial_conditions import initial_condition, taylor_green_exact, taylor_green_state
 from .io import (
@@ -204,7 +204,7 @@ def run_k_sweep(
     reference trajectory integrates the projected
     right-hand side with classical RK4 at its stable step, keeping its time
     error orders of magnitude below the K effects being compared.  The
-    members take ``simulate``'s default step, so those past the acoustic
+    members take ``march``'s default step, so those past the acoustic
     bound step ETDRK4 at the advective bound; their time error then grows
     with dt rather than with the stiffness, and at the largest K it is of
     the same order as the O(1/K) terminal difference.
@@ -216,8 +216,8 @@ def run_k_sweep(
     base_model = _temam(cfg.model, cfg.k_list[0])
     state0 = _slow_manifold(raw, forcing, base_model)
     preparation = {
-        "div_norm_raw": l2_norm(divergence(raw.v)),
-        "div_norm_prepared": l2_norm(divergence(state0.v)),
+        "div_norm_raw": divergence_norm(raw),
+        "div_norm_prepared": divergence_norm(state0),
     }
 
     cfg_ref = ModelConfig(model="incompressible", re=cfg.model.re)
@@ -236,23 +236,19 @@ def run_k_sweep(
     ref_v = VectorField(grid, y)
 
     def member(k: float) -> dict:
-        cfg_k = replace(base_model, k=k)
-        peak = [0.0]
-
-        def watch_div(s: State) -> None:
-            peak[0] = max(peak[0], divergence_norm(s))
-
+        steps, dt_used, states = march(state0, replace(base_model, k=k), forcing,
+                                       cfg.t_final, cfl=cfg.cfl)
+        peak = 0.0
         try:
-            final, _, dt_used = simulate(
-                state0, cfg_k, forcing, cfg.t_final, cfl=cfg.cfl, observer=watch_div
-            )
+            for final in states:
+                peak = max(peak, divergence_norm(final))
         except SimulationBlowupError as exc:
             return {"k": k, "failed": str(exc)}
         return {
             "k": k,
             "dt": dt_used,
-            "steps": int(round((cfg.t_final - state0.time) / dt_used)),
-            "max_div_norm": peak[0],
+            "steps": steps,
+            "max_div_norm": peak,
             "terminal_velocity_diff": l2_norm(final.v - ref_v),
         }
 
@@ -514,7 +510,7 @@ def particle_transport(
         origin=(period / 4.0, period / 4.0),
         extent=(period / 2.0, period / 2.0),
     )
-    rep = transport_check(samples, seeds, rho_star=1.0)
+    rep = transport_check(samples, seeds)
     return rep, steps + 1, dt_used
 
 

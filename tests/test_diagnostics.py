@@ -295,22 +295,19 @@ def test_particle_set_uniform_lattice():
     assert ps.positions[:, 0].min() > 1.0 and ps.positions[:, 0].max() < 3.0
     assert ps.positions[:, 1].min() > 1.0 and ps.positions[:, 1].max() < 2.0
     assert ps.weights.sum() == pytest.approx(2.0)  # the rectangle area
-    assert (ps.jacobians == 1.0).all()
 
 
 def test_particle_set_validation():
     with pytest.raises(ValueError):
-        ParticleSet(np.zeros((4, 3)), np.ones(4), np.ones(4))
+        ParticleSet(np.zeros((4, 3)), np.ones(4))
     with pytest.raises(ValueError):
-        ParticleSet(np.zeros((4, 2)), np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        ParticleSet(np.zeros((4, 2)), np.zeros(4), np.ones(4))
+        ParticleSet(np.zeros((4, 2)), np.ones(3))
 
 
-@pytest.mark.parametrize("name", ["positions", "jacobians", "weights"])
+@pytest.mark.parametrize("name", ["positions", "weights"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_particle_set_rejects_non_finite_values(name, bad):
-    arrays = {"positions": np.ones((4, 2)), "jacobians": np.ones(4), "weights": np.ones(4)}
+    arrays = {"positions": np.ones((4, 2)), "weights": np.ones(4)}
     arrays[name][-1] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         ParticleSet(**arrays)

@@ -614,12 +614,13 @@ def test_cli_inspect_catches_tampering(tmp_path):
     assert main(["inspect", str(out)]) == 1
 
 
-def test_cli_sweep_k_reuses_a_config(tmp_path):
+def test_cli_has_no_sweep_k_command(tmp_path, capsys):
+    # `qins run` is the one way to run a config, a k_sweep one included
     cfg_path = _write_config(tmp_path, k_list=[100.0, 1000.0])
-    out = tmp_path / "sweep"
-    assert main(["sweep-k", str(cfg_path), "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["experiment"] == "k_sweep"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-k", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sweep-k'" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):
