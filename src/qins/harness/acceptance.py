@@ -317,14 +317,11 @@ def check_inertia_identities(out: Path, quiet: bool) -> Verdict:
 
     # pointwise identities at round-off on the first grid
     v, dvdt, rho = fields[0]
-    rho_star = 1.3
-    sample_ref = KinematicSample(
-        v=v, dv_dt_partial=dvdt, rho=ScalarField.constant(v.grid, rho_star), rho_star=rho_star
-    )
+    sample_ref = KinematicSample(v=v, dv_dt_partial=dvdt, rho=ScalarField.constant(v.grid, 1.0))
     force_diff = inertial_force_star(sample_ref) - inertial_force_standard(sample_ref)
-    closed = ((-0.5 * rho_star) * divergence(v)) * v
-    sample_gen = KinematicSample(v=v, dv_dt_partial=dvdt, rho=rho, rho_star=1.0)
-    jk = jacobian_from_density(rho, 1.0) * kinetic_density_spatial(sample_gen)
+    closed = (-0.5 * divergence(v)) * v
+    sample_gen = KinematicSample(v=v, dv_dt_partial=dvdt, rho=rho)
+    jk = jacobian_from_density(rho) * kinetic_density_spatial(sample_gen)
     rate_disc = ScalarField(v.grid, -rho.values * divergence(v).values)
     details = {
         "force_difference_abs": float(l2_norm(force_diff - closed)),
@@ -338,7 +335,7 @@ def check_inertia_identities(out: Path, quiet: bool) -> Verdict:
     # so the residual must shrink at second order
     rate_residuals = [
         kappa_r_star_rate_identity_residual(
-            KinematicSample(v=vn, dv_dt_partial=dn, rho=rn, rho_star=1.0),
+            KinematicSample(v=vn, dv_dt_partial=dn, rho=rn),
             ScalarField(vn.grid, -rn.values * _test_vector_div(vn.grid).values),
         )
         for vn, dn, rn in fields
@@ -358,7 +355,7 @@ def check_inertia_identities(out: Path, quiet: bool) -> Verdict:
         for after in states:
             if before is not None:
                 accel = (after.v - before.v) / (2.0 * dt_used)
-                sample = KinematicSample(v=mid.v, dv_dt_partial=accel, rho=ones, rho_star=1.0)
+                sample = KinematicSample(v=mid.v, dv_dt_partial=accel, rho=ones)
                 rhs = integrate(((-1.0) * inertial_force_star(sample)).dot(mid.v))
                 lhs = (
                     0.5 * integrate(after.v.magnitude_squared())

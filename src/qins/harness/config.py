@@ -101,12 +101,13 @@ class ExperimentConfig:
             raise ConfigError(f"t_final must be positive and finite, got {self.t_final}")
         if not 0.0 < self.cfl < math.inf:
             raise ConfigError(f"cfl must be positive and finite, got {self.cfl}")
-        if len(self.k_list) > 0:
-            ks = self.k_list
-            if any(not 0.0 < k < math.inf for k in ks):
-                raise ConfigError("k_list entries must be positive and finite")
-            if any(b <= a for a, b in zip(ks, ks[1:])):
-                raise ConfigError("k_list must be strictly increasing")
+        ks = self.k_list
+        if not ks and self.experiment == "k_sweep":
+            raise ConfigError("k_list must name at least one k for a k_sweep")
+        if any(not 0.0 < k < math.inf for k in ks):
+            raise ConfigError("k_list entries must be positive and finite")
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ConfigError("k_list must be strictly increasing")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
         if self.particles < 2:

@@ -119,6 +119,15 @@ def _slow_manifold(state: State, forcing: ForcingSpec, model: ModelConfig) -> St
     return State(v0, consistent_pressure(v0, forcing, model, state.time), state.time)
 
 
+def _require_steps(what: str, steps: int, minimum: int, t_final: float, dt: float) -> None:
+    """Refuse a run too short for ``what``, which differences its samples in time."""
+    if steps < minimum:
+        raise ConfigError(
+            f"{what} needs at least {minimum} time steps, but t_final={t_final:g} "
+            f"takes {steps} at dt={dt:g}"
+        )
+
+
 def _strictly_decreasing(seq) -> bool:
     return all(b < a for a, b in zip(seq, seq[1:]))
 
@@ -307,7 +316,8 @@ def paired_energy_audit(
     cfg_on = replace(base, extra_force="temam")
     cfg_off = replace(base, extra_force="none")
     dt_used = dt if dt is not None else stable_dt(state0, cfg_on, cfl)
-    _, dt_on, states_on = march(state0, cfg_on, forcing, t_final, dt=dt_used)
+    steps, dt_on, states_on = march(state0, cfg_on, forcing, t_final, dt=dt_used)
+    _require_steps("energy_audit", steps, 2, t_final, dt_on)
     rows_on = energy_audit(states_on, forcing, cfg_on)
     rows_off = energy_audit(march(state0, cfg_off, forcing, t_final, dt=dt_used)[2], forcing, cfg_off)
     return rows_on, rows_off, dt_on
@@ -502,6 +512,7 @@ def particle_transport(
     steps, dt_used, samples = simulate_with_density(
         state0, model, ForcingSpec.zero(), t_final, cfl, dt=dt
     )
+    _require_steps("transport_check", steps, 4, t_final, dt_used)
     period = state0.grid.period
     seeds = ParticleSet.uniform(
         period,

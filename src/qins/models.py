@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -361,23 +360,6 @@ def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None 
     return steps, span / steps
 
 
-@contextmanager
-def blowup_guard(v, t: float, h: float, cfg: ModelConfig, dt: float):
-    """Re-raise a failed step from time ``t`` as SimulationBlowupError led by its cause.
-
-    ``v`` is the (2, n, n) velocity the step starts from.  Overflow is no
-    anomaly to warn about: the steppers reject non-finite or overflowing
-    samples, the field constructors non-finite ones and the density guard
-    a density 1 + p/K that is not positive, with ``ValueError``, which is
-    what is caught here; its text leads the message, then each bound.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
-    except ValueError as exc:
-        raise _blowup_error(str(exc), float(np.abs(v).max()), t, h, cfg, dt) from exc
-
-
 def _advective_guard(v, t: float, h: float, cfg: ModelConfig, dt: float) -> None:
     """Refuse a step from time ``t`` whose dt exceeds the advective bound h / |v|_inf.
 
@@ -600,15 +582,22 @@ class ETDRK4:
 def _march(y: np.ndarray, t: float, steps: int, dt: float, advance, h: float, cfg: ModelConfig):
     """Yield packed ``(y, t)``, then again after each of ``steps`` steps ``advance(y, t)`` of ``dt``.
 
-    A step that fails with ValueError raises SimulationBlowupError; the
-    steppers fail on samples that are non-finite or that would overflow,
-    so no consumer is handed a state whose energy it cannot form.  Each
-    step makes a new array, so a consumer may keep what it was given.
+    A step that fails with ValueError raises SimulationBlowupError, led by
+    that error's text and then each step bound; the steppers fail on
+    samples that are non-finite or that would overflow, the field
+    constructors on non-finite ones and the density guard on a density
+    1 + p/K that is not positive, so no consumer is handed a state whose
+    energy it cannot form.  Overflow is therefore no anomaly to warn
+    about.  Each step makes a new array, so a consumer may keep what it
+    was given.
     """
     yield y, t
     for _ in range(steps):
-        with blowup_guard(y[:2], t, h, cfg, dt):
-            y = advance(y, t)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = advance(y, t)
+        except ValueError as exc:
+            raise _blowup_error(str(exc), float(np.abs(y[:2]).max()), t, h, cfg, dt) from exc
         t = t + dt
         yield y, t
 

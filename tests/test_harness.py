@@ -805,6 +805,37 @@ def test_cli_energy_audit_without_a_bulk_modulus_falls_back_to_k_100(tmp_path):
     assert (out / MANIFEST_NAME).exists()
 
 
+def test_cli_empty_k_list_is_a_config_error_only_for_a_k_sweep(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, experiment="k_sweep", n=8, t_final=0.01, k_list=[])
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "sweep"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "k_list" in err
+    # a galilean run without alternative-force members still reports its frame gaps
+    cfg_path = _write_config(tmp_path, experiment="galilean", n=8, t_final=0.01, k_list=[])
+    out = tmp_path / "galilean"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["alt_force"] == {"members": [], "slope": None}
+
+
+@pytest.mark.parametrize("experiment, minimum", [("energy_audit", 2), ("transport_check", 4)])
+def test_cli_audit_too_short_to_audit_is_a_config_error(tmp_path, capsys, experiment, minimum):
+    # one step to t_final: the audits difference their samples in time
+    cfg_path = _write_config(tmp_path, experiment=experiment, n=8, t_final=0.001)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {experiment} needs at least {minimum} time steps")
+    assert err.count("\n") == 1
+
+
+def test_cli_free_run_too_short_for_a_budget_skips_it(tmp_path):
+    cfg_path = _write_config(tmp_path, n=8, t_final=0.001)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "report.json").read_text())["steps"] == 1
+    assert not (out / "budget.csv").exists()
+
+
 def test_cli_snapshot_at_or_past_t_final_is_a_config_error(tmp_path, capsys):
     state = taylor_green_state(make_grid(16))
     ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
