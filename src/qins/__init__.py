@@ -19,7 +19,6 @@ from .diagnostics import (
     TransportReport,
     divergence_norm,
     energy_audit,
-    galilean_boost,
     galilean_invariance_report,
     transport_check,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "divergence_norm",
     "energy_audit",
     "galilean_alt_force",
-    "galilean_boost",
     "galilean_invariance_report",
     "grad_div",
     "gradient",

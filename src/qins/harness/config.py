@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("k_list entries must be positive and finite")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ConfigError("k_list must be strictly increasing")
+        if not all(math.isfinite(w) for w in self.boost_w):
+            raise ConfigError(f"boost_w entries must be finite, got {list(self.boost_w)}")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
         if self.particles < 2:
@@ -175,6 +177,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def config_from_json(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment config file."""
+    if Path(path).is_dir():
+        raise ConfigError(f"{path} is a directory, not a config file")
     text = Path(path).read_text()
     try:
         raw = json.loads(text)

@@ -1,7 +1,7 @@
 """Energy audits, frame changes, interpolation, and particle transport."""
 
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from qins.diagnostics import (
     _interp_taps,
     divergence_norm,
     energy_audit,
-    galilean_boost,
     galilean_invariance_report,
     transport_check,
 )
@@ -25,8 +24,18 @@ from qins.fields import ScalarField, VectorField, l2_norm, make_grid
 from qins.harness.config import ExperimentConfig, InitialConditionSpec
 from qins.harness.experiments import particle_transport, run_free_run, simulate_with_density
 from qins.harness.initial_conditions import random_smooth_state
-from qins.models import ForcingSpec, ModelConfig, State, march, stable_dt
-from qins.operators import divergence
+from qins.models import (
+    ForcingSpec,
+    ModelConfig,
+    State,
+    march,
+    pack_state,
+    stable_dt,
+    temam_extra_force,
+    temam_rhs,
+    unpack_state,
+)
+from qins.operators import convection, directional_derivative, divergence
 
 TEMAM = ModelConfig(model="temam", re=100.0, k=100.0)
 
@@ -127,44 +136,16 @@ def test_energy_audit_errors_hold_for_a_generator():
 # -- frame changes ----------------------------------------------------------------
 
 
-def test_boost_at_time_zero_only_adds_the_frame_velocity():
-    g = make_grid(16)
-    state = _taylor_green_with_pulse(g)
-    boosted = galilean_boost(state, (1.5, -0.5))
-    np.testing.assert_array_equal(boosted.v.x, state.v.x + 1.5)
-    np.testing.assert_array_equal(boosted.v.y, state.v.y - 0.5)
-    np.testing.assert_array_equal(boosted.p.values, state.p.values)
-    assert boosted.time == state.time
-
-
-def test_boost_on_whole_cells_is_an_exact_roll():
-    g = make_grid(16)
-    state = _taylor_green_with_pulse(g, time=3.0 * g.spacing)
-    boosted = galilean_boost(state, (1.0, 0.0))
-    np.testing.assert_array_equal(boosted.v.x, np.roll(state.v.x, 3, axis=0) + 1.0)
-    np.testing.assert_array_equal(boosted.p.values, np.roll(state.p.values, 3, axis=0))
-
-
-def test_boost_round_trip():
-    g = make_grid(16)
-    state = _taylor_green_with_pulse(g, time=4.0 * g.spacing)
-    back = galilean_boost(galilean_boost(state, (1.0, 0.0)), (-1.0, 0.0))
-    np.testing.assert_allclose(back.v.x, state.v.x, atol=1e-15)
-    np.testing.assert_allclose(back.v.y, state.v.y, atol=1e-15)
-
-
 def test_invariance_report_on_grid():
-    """On whole-cell shifts all resampling is exact.
+    """The standard inertial term cancels to round-off under the discrete chain rule.
 
-    The standard inertial term then cancels to round-off under the
-    discrete chain rule, and the extra-force gap equals its closed form
-    -(1/2)(div v) w because div(v + w) = div v for constant w.
+    The extra-force gap equals its closed form -(1/2)(div v) w because
+    div(v + w) = div v for constant w.
     """
     g = make_grid(32)
     state = _taylor_green_with_pulse(g, time=4.0 * g.spacing)
     rep = galilean_invariance_report(state, (1.0, 0.0), TEMAM)
     assert isinstance(rep, GalileanReport)
-    assert not rep.off_grid
     assert rep.standard_gap < 1e-10
     assert rep.temam_gap == pytest.approx(rep.temam_gap_closed_form, rel=1e-12)
     # the closed form itself: |w| half the divergence norm
@@ -173,12 +154,55 @@ def test_invariance_report_on_grid():
     )
 
 
-def test_invariance_report_flags_off_grid_shifts():
+def _shifted_grid_gaps(state, w, cells):
+    """The two frame gaps with the moving frame's samples rolled by whole cells and back.
+
+    This is the frame change done literally: the moving frame's samples
+    sit ``cells`` = w t / h cells downstream.  The stencils are
+    translation-invariant, so the rolls change no bit.
+    """
+    g = state.grid
+
+    def roll(f, sign):
+        return VectorField(g, np.roll(f.values, tuple(sign * c for c in cells), axis=(-2, -1)))
+
+    v = state.v
+    dv_dt = unpack_state(temam_rhs(pack_state(state), 0.0, TEMAM, g.spacing), g).v
+    v_there = roll(v, 1) + VectorField.constant(g, *w)
+    inertial_there = roll(dv_dt - directional_derivative(w, v), 1) + convection(v_there)
+    standard = l2_norm(roll(inertial_there, -1) - (dv_dt + convection(v)))
+    temam = l2_norm(roll(temam_extra_force(v_there), -1) - temam_extra_force(v))
+    return standard, temam
+
+
+def test_invariance_report_equals_the_shifted_grid_comparison_bitwise():
+    # at a time that moves the frame by whole cells, (4, 2) here
     g = make_grid(32)
-    state = _taylor_green_with_pulse(g, time=2.5 * g.spacing)
-    rep = galilean_invariance_report(state, (1.0, 0.0), TEMAM)
-    assert rep.off_grid
-    assert np.isfinite(rep.standard_gap)
+    w = (1.0, 0.5)
+    state = replace(random_smooth_state(g, seed=3, modes=4, amplitude=0.5), time=4.0 * g.spacing)
+    rep = galilean_invariance_report(state, w, TEMAM)
+    assert (rep.standard_gap, rep.temam_gap) == _shifted_grid_gaps(state, w, (4, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 32), seed=st.integers(0, 2**32 - 1),
+       amplitude=st.floats(0.1, 10.0), w=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       time=st.floats(0.0, 100.0))
+def test_invariance_report_holds_for_any_state_boost_and_time(n, seed, amplitude, w, time):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    v = VectorField(g, amplitude * rng.standard_normal((2, n, n)))  # not solenoidal
+    state = State(v, ScalarField(g, rng.standard_normal((n, n))), time)
+    rep = galilean_invariance_report(state, w, TEMAM)
+
+    v_moving = v + VectorField.constant(g, *w)
+    inertial_scale = (l2_norm(convection(v_moving)) + l2_norm(convection(v))
+                      + l2_norm(directional_derivative(w, v)))
+    assert rep.standard_gap <= 1e-13 * inertial_scale
+    force_scale = l2_norm(temam_extra_force(v_moving)) + l2_norm(temam_extra_force(v))
+    assert abs(rep.temam_gap - rep.temam_gap_closed_form) <= 1e-13 * force_scale
+    # no shift, no interpolation: the state's time plays no part
+    assert astuple(galilean_invariance_report(replace(state, time=0.0), w, TEMAM)) == astuple(rep)
 
 
 def test_invariance_report_requires_temam_model():

@@ -750,6 +750,8 @@ def test_cli_mistyped_config_values_are_config_errors(tmp_path, capsys):
         ("k_list", {"experiment": "k_sweep", "k_list": ["a"]}),
         ("k_list", {"experiment": "k_sweep", "k_list": [True, 1000.0]}),
         ("boost_w", {"experiment": "galilean", "boost_w": ["a", 1]}),
+        ("boost_w", {"experiment": "galilean", "boost_w": [float("inf"), 0]}),
+        ("boost_w", {"experiment": "galilean", "boost_w": [float("nan"), 0]}),
         ("particles", {"experiment": "transport_check", "particles": 2.5}),
         ("snapshot_every", {"snapshot_every": 2.5}),
         ("n", {"n": 16.0}),
@@ -775,6 +777,16 @@ def test_cli_non_finite_config_values_are_config_errors(tmp_path, capsys, key, b
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert f"{key} must be positive and finite, got inf" in err
+
+
+def test_cli_run_on_a_directory_or_a_missing_file_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and str(tmp_path) in err
+    missing = tmp_path / "absent.json"
+    assert main(["run", str(missing), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing file: ") and err.count("\n") == 1 and str(missing) in err
 
 
 def test_cli_names_a_blowup_whose_samples_are_still_finite(tmp_path, capsys):
@@ -892,3 +904,18 @@ def test_galilean_runs_start_at_the_snapshot_time(tmp_path, monkeypatch):
     )
     run_experiment(cfg, out_dir=tmp_path / "out", quiet=True)
     assert calls == [("temam", 0.5), ("galilean_alt", 0.5), ("galilean_alt", 0.5)]
+
+
+def test_galilean_runs_end_at_t_final(tmp_path):
+    # no rounding of the run length to whole cells of the boost displacement
+    cfg = ExperimentConfig(experiment="galilean", n=16, t_final=0.6, k_list=())
+    run_experiment(cfg, out_dir=tmp_path / "plain", quiet=True)
+    assert read_snapshot(tmp_path / "plain" / "boost_source").time == pytest.approx(0.6, abs=1e-12)
+    # so a snapshot shortly before t_final is a start like any other
+    state = random_smooth_state(make_grid(16), seed=5, modes=2, amplitude=0.3)
+    write_snapshot(replace(state, time=0.45), tmp_path / "ic")
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, experiment="galilean", t_final=0.5, k_list=[],
+                             initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "snap"), "--quiet"]) == 0
+    assert read_snapshot(tmp_path / "snap" / "boost_source").time == pytest.approx(0.5, abs=1e-12)
