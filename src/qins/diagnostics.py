@@ -251,7 +251,7 @@ class TransportReport:
     lhs: np.ndarray
     rhs: np.ndarray
     gap: float
-    jacobian_route_gap: float | None
+    jacobian_route_gap: float
     under_resolved: bool
 
 
@@ -269,17 +269,18 @@ def transport_check(trajectory, particles: ParticleSet) -> TransportReport:
         rhs = sum w J (rho* dv/dt|material + (rho*/2)(div v) v) . v
 
     are formed, the derivative by centered differences; ``gap`` is the
-    largest pointwise discrepancy.  When the samples are ``(state, rho)``
+    largest pointwise discrepancy.  The samples are ``(state, rho)``
     pairs, rho a density co-evolved under the full mass balance from
-    rho = rho*, the Jacobian is also recovered as rho*/rho at the
-    particles and the worst disagreement between the two routes is
-    reported.  Each set of positions builds its interpolation taps once and
-    gathers every field it needs through them; an RK4 step's first stage sits
-    on the even sample it starts from and reuses that sample's values.
+    rho = rho*, so the Jacobian is also recovered as rho*/rho at the
+    particles; ``jacobian_route_gap`` is the worst disagreement between
+    the two routes.  Each set of positions builds its interpolation taps
+    once and gathers every field it needs through them; an RK4 step's
+    first stage sits on the even sample it starts from and reuses that
+    sample's values.
 
-    ``trajectory`` is any iterable of states or of such pairs, a generator
-    included.  It is streamed: at most four samples are held at a time.
-    An even number of samples drops the last one.
+    ``trajectory`` is any iterable of such pairs, a generator included.
+    It is streamed: at most four samples are held at a time.  An even
+    number of samples drops the last one.
     """
     y = np.column_stack([particles.positions, np.ones(len(particles.positions))])
     window, times, energy, power = [], [], [], []  # window: (state, div v, rho) per sample
@@ -307,8 +308,7 @@ def transport_check(trajectory, particles: ParticleSet) -> TransportReport:
         if interior:
             before, after = window[at - 1][0].v, window[at + 1][0].v
             fields.extend((after.values - before.values) / (2.0 * dt) + convection(state.v).values)
-        if rho is not None:
-            fields.append(rho.values)
+        fields.append(rho.values)
         pos, jac = y[:, :2], y[:, 2]
         vx, vy, dv, *rest = _gather(_interp_taps(pos[:, 0], pos[:, 1], grid), *fields)
         energy.append(np.sum(particles.weights * jac * 0.5 * (vx**2 + vy**2)))
@@ -318,14 +318,12 @@ def transport_check(trajectory, particles: ParticleSet) -> TransportReport:
             fy = ay + 0.5 * dv * vy
             power.append(np.sum(particles.weights * jac * (fx * vx + fy * vy)))
             times.append(state.time)
-        if rho is not None:
-            worst = max(worst, float(np.abs(jac - 1.0 / rest[-1]).max()))
+        worst = max(worst, float(np.abs(jac - 1.0 / rest[-1]).max()))
         return [vx, vy, dv]
 
     # advect (x, y, J) with RK4 over pairs of intervals; positions live at even samples.
     # Once sample k + 2 arrives (k even), the window holds k - 1 (if k > 0) to k + 2.
-    for count, sample in enumerate(trajectory, 1):
-        s, rho = sample if isinstance(sample, tuple) else (sample, None)
+    for count, (s, rho) in enumerate(trajectory, 1):
         if window:
             dt = _first_gap(window[-1][0].time, s.time, dt)
         else:
@@ -351,6 +349,6 @@ def transport_check(trajectory, particles: ParticleSet) -> TransportReport:
         lhs=lhs,
         rhs=rhs,
         gap=float(np.abs(lhs - rhs).max()),
-        jacobian_route_gap=worst if rho is not None else None,
+        jacobian_route_gap=worst,
         under_resolved=under_resolved,
     )

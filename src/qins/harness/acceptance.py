@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +36,12 @@ from ..models import ForcingSpec, ModelConfig, march, stable_dt
 from ..operators import convection, divergence, grad_div, gradient, laplacian
 from .config import ExperimentConfig, InitialConditionSpec
 from .experiments import (
-    audit_summary,
-    paired_energy_audit,
-    particle_transport,
+    run_energy_audit,
     run_free_run,
     run_galilean,
     run_k_sweep,
     run_taylor_green,
+    run_transport_check,
 )
 from .initial_conditions import initial_condition
 from .io import MANIFEST_NAME, default_out_dir, read_snapshot, write_json, write_manifest
@@ -71,12 +70,6 @@ def _order(coarse_err: float, fine_err: float) -> float:
     if coarse_err <= 0.0 or fine_err <= 0.0:
         return float("inf") if fine_err <= 0.0 else float("-inf")
     return float(np.log2(coarse_err / fine_err))
-
-
-def _refined(run, n: int) -> tuple:
-    """``run(n, dt)`` at the pulse's stable step on an n grid, then ``run(2n, dt/2)``."""
-    dt = stable_dt(initial_condition(PULSE, make_grid(n)), RELAXED, 0.4)
-    return run(n, dt), run(2 * n, dt / 2.0)
 
 
 # -- manufactured fields shared by the operator and identity checks ------------
@@ -267,10 +260,13 @@ def check_k_sweep(out: Path, quiet: bool) -> Verdict:
 
 
 def check_energy_budget(out: Path, quiet: bool) -> Verdict:
-    (on_c, off_c, dt_c), (on_f, off_f, dt_f) = _refined(
-        lambda n, dt: paired_energy_audit(n, 0.5, RELAXED, PULSE, 0.4, dt=dt), 32
+    cfg = ExperimentConfig(
+        experiment="energy_audit", n=32, t_final=0.5, model=RELAXED, initial_condition=PULSE
     )
-    coarse, fine = audit_summary(on_c, off_c), audit_summary(on_f, off_f)
+    coarse, fine = (
+        run_energy_audit(c, out_dir=out / f"energy_audit_{c.n}", quiet=quiet)
+        for c in (cfg, replace(cfg, n=64))
+    )
     err_on = (coarse["max_abs_residual_on"], fine["max_abs_residual_on"])
     err_off = (
         coarse["max_abs_residual_off_minus_defect"],
@@ -280,7 +276,7 @@ def check_energy_budget(out: Path, quiet: bool) -> Verdict:
     order_off = _order(*err_off)
     corr = fine["residual_defect_correlation"]
     max_rise = fine["max_total_energy_rise_on"]
-    rise_tol = 10.0 * err_on[1] * dt_f + 1e-14
+    rise_tol = 10.0 * err_on[1] * fine["dt"] + 1e-14
     passed = (
         order_on >= 1.9
         and order_off >= 1.9
@@ -300,7 +296,7 @@ def check_energy_budget(out: Path, quiet: bool) -> Verdict:
             "correlation": corr,
             "max_total_energy_rise": max_rise,
             "rise_tolerance": float(rise_tol),
-            "dt": [float(dt_c), float(dt_f)],
+            "dt": [float(coarse["dt"]), float(fine["dt"])],
         },
     )
 
@@ -365,7 +361,9 @@ def check_inertia_identities(out: Path, quiet: bool) -> Verdict:
             before, mid = mid, after
         return worst
 
-    power_errs = _refined(power_error, 32)
+    # the pulse's stable step on the coarse grid, halved on the fine one
+    dt = stable_dt(initial_condition(PULSE, make_grid(32)), RELAXED, 0.4)
+    power_errs = (power_error(32, dt), power_error(64, dt / 2.0))
     power_order = _order(*power_errs)
     details["power_consistency"] = list(map(float, power_errs))
     details["power_consistency_order"] = float(power_order)
@@ -424,32 +422,33 @@ def check_frame_behavior(out: Path, quiet: bool) -> Verdict:
 
 
 def check_transport(out: Path, quiet: bool) -> Verdict:
-    def report(n: int, dt: float):
-        state0 = initial_condition(PULSE, make_grid(n))
-        rep, _, _ = particle_transport(state0, RELAXED, 0.4, 0.4, 32, dt=dt)
-        return rep
-
-    rep_c, rep_f = _refined(report, 32)
-    gap_order = _order(rep_c.gap, rep_f.gap)
-    j_order = _order(rep_c.jacobian_route_gap, rep_f.jacobian_route_gap)
+    cfg = ExperimentConfig(
+        experiment="transport_check", n=32, t_final=0.4, model=RELAXED,
+        initial_condition=PULSE, particles=32,
+    )
+    coarse, fine = (
+        run_transport_check(c, out_dir=out / f"transport_check_{c.n}", quiet=quiet)
+        for c in (cfg, replace(cfg, n=64))
+    )
+    gaps = (coarse["gap"], fine["gap"])
+    j_gaps = (coarse["jacobian_route_gap"], fine["jacobian_route_gap"])
+    gap_order = _order(*gaps)
+    j_order = _order(*j_gaps)
+    under_resolved = [coarse["under_resolved"], fine["under_resolved"]]
     passed = (
-        not rep_c.under_resolved
-        and not rep_f.under_resolved
+        not any(under_resolved)
         and gap_order >= 1.9
-        and (j_order >= 1.9 or rep_f.jacobian_route_gap <= 1e-11)
+        and (j_order >= 1.9 or j_gaps[1] <= 1e-11)
     )
     return (
         passed,
         f"gap order {gap_order:.2f}, jacobian-route order {j_order:.2f}",
         {
-            "gap": [float(rep_c.gap), float(rep_f.gap)],
+            "gap": list(map(float, gaps)),
             "gap_order": float(gap_order),
-            "jacobian_route_gap": [
-                float(rep_c.jacobian_route_gap),
-                float(rep_f.jacobian_route_gap),
-            ],
+            "jacobian_route_gap": list(map(float, j_gaps)),
             "jacobian_route_order": float(j_order),
-            "under_resolved": [rep_c.under_resolved, rep_f.under_resolved],
+            "under_resolved": under_resolved,
         },
     )
 

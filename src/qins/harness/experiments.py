@@ -28,9 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ..diagnostics import (
-    EnergyBudgetRow,
     ParticleSet,
-    TransportReport,
     divergence_norm,
     energy_audit,
     galilean_invariance_report,
@@ -153,9 +151,9 @@ def run_taylor_green(
 
     Runs the incompressible solver on n and 2n grids and reports the L2
     velocity error against the closed form, plus the observed order
-    between the two grids.  The splitting is first order in dt, so the
-    step is refined like h^2 to keep the time error from masking the
-    spatial order.
+    between the two grids.  ``march``'s default step for the model is
+    refined like h^2, which keeps the time error of the first-order
+    splitting from masking the spatial order.
     """
     out, started = _start(cfg, out_dir)
     cfg_inc = ModelConfig(model="incompressible", re=cfg.model.re)
@@ -163,8 +161,7 @@ def run_taylor_green(
     def one(n: int):
         grid = make_grid(n)
         state0 = taylor_green_state(grid)
-        dt = min(cfg.cfl * grid.spacing**2, stable_dt(state0, cfg_inc, cfg.cfl))
-        final, _, dt_used = simulate(state0, cfg_inc, ForcingSpec.zero(), cfg.t_final, dt=dt)
+        final, _, dt_used = simulate(state0, cfg_inc, ForcingSpec.zero(), cfg.t_final, cfl=cfg.cfl)
         exact = taylor_green_exact(grid, cfg.t_final, cfg_inc.re)
         return {
             "n": n,
@@ -295,79 +292,52 @@ def run_k_sweep(
 # -- energy budget audit -------------------------------------------------------
 
 
-def paired_energy_audit(
-    n: int,
-    t_final: float,
-    model: ModelConfig,
-    ic_spec,
-    cfl: float,
-    dt: float | None = None,
-) -> tuple[list[EnergyBudgetRow], list[EnergyBudgetRow], float]:
-    """Two identical unforced runs of the relaxed model, extra force on and off.
-
-    Returns ``(rows_on, rows_off, dt_used)``.  Both runs share the same
-    initial state and time step, so the rows align sample by sample and
-    the off-variant's residual can be compared directly against the
-    dilatational defect the extra force exists to cancel.
-    """
-    state0 = _initial_state(ic_spec, make_grid(n), t_final)
-    forcing = ForcingSpec.zero()
-    base = _temam(model)
-    cfg_on = replace(base, extra_force="temam")
-    cfg_off = replace(base, extra_force="none")
-    dt_used = dt if dt is not None else stable_dt(state0, cfg_on, cfl)
-    steps, dt_on, states_on = march(state0, cfg_on, forcing, t_final, dt=dt_used)
-    _require_steps("energy_audit", steps, 2, t_final, dt_on)
-    rows_on = energy_audit(states_on, forcing, cfg_on)
-    rows_off = energy_audit(march(state0, cfg_off, forcing, t_final, dt=dt_used)[2], forcing, cfg_off)
-    return rows_on, rows_off, dt_on
-
-
-def audit_summary(rows_on: list[EnergyBudgetRow], rows_off: list[EnergyBudgetRow]) -> dict:
-    """Headline numbers of a paired audit.
-
-    With the extra force on, the residual is pure discretization error.
-    With it off, residual minus predicted defect plays that role, and
-    the correlation says whether the residual tracks the defect at all.
-    """
-    res_on = np.array([r.residual for r in rows_on])
-    total_on = np.array([r.e_kin + r.e_press for r in rows_on])
-    res_off = np.array([r.residual for r in rows_off])
-    defect_off = np.array([r.defect_predicted for r in rows_off])
-    corr = None
-    if res_off.std() > 0.0 and defect_off.std() > 0.0:
-        corr = float(np.corrcoef(res_off, defect_off)[0, 1])
-    rises = np.diff(total_on)
-    return {
-        "max_abs_residual_on": float(np.abs(res_on).max()),
-        "max_abs_residual_off_minus_defect": float(np.abs(res_off - defect_off).max()),
-        "defect_scale": float(np.abs(defect_off).max()),
-        "residual_defect_correlation": corr,
-        "max_total_energy_rise_on": float(max(0.0, rises.max())) if len(rises) else 0.0,
-    }
-
-
 def run_energy_audit(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
     quiet: bool = False,
 ) -> dict:
-    """Paired budget audit of the relaxed model (extra force on vs off)."""
+    """Paired budget audit of the relaxed model, extra force on and off.
+
+    Both unforced runs share the initial state and the untrimmed
+    ``stable_dt`` of the run with the force, so their rows align sample by
+    sample.  With the force on, the residual is pure discretization error.
+    With it off, residual minus predicted defect plays that role, and the
+    correlation says whether the residual tracks the dilatational defect
+    the extra force exists to cancel.
+    """
     out, started = _start(cfg, out_dir)
-    rows_on, rows_off, dt_used = paired_energy_audit(
-        cfg.n, cfg.t_final, cfg.model, cfg.initial_condition, cfg.cfl
-    )
+    state0 = _initial_state(cfg.initial_condition, make_grid(cfg.n), cfg.t_final)
+    forcing = ForcingSpec.zero()
+    cfg_on = replace(_temam(cfg.model), extra_force="temam")
+    cfg_off = replace(cfg_on, extra_force="none")
+    dt = stable_dt(state0, cfg_on, cfg.cfl)
+    steps, dt_used, states_on = march(state0, cfg_on, forcing, cfg.t_final, dt=dt)
+    _require_steps("energy_audit", steps, 2, cfg.t_final, dt_used)
+    rows_on = energy_audit(states_on, forcing, cfg_on)
+    rows_off = energy_audit(march(state0, cfg_off, forcing, cfg.t_final, dt=dt)[2], forcing, cfg_off)
     written = [
         write_timeseries(rows_on, out / "budget_extra_on.csv"),
         write_timeseries(rows_off, out / "budget_extra_off.csv"),
     ]
+    res_on = np.array([r.residual for r in rows_on])
+    rises = np.diff([r.e_kin + r.e_press for r in rows_on])
+    res_off = np.array([r.residual for r in rows_off])
+    defect_off = np.array([r.defect_predicted for r in rows_off])
+    corr = None
+    if res_off.std() > 0.0 and defect_off.std() > 0.0:
+        corr = float(np.corrcoef(res_off, defect_off)[0, 1])
     report = {
         "experiment": "energy_audit",
         "n": cfg.n,
         "t_final": cfg.t_final,
         "dt": dt_used,
-        "samples": len(rows_on) + 2,
-        **audit_summary(rows_on, rows_off),
+        "samples": steps + 1,
+        "max_abs_residual_on": float(np.abs(res_on).max()),
+        "max_abs_residual_off_minus_defect": float(np.abs(res_off - defect_off).max()),
+        "defect_scale": float(np.abs(defect_off).max()),
+        "residual_defect_correlation": corr,
+        "max_total_energy_rise_on": float(max(0.0, rises.max())) if len(rises) else 0.0,
     }
     return _finish(
         cfg, out, started, written, report, quiet,
@@ -481,57 +451,42 @@ def simulate_with_density(
     return steps, dt_used, ((unpack_state(y, grid, t), ScalarField(grid, y[3])) for y, t in samples)
 
 
-def particle_transport(
-    state0: State,
-    model: ModelConfig,
-    t_final: float,
-    cfl: float,
-    particles: int,
-    dt: float | None = None,
-) -> tuple[TransportReport, int, float]:
-    """Density run plus the transport audit on ``particles``^2 paths.
-
-    Particles seed the centered quarter-area patch of the square, so the
-    audited region is a genuinely moving sub-body; on the whole torus
-    the boundary terms vanish and the check would be too easy.  The run
-    streams into the audit.  Returns ``(report, samples, dt_used)``.
-    """
-    steps, dt_used, samples = simulate_with_density(
-        state0, model, ForcingSpec.zero(), t_final, cfl, dt=dt
-    )
-    _require_steps("transport_check", steps, 4, t_final, dt_used)
-    period = state0.grid.period
-    seeds = ParticleSet.uniform(
-        period,
-        nx=particles,
-        ny=particles,
-        origin=(period / 4.0, period / 4.0),
-        extent=(period / 2.0, period / 2.0),
-    )
-    rep = transport_check(samples, seeds)
-    return rep, steps + 1, dt_used
-
-
 def run_transport_check(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
     threads: int = 1,
     quiet: bool = False,
 ) -> dict:
-    """Referential transport audit along particle paths (see particle_transport)."""
+    """Referential transport audit along ``particles``^2 particle paths.
+
+    A density run of the relaxed model (``simulate_with_density``) streams
+    into ``transport_check``.  Particles seed the centered quarter-area
+    patch of the square, so the audited region is a genuinely moving
+    sub-body; on the whole torus the boundary terms vanish and the check
+    would be too easy.
+    """
     out, started = _start(cfg, out_dir)
     state0 = _initial_state(cfg.initial_condition, make_grid(cfg.n), cfg.t_final)
-    model = _temam(cfg.model)
-    rep, samples, dt_used = particle_transport(
-        state0, model, cfg.t_final, cfg.cfl, cfg.particles
+    steps, dt_used, samples = simulate_with_density(
+        state0, _temam(cfg.model), ForcingSpec.zero(), cfg.t_final, cfg.cfl
     )
+    _require_steps("transport_check", steps, 4, cfg.t_final, dt_used)
+    period = state0.grid.period
+    seeds = ParticleSet.uniform(
+        period,
+        nx=cfg.particles,
+        ny=cfg.particles,
+        origin=(period / 4.0, period / 4.0),
+        extent=(period / 2.0, period / 2.0),
+    )
+    rep = transport_check(samples, seeds)
     table = write_table(out / "transport.csv", TRANSPORT_COLUMNS, zip(rep.times, rep.lhs, rep.rhs))
     report = {
         "experiment": "transport_check",
         "n": cfg.n,
         "t_final": cfg.t_final,
         "dt": dt_used,
-        "samples": samples,
+        "samples": steps + 1,
         "particles_per_side": cfg.particles,
         "gap": rep.gap,
         "jacobian_route_gap": rep.jacobian_route_gap,

@@ -16,6 +16,7 @@ import pytest
 from qins.harness import acceptance
 from qins.harness.acceptance import verify
 from qins.harness.cli import main
+from qins.harness.io import MANIFEST_NAME
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +74,23 @@ def test_the_gate_directory_records_every_check_and_inspects_clean(gate):
     assert [r["cid"] for r in results["results"]] == [f"C{i}" for i in range(1, 9)]
     assert all(r["passed"] for r in results["results"])
     assert main(["inspect", str(out)]) == 0
+    runs = sorted(p.parent.name for p in out.glob(f"*/{MANIFEST_NAME}"))
+    assert runs == sorted([
+        "taylor_green", "k_sweep", "energy_audit_32", "energy_audit_64", "galilean",
+        "transport_check_32", "transport_check_64", "determinism_a", "determinism_b",
+    ])
+    assert all(main(["inspect", str(out / run)]) == 0 for run in runs)
+
+
+@pytest.mark.parametrize("experiment", ["energy_audit", "transport_check"])
+def test_the_fine_run_of_c4_and_c7_halves_the_coarse_step(gate, experiment):
+    # the acoustic bound sets both steps, so the fine run takes twice the steps
+    out, _ = gate
+    coarse, fine = (
+        json.loads((out / f"{experiment}_{n}" / "report.json").read_text()) for n in (32, 64)
+    )
+    assert fine["dt"] == coarse["dt"] / 2.0
+    assert fine["samples"] - 1 == 2 * (coarse["samples"] - 1)
 
 
 def test_a_check_fails_only_when_it_overruns_its_budget(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from qins.diagnostics import (
 )
 from qins.fields import ScalarField, VectorField, l2_norm, make_grid
 from qins.harness.config import ExperimentConfig, InitialConditionSpec
-from qins.harness.experiments import particle_transport, run_free_run, simulate_with_density
+from qins.harness.experiments import run_free_run, run_transport_check, simulate_with_density
 from qins.harness.initial_conditions import random_smooth_state
 from qins.models import (
     ForcingSpec,
@@ -343,14 +343,18 @@ def _rigid_translation_trajectory(grid, speed, dt, samples):
     return [State(v, p, time=k * dt) for k in range(samples)]
 
 
+def _at_unit_density(states):
+    ones = ScalarField.constant(states[0].grid, 1.0)
+    return zip(states, [ones] * len(states))
+
+
 def test_transport_identity_is_exact_for_rigid_translation():
     # constant velocity: no divergence, no acceleration, every region
     # integral is conserved, so both sides of the identity vanish
     g = make_grid(16)
     traj = _rigid_translation_trajectory(g, speed=0.8, dt=0.01, samples=5)
-    rho = [ScalarField.constant(g, 1.0) for _ in traj]
     ps = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
-    rep = transport_check(zip(traj, rho), ps)
+    rep = transport_check(_at_unit_density(traj), ps)
     assert len(rep.times) == 1
     assert rep.gap < 1e-13
     assert rep.jacobian_route_gap < 1e-12
@@ -362,9 +366,9 @@ def test_transport_check_flags_under_resolution():
     # one RK4 macro step covers 5 * 0.1 = 0.5 > h, too far to trust
     traj = _rigid_translation_trajectory(g, speed=5.0, dt=0.05, samples=5)
     ps = ParticleSet.uniform(g.period, nx=4, ny=4)
-    rep = transport_check(traj, ps)
+    rep = transport_check(_at_unit_density(traj), ps)
     assert rep.under_resolved
-    assert rep.jacobian_route_gap is None
+    assert rep.jacobian_route_gap < 1e-12  # the interpolated unit density, at round-off
 
 
 def test_transport_check_needs_five_samples():
@@ -372,14 +376,14 @@ def test_transport_check_needs_five_samples():
     traj = _rigid_translation_trajectory(g, speed=0.5, dt=0.01, samples=3)
     ps = ParticleSet.uniform(g.period, nx=4, ny=4)
     with pytest.raises(ValueError):
-        transport_check(traj, ps)
+        transport_check(_at_unit_density(traj), ps)
 
 
 def test_transport_check_drops_a_trailing_even_sample():
     g = make_grid(16)
     traj = _rigid_translation_trajectory(g, speed=0.8, dt=0.01, samples=6)
     ps = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
-    rep = transport_check(traj, ps)
+    rep = transport_check(_at_unit_density(traj), ps)
     # six samples truncate to five: one usable interior evaluation
     assert len(rep.times) == 1
 
@@ -434,11 +438,11 @@ def test_transport_check_errors_hold_for_a_generator():
     ps = ParticleSet.uniform(g.period, nx=4, ny=4)
     traj = _rigid_translation_trajectory(g, speed=0.5, dt=0.01, samples=4)
     with pytest.raises(ValueError, match="five samples"):
-        transport_check(iter(traj), ps)
+        transport_check(iter(_at_unit_density(traj)), ps)
     v, p = traj[0].v, traj[0].p
-    uneven = (State(v, p, time=t) for t in (0.0, 0.01, 0.02, 0.03, 0.05))
+    uneven = [State(v, p, time=t) for t in (0.0, 0.01, 0.02, 0.03, 0.05)]
     with pytest.raises(ValueError, match="uniformly spaced"):
-        transport_check(uneven, ps)
+        transport_check(_at_unit_density(uneven), ps)
 
 
 def _report_bits(rep) -> tuple:
@@ -447,21 +451,19 @@ def _report_bits(rep) -> tuple:
 
 
 @settings(max_examples=10, deadline=None)
-@given(n=st.integers(6, 12), count=st.integers(5, 10), seed=st.integers(0, 2**16),
-       density=st.booleans())
-def test_audits_of_a_one_shot_generator_equal_those_of_a_list_bitwise(n, count, seed, density):
+@given(n=st.integers(6, 12), count=st.integers(5, 10), seed=st.integers(0, 2**16))
+def test_audits_of_a_one_shot_generator_equal_those_of_a_list_bitwise(n, count, seed):
     g = make_grid(n)
     state0 = random_smooth_state(g, seed=seed, modes=2, amplitude=0.3)
     dt = 0.5 * stable_dt(state0, TEMAM)
 
     def run():  # a fresh one-shot generator of the same deterministic run
-        _, _, pairs = simulate_with_density(state0, TEMAM, ForcingSpec.zero(), (count - 1) * dt,
-                                            0.4, dt=dt)
-        return pairs if density else (s for s, _ in pairs)
+        return simulate_with_density(state0, TEMAM, ForcingSpec.zero(), (count - 1) * dt,
+                                     0.4, dt=dt)[2]
 
     samples = list(run())
     assert len(samples) == count  # odd and even counts; an even one drops its last sample
-    states = [x[0] for x in samples] if density else samples
+    states = [s for s, _ in samples]
     forcing = trig(g, 0.3)
     rows = [astuple(r) for r in energy_audit(states, forcing, TEMAM)]
     _, _, marched = march(state0, TEMAM, ForcingSpec.zero(), (count - 1) * dt, dt=dt)
@@ -470,7 +472,6 @@ def test_audits_of_a_one_shot_generator_equal_those_of_a_list_bitwise(n, count, 
     q = g.period / 4.0
     seeds = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(q, q), extent=(2.0 * q, 2.0 * q))
     listed = transport_check(samples, seeds)
-    assert (listed.jacobian_route_gap is not None) == density
     assert len(listed.times) == (count - 1) // 2 - 1
     assert _report_bits(listed) == _report_bits(transport_check(run(), seeds))
 
@@ -489,7 +490,6 @@ def test_audit_runs_hold_no_trajectory(tmp_path):
     n, t_final = 32, 0.15
     state_bytes = 3 * n * n * 8
     ic = InitialConditionSpec(kind="random_smooth", seed=1, modes=3, amplitude=0.3)
-    state0 = random_smooth_state(make_grid(n), seed=1, modes=3, amplitude=0.3)
 
     def free_run(t):
         cfg = ExperimentConfig(experiment="free_run", n=n, t_final=t, model=TEMAM,
@@ -497,7 +497,9 @@ def test_audit_runs_hold_no_trajectory(tmp_path):
         return lambda: run_free_run(cfg, out_dir=tmp_path / f"free_{t}", quiet=True)
 
     def transport(t):
-        return lambda: particle_transport(state0, TEMAM, t, 0.4, 8)
+        cfg = ExperimentConfig(experiment="transport_check", n=n, t_final=t, model=TEMAM,
+                               initial_condition=ic, particles=8)
+        return lambda: run_transport_check(cfg, out_dir=tmp_path / f"transport_{t}", quiet=True)
 
     for make in (free_run, transport):
         make(t_final)()  # warm caches and imports

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -797,6 +798,22 @@ def test_cli_names_a_blowup_whose_samples_are_still_finite(tmp_path, capsys):
     assert err.startswith("run failed: RK4 step produced non-finite or overflowing samples at t=")
     assert err.count("\n") == 1
     assert "advective bound" in err and "acoustic bound" in err
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+
+
+def test_cli_names_the_blowup_of_an_unstable_free_run(tmp_path, capsys):
+    # the budget's cubic term (div v)|v|^2 overflows while the energy is
+    # still finite, so the stepper must refuse the state before the audit sees it
+    ic = {"kind": "random_smooth", "seed": 2, "modes": 8, "amplitude": 1.0}
+    cfg_path = _write_config(tmp_path, n=32, t_final=8.0, initial_condition=ic,
+                             model={"model": "incompressible", "re": 1000.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: projection step produced non-finite or overflowing "
+                          "samples at t=")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out" / MANIFEST_NAME).exists()
 
 

@@ -478,6 +478,21 @@ def test_out_of_stability_projection_step_raises_blowup():
         simulate(state, cfg, ForcingSpec.zero(), 50.0, dt=0.5)
 
 
+def test_projection_default_step_holds_a_high_re_run():
+    # at stable_dt alone (0.101) this run blows up near t = 6.18; refined
+    # like h^2 it decays, and its energy never rises
+    g = make_grid(32)
+    raw = random_smooth_state(g, seed=2, modes=8, amplitude=1.0)
+    state = State(project_divergence_free(raw.v)[0], raw.p, raw.time)
+    cfg = ModelConfig(model="incompressible", re=1000.0)
+    steps, dt, states = march(state, cfg, ForcingSpec.zero(), 8.0)
+    assert dt == 8.0 / steps and steps == 519
+    assert dt <= 0.4 * g.spacing**2 < stable_dt(state, cfg)
+    energy = [0.5 * integrate(s.v.magnitude_squared()) for s in states]
+    assert len(energy) == steps + 1
+    assert (np.diff(energy) < 0.0).all()
+
+
 # Messages of runs at 20x the acoustic bound.  A stage of the compressible
 # row's first step drives the density 1 + p/K to zero, and its message leads
 # with that cause.  The temam row takes the ETD path, whose advective guard
@@ -501,10 +516,11 @@ def test_blowup_message_names_the_failing_step_and_every_bound(cfg, message):
     assert str(info.value) == message
 
 
-def test_steppers_refuse_samples_whose_squares_could_overflow_their_sum():
-    # 192 samples: their squares sum to a finite value up to about 9.7e152 each
+def test_steppers_refuse_samples_whose_cubes_could_overflow_a_sum():
+    # 192 samples: a cubic sum over them stays finite below
+    # (largest float / 192^2)^(1/3), about 1.7e101, though squares go to 9.7e152
     y = np.zeros((3, 8, 8))
-    for sample, ok in ((1e152, True), (1e153, False), (np.inf, False)):
+    for sample, ok in ((1e101, True), (1e102, False), (1e152, False), (np.inf, False)):
         def rates(ys, t, out):
             out.fill(sample)
 
