@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, integrate, l2_norm
+from .fields import TWO_PI, Grid, ScalarField, VectorField, integrate, l2_norm
 from .models import (
     ForcingSpec,
     ModelConfig,
@@ -83,7 +83,7 @@ def energy_audit(trajectory, forcing: ForcingSpec, cfg: ModelConfig) -> list[Ene
         budget.append((
             s.time,
             0.5 * integrate(speed_sq),
-            integrate(s.p * s.p) / (2.0 * cfg.k) if cfg.k is not None else 0.0,
+            integrate(s.p * s.p) / (2.0 * cfg.k) if cfg.model != "incompressible" else 0.0,
             integrate(strain_frobenius_sq(s.v)) / cfg.re,
             integrate(ScalarField(s.grid, fv[0] + fv[1])),
             0.5 * integrate(divergence(s.v) * speed_sq),
@@ -228,14 +228,13 @@ class ParticleSet:
     @classmethod
     def uniform(
         cls,
-        period: float,
         nx: int = 32,
         ny: int = 32,
         origin: tuple[float, float] = (0.0, 0.0),
-        extent: tuple[float, float] | None = None,
+        extent: tuple[float, float] = (TWO_PI, TWO_PI),
     ) -> "ParticleSet":
         """Midpoint sub-lattice over a rectangle (default: the whole square)."""
-        ex, ey = extent if extent is not None else (period, period)
+        ex, ey = extent
         xs = origin[0] + (np.arange(nx) + 0.5) * (ex / nx)
         ys = origin[1] + (np.arange(ny) + 0.5) * (ey / ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -336,7 +335,7 @@ def transport_check(trajectory, particles: ParticleSet) -> TransportReport:
         moved = step_rk4(path_rates, y, k * dt, 2.0 * dt)
         under_resolved |= bool(np.abs(moved[:, :2] - y[:, :2]).max() > grid.spacing)
         y = moved
-        np.mod(y[:, :2], grid.period, out=y[:, :2])
+        np.mod(y[:, :2], TWO_PI, out=y[:, :2])
         del window[:-2]  # samples k + 1 and k + 2
     if count < 5:
         raise ValueError("transport check needs at least five samples")

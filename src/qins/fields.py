@@ -12,7 +12,7 @@ once, at the API boundary.  The marching loops step packed (3, n, n)
 arrays instead and check finiteness once per step, on the new array.
 
 Sampling convention: ``n x n`` cell centers, ``x_i = (i + 1/2) h`` with
-``h = period / n``, axis 0 running along x and axis 1 along y.  The
+``h = 2 pi / n``, axis 0 running along x and axis 1 along y.  The
 quadrature behind ``integrate`` is the midpoint rule, which on this
 lattice is spectrally accurate for smooth periodic integrands and exact
 for trigonometric polynomials below the grid Nyquist.
@@ -30,24 +30,21 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic square lattice: ``n`` cells per side, side ``period``.
+    """Uniform lattice of ``n`` cells per side on the periodic square of side 2 pi.
 
-    The spacing is always derived as ``period / n`` and never stored, so
-    the three quantities cannot drift apart.
+    The model is dimensionless, so the 2 pi torus is its only domain; the
+    spacing is derived as ``2 pi / n`` and never stored.
     """
 
     n: int
-    period: float = TWO_PI
 
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError(f"grid needs at least 4 cells per side, got n={self.n}")
-        if not 0.0 < self.period < np.inf:
-            raise ValueError(f"grid period must be positive and finite, got {self.period}")
 
     @property
     def spacing(self) -> float:
-        return self.period / self.n
+        return TWO_PI / self.n
 
     def coords(self) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -59,9 +56,9 @@ class Grid:
         return np.meshgrid(x, x, indexing="ij")
 
 
-def make_grid(n: int, period: float = TWO_PI) -> Grid:
+def make_grid(n: int) -> Grid:
     """Construct a periodic grid, rejecting degenerate sizes."""
-    return Grid(int(n), float(period))
+    return Grid(int(n))
 
 
 def _coerce(values, shape: tuple[int, ...], what: str) -> np.ndarray:

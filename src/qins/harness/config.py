@@ -13,7 +13,7 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
-from ..models import ModelConfig
+from ..models import DEFAULT_CFL, ModelConfig
 
 EXPERIMENTS = (
     "taylor_green",
@@ -78,7 +78,7 @@ class ExperimentConfig:
     experiment: str
     n: int = 64
     t_final: float = 1.0
-    cfl: float = 0.4
+    cfl: float = DEFAULT_CFL
     out_dir: str | None = None
     model: ModelConfig = field(
         default_factory=lambda: ModelConfig(model="temam", re=100.0, k=100.0)

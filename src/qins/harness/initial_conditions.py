@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fields import TWO_PI, Grid, ScalarField, VectorField
+from ..fields import Grid, ScalarField, VectorField
 from ..models import State
 from .config import ConfigError, InitialConditionSpec
 from .io import read_snapshot
@@ -48,12 +48,11 @@ def random_smooth_state(grid: Grid, seed: int, modes: int, amplitude: float) -> 
     """Band-limited random velocity, normalized to the requested amplitude.
 
     Both components are independent real sums of a cos(theta) + b sin(theta),
-    theta = w (kx x + ky y) with w = 2 pi / period, so the field is periodic on
-    any square, over 0 <= kx <= modes, |ky| <= modes, except kx = 0, ky <= 0;
-    a and b have standard deviation 1/(1+|k|^2) so the field stays smooth on
-    coarse grids.  Deterministic in the seed.  As a cos + b sin is
+    theta = kx x + ky y, over 0 <= kx <= modes, |ky| <= modes, except kx = 0,
+    ky <= 0; a and b have standard deviation 1/(1+|k|^2) so the field stays
+    smooth on coarse grids.  Deterministic in the seed.  As a cos + b sin is
     Re[(a - ib) e^{i theta}], each component is the separable sum Re(Ex C Ey^T)
-    with Ex[i, kx] = e^{i w kx x_i}, Ey[j, ky] = e^{i w ky y_j}, C[kx, ky] = a - ib.
+    with Ex[i, kx] = e^{i kx x_i}, Ey[j, ky] = e^{i ky y_j}, C[kx, ky] = a - ib.
     """
     rng = np.random.default_rng(seed)
     k = np.arange(-modes, modes + 1)
@@ -64,7 +63,7 @@ def random_smooth_state(grid: Grid, seed: int, modes: int, amplitude: float) -> 
     for c in coeffs:  # (a, b) per mode in (kx, ky) order, all of vx then all of vy
         a, b = rng.normal(0.0, scale).reshape(-1, 2).T
         c[keep] = a - 1j * b
-    ey = np.exp(1j * np.outer(grid.coords(), k * (TWO_PI / grid.period)))  # Ex: columns k >= 0
+    ey = np.exp(1j * np.outer(grid.coords(), k))  # Ex: columns k >= 0
     rows = np.einsum("ik,ckl->cil", ey[:, modes:], coeffs, order="C")
     # Re(rows Ey^T): contract the interleaved (re, im) pairs of rows and conj(Ey)
     v = np.einsum("cil,jl->cij", rows.view(float), ey.conj().view(float))

@@ -3,7 +3,8 @@
 A ``<stem>.state`` file holds one or more state records back to back.
 A record is a JSON header line (``n``, ``period``, ``time``) ended by a
 newline, then the raw little-endian float64 (3, n, n) block vx, vy, p,
-row-major.  A snapshot is a file of one record; a trajectory appends one
+row-major.  The period is always 2 pi, and a header with any other is
+unreadable.  A snapshot is a file of one record; a trajectory appends one
 record per stored state.  Values round-trip bit for bit.
 
 Every table a run writes is CSV whose header names its columns, and whose
@@ -30,7 +31,7 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from ..diagnostics import EnergyBudgetRow
-from ..fields import Grid
+from ..fields import TWO_PI, Grid
 from ..models import State, unpack_state
 
 MANIFEST_NAME = "manifest.json"
@@ -60,7 +61,7 @@ def snapshot_path(path_stem: str | Path) -> Path:
 
 def append_state(f: BinaryIO, state: State) -> None:
     """Write one record of ``state`` to the binary file ``f``, each field from its own buffer."""
-    header = {"n": state.grid.n, "period": state.grid.period, "time": float(state.time)}
+    header = {"n": state.grid.n, "period": TWO_PI, "time": float(state.time)}
     f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
     for values in (state.v.values, state.p.values):
         f.write(np.ascontiguousarray(values, dtype="<f8"))
@@ -85,10 +86,10 @@ def read_states(path_stem: str | Path) -> Iterator[State]:
                 return
             try:
                 header = json.loads(head)
-                n, time = int(header["n"]), float(header["time"])
-                grid = Grid(n, float(header["period"]))
-                if not np.isfinite(time):
-                    raise ValueError(f"time must be finite, got {time}")
+                n, time, period = int(header["n"]), float(header["time"]), float(header["period"])
+                grid = Grid(n)
+                if period != TWO_PI or not np.isfinite(time):
+                    raise ValueError(f"need period 2 pi and a finite time, got {period}, {time}")
             except (ValueError, TypeError, KeyError) as exc:
                 raise ValueError(f"record {record}: unreadable snapshot header ({exc})") from None
             size = 8 * 3 * n * n

@@ -583,8 +583,12 @@ class ETDRK4:
         return _checked(np.fft.irfft2(acc, s=y.shape[1:]), "ETDRK4 step")
 
 
-def _march(y: np.ndarray, t: float, steps: int, dt: float, advance, h: float, cfg: ModelConfig):
-    """Yield packed ``(y, t)``, then again after each of ``steps`` steps ``advance(y, t)`` of ``dt``.
+def _march(y: np.ndarray, t: float, t_final: float, steps: int, advance, h: float,
+           cfg: ModelConfig):
+    """Yield packed ``(y, t)``, then again after each of ``steps`` steps ``advance(y, t)``.
+
+    Each step spans ``dt = (t_final - t) / steps``, ``fixed_step``'s step.
+    The times are summed step by step, and the last is ``t_final`` itself.
 
     A step that fails with ValueError raises SimulationBlowupError, led by
     that error's text and then each step bound; the steppers fail on
@@ -595,14 +599,15 @@ def _march(y: np.ndarray, t: float, steps: int, dt: float, advance, h: float, cf
     about.  Each step makes a new array, so a consumer may keep what it
     was given.
     """
+    dt = (t_final - t) / steps
     yield y, t
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 y = advance(y, t)
         except ValueError as exc:
             raise _blowup_error(str(exc), float(np.abs(y[:2]).max()), t, h, cfg, dt) from exc
-        t = t + dt
+        t = t_final if step == steps else t + dt
         yield y, t
 
 
@@ -655,7 +660,7 @@ def march(state: State, cfg: ModelConfig, forcing: ForcingSpec, t_final: float,
             return etd.step(rates, ys, ts)
         return step_rk4(rates, ys, ts, dt_used, work)
 
-    samples = _march(y, state.time, steps, dt_used, advance, h, cfg)
+    samples = _march(y, state.time, t_final, steps, advance, h, cfg)
     return steps, dt_used, samples if _packed else (unpack_state(y, grid, t) for y, t in samples)
 
 

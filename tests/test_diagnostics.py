@@ -20,10 +20,10 @@ from qins.diagnostics import (
     galilean_invariance_report,
     transport_check,
 )
-from qins.fields import ScalarField, VectorField, l2_norm, make_grid
+from qins.fields import TWO_PI, ScalarField, VectorField, l2_norm, make_grid
 from qins.harness.config import ExperimentConfig, InitialConditionSpec
 from qins.harness.experiments import run_free_run, run_transport_check, simulate_with_density
-from qins.harness.initial_conditions import random_smooth_state
+from qins.harness.initial_conditions import random_smooth_state, taylor_green_state
 from qins.models import (
     ForcingSpec,
     ModelConfig,
@@ -108,6 +108,15 @@ def test_energy_audit_matches_a_hand_computation():
     )
     expected_residual = (total(states[2]) - total(states[0])) / (2.0 * dt) - row.injection + row.dissipation
     assert row.residual == pytest.approx(expected_residual, rel=1e-12)
+
+
+def test_incompressible_audit_stores_no_pressure_energy_whatever_its_k():
+    # the projection's pressure is a multiplier; the model ignores k, and so must the audit
+    plain = ModelConfig(model="incompressible", re=100.0)
+    states = list(march(taylor_green_state(make_grid(16)), plain, ForcingSpec.zero(), 0.2)[2])
+    audits = [energy_audit(states, ForcingSpec.zero(), replace(plain, k=k)) for k in (None, 100.0)]
+    assert [astuple(r) for r in audits[1]] == [astuple(r) for r in audits[0]]
+    assert all(r.e_press == 0.0 for r in audits[0])
 
 
 def test_energy_audit_needs_three_samples():
@@ -298,7 +307,7 @@ def _loop_interp(values, px, py, grid):
 def test_tap_gather_equals_the_16_tap_loop_bitwise(n, m, channels, scale, seed):
     g = make_grid(n)
     rng = np.random.default_rng(seed)
-    free = rng.uniform(-3.0 * g.period, 3.0 * g.period, (2, m))
+    free = rng.uniform(-3.0 * TWO_PI, 3.0 * TWO_PI, (2, m))
     edges = rng.integers(-3 * n, 3 * n, (2, m)) * g.spacing
     # per coordinate: anywhere, on a node, or on a cell edge, in any period
     kind = rng.integers(0, 3, (2, m))
@@ -314,11 +323,12 @@ def test_tap_gather_equals_the_16_tap_loop_bitwise(n, m, channels, scale, seed):
 
 
 def test_particle_set_uniform_lattice():
-    ps = ParticleSet.uniform(2.0 * np.pi, nx=8, ny=8, origin=(1.0, 1.0), extent=(2.0, 1.0))
+    ps = ParticleSet.uniform(nx=8, ny=8, origin=(1.0, 1.0), extent=(2.0, 1.0))
     assert ps.positions.shape == (64, 2)
     assert ps.positions[:, 0].min() > 1.0 and ps.positions[:, 0].max() < 3.0
     assert ps.positions[:, 1].min() > 1.0 and ps.positions[:, 1].max() < 2.0
     assert ps.weights.sum() == pytest.approx(2.0)  # the rectangle area
+    assert ParticleSet.uniform(nx=4, ny=4).weights.sum() == pytest.approx(4.0 * np.pi**2)
 
 
 def test_particle_set_validation():
@@ -353,7 +363,7 @@ def test_transport_identity_is_exact_for_rigid_translation():
     # integral is conserved, so both sides of the identity vanish
     g = make_grid(16)
     traj = _rigid_translation_trajectory(g, speed=0.8, dt=0.01, samples=5)
-    ps = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
+    ps = ParticleSet.uniform(nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
     rep = transport_check(_at_unit_density(traj), ps)
     assert len(rep.times) == 1
     assert rep.gap < 1e-13
@@ -365,7 +375,7 @@ def test_transport_check_flags_under_resolution():
     g = make_grid(16)
     # one RK4 macro step covers 5 * 0.1 = 0.5 > h, too far to trust
     traj = _rigid_translation_trajectory(g, speed=5.0, dt=0.05, samples=5)
-    ps = ParticleSet.uniform(g.period, nx=4, ny=4)
+    ps = ParticleSet.uniform(nx=4, ny=4)
     rep = transport_check(_at_unit_density(traj), ps)
     assert rep.under_resolved
     assert rep.jacobian_route_gap < 1e-12  # the interpolated unit density, at round-off
@@ -374,7 +384,7 @@ def test_transport_check_flags_under_resolution():
 def test_transport_check_needs_five_samples():
     g = make_grid(16)
     traj = _rigid_translation_trajectory(g, speed=0.5, dt=0.01, samples=3)
-    ps = ParticleSet.uniform(g.period, nx=4, ny=4)
+    ps = ParticleSet.uniform(nx=4, ny=4)
     with pytest.raises(ValueError):
         transport_check(_at_unit_density(traj), ps)
 
@@ -382,7 +392,7 @@ def test_transport_check_needs_five_samples():
 def test_transport_check_drops_a_trailing_even_sample():
     g = make_grid(16)
     traj = _rigid_translation_trajectory(g, speed=0.8, dt=0.01, samples=6)
-    ps = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
+    ps = ParticleSet.uniform(nx=4, ny=4, origin=(1.0, 1.0), extent=(1.0, 1.0))
     rep = transport_check(_at_unit_density(traj), ps)
     # six samples truncate to five: one usable interior evaluation
     assert len(rep.times) == 1
@@ -394,8 +404,8 @@ def _pinned_transport_inputs():
         _taylor_green_with_pulse(g), TEMAM, ForcingSpec.zero(), 0.2, 0.4
     )
     samples = list(samples)
-    q = g.period / 4.0
-    seeds = ParticleSet.uniform(g.period, nx=8, ny=8, origin=(q, q), extent=(2.0 * q, 2.0 * q))
+    q = TWO_PI / 4.0
+    seeds = ParticleSet.uniform(nx=8, ny=8, origin=(q, q), extent=(2.0 * q, 2.0 * q))
     return samples, seeds
 
 
@@ -435,7 +445,7 @@ def test_transport_check_builds_taps_once_per_position_set(monkeypatch):
 
 def test_transport_check_errors_hold_for_a_generator():
     g = make_grid(16)
-    ps = ParticleSet.uniform(g.period, nx=4, ny=4)
+    ps = ParticleSet.uniform(nx=4, ny=4)
     traj = _rigid_translation_trajectory(g, speed=0.5, dt=0.01, samples=4)
     with pytest.raises(ValueError, match="five samples"):
         transport_check(iter(_at_unit_density(traj)), ps)
@@ -469,8 +479,8 @@ def test_audits_of_a_one_shot_generator_equal_those_of_a_list_bitwise(n, count, 
     _, _, marched = march(state0, TEMAM, ForcingSpec.zero(), (count - 1) * dt, dt=dt)
     streamed = [astuple(r) for r in energy_audit(marched, forcing, TEMAM)]
     assert [[x.hex() for x in r] for r in rows] == [[x.hex() for x in r] for r in streamed]
-    q = g.period / 4.0
-    seeds = ParticleSet.uniform(g.period, nx=4, ny=4, origin=(q, q), extent=(2.0 * q, 2.0 * q))
+    q = TWO_PI / 4.0
+    seeds = ParticleSet.uniform(nx=4, ny=4, origin=(q, q), extent=(2.0 * q, 2.0 * q))
     listed = transport_check(samples, seeds)
     assert len(listed.times) == (count - 1) // 2 - 1
     assert _report_bits(listed) == _report_bits(transport_check(run(), seeds))

@@ -201,7 +201,6 @@ def _random_smooth_loop(grid, seed, modes, amplitude):
     """
     rng = np.random.default_rng(seed)
     X, Y = grid.mesh()
-    w = 2.0 * np.pi / grid.period  # wave numbers per unit length
 
     def component():
         out, carry = np.zeros_like(X), np.zeros_like(X)
@@ -211,7 +210,7 @@ def _random_smooth_loop(grid, seed, modes, amplitude):
                     continue
                 scale = 1.0 / (1.0 + kx * kx + ky * ky)
                 a, b = rng.normal(0.0, scale, size=2)
-                phase = kx * w * X + ky * w * Y
+                phase = kx * X + ky * Y
                 term = a * np.cos(phase) + b * np.sin(phase) - carry
                 total = out + term
                 carry = (total - out) - term
@@ -228,37 +227,16 @@ def _random_smooth_loop(grid, seed, modes, amplitude):
     data=st.data(),
     n=st.integers(4, 64),
     seed=st.integers(0, 2**32),
-    period=st.one_of(st.just(2.0 * np.pi), st.floats(0.5, 20.0)),
     amplitude=st.floats(0.01, 10.0),
 )
-def test_random_smooth_matches_the_pointwise_loop(data, n, seed, period, amplitude):
+def test_random_smooth_matches_the_pointwise_loop(data, n, seed, amplitude):
     # modes >= n/2 alias on the grid; the separable sum must alias as the loop does
     modes = data.draw(st.integers(1, n), label="modes")
-    grid = make_grid(n, period)
+    grid = make_grid(n)
     state = random_smooth_state(grid, seed=seed, modes=modes, amplitude=amplitude)
     vx, vy = _random_smooth_loop(grid, seed, modes, amplitude)
     np.testing.assert_allclose(state.v.x, vx, rtol=0, atol=1e-14 * amplitude)
     np.testing.assert_allclose(state.v.y, vy, rtol=0, atol=1e-14 * amplitude)
-
-
-def test_random_smooth_is_periodic_on_a_unit_square():
-    # at period 1 the wrap from the last cell to the first is a step like any other
-    state = random_smooth_state(make_grid(64, 1.0), seed=3, modes=2, amplitude=1.0)
-    for values in (state.v.x, state.v.y):
-        for axis in (0, 1):
-            inner = np.abs(np.diff(values, axis=axis)).max()
-            wrap = np.abs(np.take(values, 0, axis) - np.take(values, -1, axis)).max()
-            assert wrap <= inner
-
-
-@settings(max_examples=10, deadline=None)
-@given(n=st.integers(4, 48), seed=st.integers(0, 2**32), modes=st.integers(1, 6),
-       period=st.floats(0.5, 20.0))
-def test_random_smooth_on_any_period_is_the_2pi_field_rescaled(n, seed, modes, period):
-    scaled = random_smooth_state(make_grid(n, period), seed=seed, modes=modes, amplitude=1.0)
-    base = random_smooth_state(make_grid(n), seed=seed, modes=modes, amplitude=1.0)
-    np.testing.assert_allclose(scaled.v.x, base.v.x, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(scaled.v.y, base.v.y, rtol=0, atol=1e-12)
 
 
 def test_taylor_green_pulse_is_the_sum_of_its_parts():
@@ -322,7 +300,7 @@ def test_state_snapshot_is_one_header_line_and_one_block(tmp_path):
     assert write_snapshot(state, tmp_path / "s") == [tmp_path / "s.state"]
     assert [p.name for p in tmp_path.iterdir()] == ["s.state"]
     head, block = (tmp_path / "s.state").read_bytes().split(b"\n", 1)
-    assert json.loads(head) == {"n": 16, "period": g.period, "time": 0.25}
+    assert json.loads(head) == {"n": 16, "period": 2.0 * np.pi, "time": 0.25}
     assert block == pack_state(state).astype("<f8").tobytes()
     back = read_snapshot(tmp_path / "s.state")  # the stem or the file
     np.testing.assert_array_equal(back.v.x, state.v.x)
@@ -713,6 +691,20 @@ def test_a_snapshot_header_with_a_non_finite_time_or_period_is_unreadable(tmp_pa
     assert err.startswith("config error: ") and err.count("\n") == 1 and "record 0" in err
 
 
+def test_a_snapshot_header_with_a_period_other_than_2pi_is_unreadable(tmp_path, capsys):
+    write_snapshot(taylor_green_state(make_grid(16)), tmp_path / "ic")
+    head, block = (tmp_path / "ic.state").read_bytes().split(b"\n", 1)
+    header = {**json.loads(head), "period": 1.0}
+    (tmp_path / "ic.state").write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + block)
+    with pytest.raises(ValueError, match="record 0: unreadable snapshot header"):
+        read_snapshot(tmp_path / "ic")
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "record 0" in err
+
+
 def test_cli_snapshot_on_the_wrong_grid_is_a_config_error(tmp_path):
     write_snapshot(taylor_green_state(make_grid(8)), tmp_path / "ic")
     ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
@@ -805,7 +797,8 @@ def test_cli_names_the_blowup_of_an_unstable_free_run(tmp_path, capsys):
     # the budget's cubic term (div v)|v|^2 overflows while the energy is
     # still finite, so the stepper must refuse the state before the audit sees it
     ic = {"kind": "random_smooth", "seed": 2, "modes": 8, "amplitude": 1.0}
-    cfg_path = _write_config(tmp_path, n=32, t_final=8.0, initial_condition=ic,
+    # at cfl 2 the projection default, min(cfl h^2, stable_dt), is too long for Re 1000
+    cfg_path = _write_config(tmp_path, n=32, t_final=8.0, cfl=2.0, initial_condition=ic,
                              model={"model": "incompressible", "re": 1000.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -815,6 +808,19 @@ def test_cli_names_the_blowup_of_an_unstable_free_run(tmp_path, capsys):
                           "samples at t=")
     assert err.count("\n") == 1
     assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+
+
+def test_cli_incompressible_free_run_takes_the_projection_default_step(tmp_path):
+    # the same run at the default cfl: min(cfl h^2, stable_dt) holds it to t_final
+    ic = {"kind": "random_smooth", "seed": 2, "modes": 8, "amplitude": 1.0}
+    cfg_path = _write_config(tmp_path, n=32, t_final=8.0, initial_condition=ic,
+                             model={"model": "incompressible", "re": 1000.0})
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["steps"] == 519 and report["t_final"] == 8.0
+    assert report["div_norm_final"] < 1e-12
+    rows = read_timeseries(tmp_path / "out" / "budget.csv")
+    assert all(b.e_kin <= a.e_kin for a, b in zip(rows, rows[1:]))
 
 
 def test_cli_mistyped_initial_condition_value_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Model right-hand sides, the pressure solve, time stepping."""
 
+import itertools
 import re
 from dataclasses import astuple, replace
 
@@ -446,6 +447,27 @@ def test_march_yields_the_initial_state_and_every_step():
     assert all(_same_bits(a, b) for a, b in zip(_arrays(final), _arrays(stored[-1])))
 
 
+@pytest.mark.parametrize("model, dt", [
+    (TEMAM, 0.01),  # RK4
+    (TEMAM, 0.045),  # ETDRK4, past the acoustic bound h / sqrt(k)
+    (ModelConfig(model="incompressible", re=100.0), 0.01),
+    (ModelConfig(model="compressible", re=100.0, k=100.0), 0.01),
+    ("density", 0.01),
+], ids=["rk4", "etdrk4", "projection", "compressible", "density"])
+def test_a_run_ends_on_t_final_though_its_summed_times_drift(model, dt):
+    g = make_grid(16)
+    if model == "density":
+        steps, dt_used, samples = simulate_with_density(_taylor_green(g), TEMAM,
+                                                        ForcingSpec.zero(), 0.3, 0.4, dt)
+        times = [s.time for s, _ in samples]
+    else:
+        steps, dt_used, states = march(_taylor_green(g), model, ForcingSpec.zero(), 0.3, dt)
+        times = [s.time for s in states]
+    summed = list(itertools.accumulate([0.0] + [dt_used] * steps))
+    assert summed[-1] != 0.3  # the sum drifts off t_final
+    assert times[:-1] == summed[:-1] and times[-1] == 0.3
+
+
 def test_simulate_rejects_empty_span():
     g = make_grid(16)
     with pytest.raises(ValueError):
@@ -830,6 +852,7 @@ def test_incompressible_simulate_matches_the_field_level_chorin_step_bitwise(for
     for _ in stored[1:]:
         s = expected[-1]
         expected.append(_field_chorin(s, field(forcing, g, s.time), cfg, dt))
+    expected[-1] = replace(expected[-1], time=0.2)  # the run ends on t_final, not on the sum
     for got, want in zip(stored, expected):
         assert got.time == want.time
         assert all(_same_bits(a, b) for a, b in zip(_arrays(got), _arrays(want)))
