@@ -9,11 +9,12 @@ theorem along particle paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TWO_PI, Grid, ScalarField, VectorField, integrate, l2_norm
+from .fields import TWO_PI, Grid, VectorField, integrate, l2_norm
 from .models import (
     ForcingSpec,
     ModelConfig,
@@ -25,6 +26,9 @@ from .models import (
     unpack_state,
 )
 from .operators import (
+    _convection,
+    _ddx,
+    _ddy,
     convection,
     directional_derivative,
     divergence,
@@ -62,6 +66,9 @@ def _first_gap(t_prev: float, t: float, dt: float | None) -> float:
     return dt
 
 
+_BUDGET_TERMS = ("e_kin", "e_press", "dissipation", "injection", "defect_predicted")
+
+
 def energy_audit(trajectory, forcing: ForcingSpec, cfg: ModelConfig) -> list[EnergyBudgetRow]:
     """Audit the energy budget of a uniformly sampled trajectory.
 
@@ -71,23 +78,33 @@ def energy_audit(trajectory, forcing: ForcingSpec, cfg: ModelConfig) -> list[Ene
     per interior sample.  The pressure energy uses the configured bulk
     modulus and is zero for the incompressible model, where pressure is
     a multiplier rather than a stored energy.
+
+    The terms are formed on the sample arrays with the stencil kernels, each
+    integral as ``integrate`` forms it; a term that is not finite raises
+    ValueError naming it and the sample time.
     """
     budget, force, dt = [], None, None
     for s in trajectory:
         if force is None:
             force = forcing.sampler(s.grid, s.time)
+            h = s.grid.spacing
         else:
             dt = _first_gap(budget[-1][0], s.time, dt)
-        speed_sq = s.v.magnitude_squared()
-        fv = force(s.time) * s.v.values
-        budget.append((
-            s.time,
-            0.5 * integrate(speed_sq),
-            integrate(s.p * s.p) / (2.0 * cfg.k) if cfg.model != "incompressible" else 0.0,
+        v = s.v.values
+        speed_sq = v[0] * v[0] + v[1] * v[1]
+        fv = force(s.time) * v
+        p = s.p.values
+        terms = (
+            0.5 * float(h * h * speed_sq.sum()),
+            float(h * h * (p * p).sum()) / (2.0 * cfg.k) if cfg.model != "incompressible" else 0.0,
             integrate(strain_frobenius_sq(s.v)) / cfg.re,
-            integrate(ScalarField(s.grid, fv[0] + fv[1])),
-            0.5 * integrate(divergence(s.v) * speed_sq),
-        ))
+            float(h * h * (fv[0] + fv[1]).sum()),
+            0.5 * float(h * h * ((_ddx(v[0], h) + _ddy(v[1], h)) * speed_sq).sum()),
+        )
+        for name, term in zip(_BUDGET_TERMS, terms):
+            if not math.isfinite(term):
+                raise ValueError(f"energy budget term {name} is not finite at t={s.time:.6g}")
+        budget.append((s.time, *terms))
     if len(budget) < 3:
         raise ValueError("energy audit needs at least three samples")
     b = np.array(budget)  # columns as EnergyBudgetRow's, up to the residual
@@ -173,11 +190,15 @@ def _interp_taps(px: np.ndarray, py: np.ndarray, grid: Grid) -> tuple[np.ndarray
     samples in time, and the kinks of a merely continuous interpolant would
     contribute an error that does not refine.
     """
+    n = grid.n
     u = np.array([np.ravel(px), np.ravel(py)]) / grid.spacing - 0.5
     i = np.floor(u).astype(int)
-    nodes = np.mod(i + np.arange(-1, 3)[:, None, None], grid.n)  # (4, 2, m)
+    # wrap the base node once; its offsets -1..+2 then leave [0, n) by at most one period
+    nodes = np.mod(i, n) + np.arange(-1, 3)[:, None, None]  # (4, 2, m)
+    nodes[0][nodes[0] < 0] += n
+    nodes[2:][nodes[2:] >= n] -= n
     w = _cubic_weights(u - i)
-    flat = (nodes[:, None, 0] * grid.n + nodes[None, :, 1]).reshape(16, -1)
+    flat = (nodes[:, None, 0] * n + nodes[None, :, 1]).reshape(16, -1)
     weights = (w[:, None, 0] * w[None, :, 1]).reshape(16, -1)
     return flat, weights
 
@@ -185,17 +206,22 @@ def _interp_taps(px: np.ndarray, py: np.ndarray, grid: Grid) -> tuple[np.ndarray
 def _gather(taps: tuple[np.ndarray, np.ndarray], *fields: np.ndarray) -> list[np.ndarray]:
     """Each (n, n) field interpolated to the particle positions of one set of taps.
 
-    The taps are summed in order from zero, one row at a time; a single
-    reduction would switch to pairwise summation when m is one.
+    The taps are summed in order from zero.  For m >= 2 particles one
+    reduction over the tap axis does that, row by row; for a single
+    particle numpy's reduction runs along contiguous memory and sums
+    pairwise, so there the rows are added one at a time.
     """
     flat, weights = taps
     out = []
     for values in fields:
         terms = np.take(values.ravel(), flat)
         terms *= weights
-        total = np.zeros(flat.shape[1])
-        for term in terms:
-            total += term
+        if flat.shape[1] == 1:
+            total = np.zeros(1)
+            for term in terms:
+                total += term
+        else:
+            total = np.add.reduce(terms, axis=0, initial=0.0)
         out.append(total)
     return out
 
@@ -305,8 +331,8 @@ def transport_check(trajectory, particles: ParticleSet) -> TransportReport:
         state, div, rho = window[at]
         fields = [*state.v.values, div]
         if interior:
-            before, after = window[at - 1][0].v, window[at + 1][0].v
-            fields.extend((after.values - before.values) / (2.0 * dt) + convection(state.v).values)
+            before, after = window[at - 1][0].v.values, window[at + 1][0].v.values
+            fields.extend((after - before) / (2.0 * dt) + _convection(state.v.values, h))
         fields.append(rho.values)
         pos, jac = y[:, :2], y[:, 2]
         vx, vy, dv, *rest = _gather(_interp_taps(pos[:, 0], pos[:, 1], grid), *fields)
@@ -326,8 +352,9 @@ def transport_check(trajectory, particles: ParticleSet) -> TransportReport:
         if window:
             dt = _first_gap(window[-1][0].time, s.time, dt)
         else:
-            grid = s.grid
-        window.append((s, divergence(s.v).values, rho))
+            grid, h = s.grid, s.grid.spacing
+        v = s.v.values
+        window.append((s, _ddx(v[0], h) + _ddy(v[1], h), rho))
         k = count - 3
         if k < 0 or k % 2:
             continue

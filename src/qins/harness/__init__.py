@@ -1,6 +1,9 @@
-"""Experiment harness: configs, initial conditions, file formats, drivers, CLI."""
+"""Experiment harness: configs, initial conditions, file formats, drivers, CLI.
 
-from .acceptance import CriterionResult, verify
+The acceptance gate is imported from ``qins.harness.acceptance``; the package
+itself does not load it.
+"""
+
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -21,7 +24,6 @@ from .io import (
 
 __all__ = [
     "ConfigError",
-    "CriterionResult",
     "ExperimentConfig",
     "InitialConditionSpec",
     "config_from_dict",
@@ -32,7 +34,6 @@ __all__ = [
     "read_timeseries",
     "resolve_out_dir",
     "run_experiment",
-    "verify",
     "write_manifest",
     "write_snapshot",
     "write_timeseries",

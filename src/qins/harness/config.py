@@ -179,7 +179,10 @@ def config_from_json(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment config file."""
     if Path(path).is_dir():
         raise ConfigError(f"{path} is a directory, not a config file")
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -317,16 +317,20 @@ def incompressible_step(y: np.ndarray, f, cfg: ModelConfig, h: float, dt: float,
 # -- time stepping -----------------------------------------------------------
 
 
-def _checked(y_new: np.ndarray, step: str) -> np.ndarray:
-    """``y_new``, or ValueError if a sample is non-finite or so large that a
-    consumer's cubic sum could overflow.
+def _overflowing(y: np.ndarray) -> bool:
+    """Whether a sample is non-finite or so large that a consumer's cubic sum could overflow.
 
     The energy audit's defect term sums (div v)|v|^2 over the n^2 nodes, at
     most 4 n^2 max|y|^3 / h.  Bounding max|y|^3 by the largest float over
     the squared sample count (at least 4 n^4) keeps that sum finite on any
     grid with n h >= 1, and every sum of squares with it.
     """
-    if not max(y_new.max(), -y_new.min()) < (sys.float_info.max / y_new.size**2) ** (1.0 / 3.0):
+    return not max(y.max(), -y.min()) < (sys.float_info.max / y.size**2) ** (1.0 / 3.0)
+
+
+def _checked(y_new: np.ndarray, step: str) -> np.ndarray:
+    """``y_new``, or ValueError if its samples are ``_overflowing``."""
+    if _overflowing(y_new):
         raise ValueError(f"{step} produced non-finite or overflowing samples")
     return y_new
 
@@ -590,9 +594,10 @@ def _march(y: np.ndarray, t: float, t_final: float, steps: int, advance, h: floa
     Each step spans ``dt = (t_final - t) / steps``, ``fixed_step``'s step.
     The times are summed step by step, and the last is ``t_final`` itself.
 
-    A step that fails with ValueError raises SimulationBlowupError, led by
-    that error's text and then each step bound; the steppers fail on
-    samples that are non-finite or that would overflow, the field
+    A first sample past ``_checked``'s bound raises SimulationBlowupError
+    before it is yielded, and so does a step that fails with ValueError,
+    led by that error's text and then each step bound; the steppers fail
+    on samples that are non-finite or that would overflow, the field
     constructors on non-finite ones and the density guard on a density
     1 + p/K that is not positive, so no consumer is handed a state whose
     energy it cannot form.  Overflow is therefore no anomaly to warn
@@ -600,6 +605,9 @@ def _march(y: np.ndarray, t: float, t_final: float, steps: int, advance, h: floa
     was given.
     """
     dt = (t_final - t) / steps
+    if _overflowing(y):
+        raise _blowup_error("initial state holds non-finite or overflowing samples",
+                            float(np.abs(y[:2]).max()), t, h, cfg, dt)
     yield y, t
     for step in range(1, steps + 1):
         try:

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forcing_cases import field, trig
@@ -117,6 +117,16 @@ def test_incompressible_audit_stores_no_pressure_energy_whatever_its_k():
     audits = [energy_audit(states, ForcingSpec.zero(), replace(plain, k=k)) for k in (None, 100.0)]
     assert [astuple(r) for r in audits[1]] == [astuple(r) for r in audits[0]]
     assert all(r.e_press == 0.0 for r in audits[0])
+
+
+def test_energy_audit_names_a_term_that_is_not_finite():
+    # finite samples whose |v|^2 overflows: the kinetic energy is the first bad term
+    g = make_grid(8)
+    states = [State(VectorField.constant(g, 1e200, 0.0), ScalarField.zeros(g), time=t)
+              for t in (0.0, 0.1, 0.2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"term e_kin is not finite at t=0\b"):
+            energy_audit(states, ForcingSpec.zero(), TEMAM)
 
 
 def test_energy_audit_needs_three_samples():
@@ -304,6 +314,8 @@ def _loop_interp(values, px, py, grid):
     scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=8, m=1, channels=3, scale=1.0, seed=1)  # the one-particle loop
+@example(n=8, m=2, channels=3, scale=1.0, seed=2)  # the smallest single reduction
 def test_tap_gather_equals_the_16_tap_loop_bitwise(n, m, channels, scale, seed):
     g = make_grid(n)
     rng = np.random.default_rng(seed)

@@ -793,6 +793,26 @@ def test_cli_names_a_blowup_whose_samples_are_still_finite(tmp_path, capsys):
     assert not (tmp_path / "out" / MANIFEST_NAME).exists()
 
 
+@pytest.mark.parametrize("experiment", ["free_run", "energy_audit"])
+def test_cli_names_an_overflowing_initial_state(tmp_path, capsys, experiment):
+    ic = {"kind": "random_smooth", "amplitude": 1e150}
+    cfg_path = _write_config(tmp_path, experiment=experiment, t_final=0.1, initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: initial state holds non-finite or overflowing "
+                          "samples at t=0 ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / MANIFEST_NAME).exists()
+
+
+def test_cli_config_that_is_not_utf8_text_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and str(cfg_path) in err
+
+
 def test_cli_names_the_blowup_of_an_unstable_free_run(tmp_path, capsys):
     # the budget's cubic term (div v)|v|^2 overflows while the energy is
     # still finite, so the stepper must refuse the state before the audit sees it
