@@ -61,7 +61,8 @@ def _first_gap(t_prev: float, t: float, dt: float | None) -> float:
     """``dt``, or ``t - t_prev`` if None, once the gap ``t - t_prev`` is checked against it."""
     gap = t - t_prev
     dt = gap if dt is None else dt
-    if dt <= 0.0 or not abs(gap - dt) <= 1e-12 + 1e-9 * abs(dt):
+    # 4 ulp(t) is the resolution of the sample times themselves, the larger term far from 0
+    if dt <= 0.0 or not abs(gap - dt) <= 1e-12 + 1e-9 * abs(dt) + 4 * math.ulp(t):
         raise ValueError("trajectory samples are not uniformly spaced in time")
     return dt
 

@@ -44,7 +44,8 @@ from .experiments import (
     run_transport_check,
 )
 from .initial_conditions import initial_condition
-from .io import MANIFEST_NAME, default_out_dir, read_snapshot, write_json, write_manifest
+from .io import (MANIFEST_NAME, default_out_dir, make_out_dir, read_snapshot, write_json,
+                 write_manifest)
 
 ROUND_OFF = 1e-12  # identity checks run on O(1) fields, so this is absolute
 
@@ -514,8 +515,7 @@ def verify(out_root: str | Path | None = None, quiet: bool = False) -> list[Crit
     The manifest lists ``results.json`` and every file that a driver
     manifest one level below lists.
     """
-    out = Path(out_root) if out_root is not None else default_out_dir("verify")
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_root if out_root is not None else default_out_dir("verify"))
     started = time.perf_counter()
     results = []
     for cid, name, budget_s, check in CHECKS:

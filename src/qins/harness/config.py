@@ -1,8 +1,8 @@
 """Experiment configuration: strict JSON parsing into frozen dataclasses.
 
-Unknown keys are rejected everywhere.  A silently ignored typo in a
-sweep config wastes an afternoon, so misspellings fail loudly with the
-offending key names in the message.
+One reader, ``_read``, builds every block and rejects unknown keys.  A
+silently ignored typo in a sweep config wastes an afternoon, so
+misspellings fail loudly with the offending key names in the message.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 
 
 def _require_ints(spec, *names: str) -> None:
-    """TypeError unless each field is an integer; the JSON readers turn it into ConfigError."""
+    """TypeError unless each field is an integer; the JSON reader turns it into ConfigError."""
     for name in names:
         value = getattr(spec, name)
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -108,71 +108,59 @@ class ExperimentConfig:
             raise ConfigError("k_list entries must be positive and finite")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ConfigError("k_list must be strictly increasing")
-        if not all(math.isfinite(w) for w in self.boost_w):
-            raise ConfigError(f"boost_w entries must be finite, got {list(self.boost_w)}")
+        if len(self.boost_w) != 2 or not all(math.isfinite(w) for w in self.boost_w):
+            raise ConfigError(f"boost_w must be a finite pair [wx, wy], got {list(self.boost_w)}")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
         if self.particles < 2:
             raise ConfigError("particles must be >= 2 per side")
 
 
-def _reject_unknown(raw: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(raw) - allowed)
+_BLOCKS = {"model": ModelConfig, "initial_condition": InitialConditionSpec}
+
+
+def _read(cls, raw, where: str):
+    """A ``cls`` from the JSON object ``raw``; every flaw is a ConfigError naming it.
+
+    The experiment's ``model`` and ``initial_condition`` blocks are read the
+    same way, and an initial condition may be just its kind.  A tuple field
+    takes a JSON list of numbers and a string field a string or null.  No
+    field is a flag, so ``true``/``false`` is refused wherever it stands.
+    The constructor's TypeError or ValueError becomes ``bad <where>: ...``.
+    """
+    if cls is InitialConditionSpec and isinstance(raw, str):
+        raw = {"kind": raw}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    known = {f.name: f for f in dataclass_fields(cls)}
+    unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _model_from_dict(raw: dict) -> ModelConfig:
-    allowed = {f.name for f in dataclass_fields(ModelConfig)}
-    _reject_unknown(raw, allowed, "model")
+    kwargs = {}
+    for key, value in raw.items():
+        if cls is ExperimentConfig and key in _BLOCKS:
+            value = _read(_BLOCKS[key], value, key)
+        elif isinstance(known[key].default, tuple):
+            if not (isinstance(value, (list, tuple)) and all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value)):
+                raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+            value = tuple(float(x) for x in value)
+        elif isinstance(value, bool) or (
+                "str" in known[key].type and not isinstance(value, (str, type(None)))):
+            what = "a string" if "str" in known[key].type else "a number"
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        kwargs[key] = value
     try:
-        return ModelConfig(**raw)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
-
-
-def _ic_from_value(raw) -> InitialConditionSpec:
-    if isinstance(raw, str):
-        return InitialConditionSpec(kind=raw)
-    if not isinstance(raw, dict):
-        raise ConfigError("initial_condition must be a string or an object")
-    allowed = {f.name for f in dataclass_fields(InitialConditionSpec)}
-    _reject_unknown(raw, allowed, "initial_condition")
-    try:
-        return InitialConditionSpec(**raw)
-    except TypeError as exc:  # a value of the wrong type
-        raise ConfigError(f"bad initial_condition: {exc}") from exc
-
-
-def _numbers(raw, key: str, what: str, length: int | None = None) -> tuple[float, ...]:
-    """A JSON list of numbers as floats; anything else (a string or a bool included) fails."""
-    if not (isinstance(raw, (list, tuple)) and length in (None, len(raw)) and all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in raw)):
-        raise ConfigError(f"{key} must be {what}, got {raw!r}")
-    return tuple(float(x) for x in raw)
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed JSON, rejecting unknown keys."""
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    allowed = {f.name for f in dataclass_fields(ExperimentConfig)}
-    _reject_unknown(raw, allowed, "experiment config")
-    kwargs = dict(raw)
-    if "model" in kwargs:
-        kwargs["model"] = _model_from_dict(kwargs["model"])
-    if "initial_condition" in kwargs:
-        kwargs["initial_condition"] = _ic_from_value(kwargs["initial_condition"])
-    if "k_list" in kwargs:
-        kwargs["k_list"] = _numbers(kwargs["k_list"], "k_list", "a list of numbers")
-    if "boost_w" in kwargs:
-        kwargs["boost_w"] = _numbers(kwargs["boost_w"], "boost_w", "a pair [wx, wy]", 2)
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad experiment config: {exc}") from exc
+    return _read(ExperimentConfig, raw, "experiment config")
 
 
 def config_from_json(path: str | Path) -> ExperimentConfig:

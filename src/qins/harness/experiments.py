@@ -63,6 +63,7 @@ from .io import (
     TRANSPORT_COLUMNS,
     append_state,
     default_out_dir,
+    make_out_dir,
     write_json,
     write_manifest,
     write_snapshot,
@@ -82,9 +83,7 @@ def resolve_out_dir(cfg: ExperimentConfig, override: str | Path | None = None) -
 
 def _start(cfg: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, float]:
     """The run's output directory, made if missing, and the clock reading it starts at."""
-    out = resolve_out_dir(cfg, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out, time.perf_counter()
+    return make_out_dir(resolve_out_dir(cfg, out_dir)), time.perf_counter()
 
 
 def _finish(cfg: ExperimentConfig, out: Path, started: float, written: list[Path],

@@ -3,9 +3,9 @@
 A ``<stem>.state`` file holds one or more state records back to back.
 A record is a JSON header line (``n``, ``period``, ``time``) ended by a
 newline, then the raw little-endian float64 (3, n, n) block vx, vy, p,
-row-major.  The period is always 2 pi, and a header with any other is
-unreadable.  A snapshot is a file of one record; a trajectory appends one
-record per stored state.  Values round-trip bit for bit.
+row-major.  A header holds a JSON integer ``n``, a finite number ``time``
+and ``period`` 2 pi.  A snapshot is a file of one record; a trajectory
+appends one record per stored state.  Values round-trip bit for bit.
 
 Every table a run writes is CSV whose header names its columns, and whose
 values carry 17 significant digits, enough to reproduce a float64
@@ -33,6 +33,7 @@ import numpy as np
 from ..diagnostics import EnergyBudgetRow
 from ..fields import TWO_PI, Grid
 from ..models import State, unpack_state
+from .config import ConfigError
 
 MANIFEST_NAME = "manifest.json"
 
@@ -46,6 +47,15 @@ TABLES = (BUDGET_COLUMNS, MEMBERS_COLUMNS, TRANSPORT_COLUMNS)
 def default_out_dir(name: str) -> Path:
     """Where the run ``name`` writes unless told: ``$QINS_OUT/<name>``, else ``qins_out/<name>``."""
     return Path(os.environ.get("QINS_OUT", "qins_out")) / name
+
+
+def make_out_dir(path: str | Path) -> Path:
+    """Create the output directory ``path`` if missing; ConfigError naming it if it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file in the way, or no permission
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return Path(path)
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -86,10 +96,12 @@ def read_states(path_stem: str | Path) -> Iterator[State]:
                 return
             try:
                 header = json.loads(head)
-                n, time, period = int(header["n"]), float(header["time"]), float(header["period"])
+                n, time, period = header["n"], header["time"], header["period"]
+                if (type(n) is not int or not {type(time), type(period)} <= {int, float}
+                        or period != TWO_PI or not np.isfinite(time)):
+                    raise ValueError(f"need an integer n, period 2 pi and a finite time, "
+                                     f"got {n!r}, {period!r}, {time!r}")
                 grid = Grid(n)
-                if period != TWO_PI or not np.isfinite(time):
-                    raise ValueError(f"need period 2 pi and a finite time, got {period}, {time}")
             except (ValueError, TypeError, KeyError) as exc:
                 raise ValueError(f"record {record}: unreadable snapshot header ({exc})") from None
             size = 8 * 3 * n * n
@@ -99,7 +111,7 @@ def read_states(path_stem: str | Path) -> Iterator[State]:
                     f"record {record}: block has {left // 8} samples, header promises {3 * n * n}"
                 )
             raw = np.frombuffer(f.read(size), dtype="<f8").reshape(3, n, n).astype(np.float64)
-            yield unpack_state(raw, grid, time)
+            yield unpack_state(raw, grid, float(time))
 
 
 def read_snapshot(path_stem: str | Path) -> State:

@@ -592,7 +592,7 @@ def _march(y: np.ndarray, t: float, t_final: float, steps: int, advance, h: floa
     """Yield packed ``(y, t)``, then again after each of ``steps`` steps ``advance(y, t)``.
 
     Each step spans ``dt = (t_final - t) / steps``, ``fixed_step``'s step.
-    The times are summed step by step, and the last is ``t_final`` itself.
+    Sample ``j`` is stamped ``t + j * dt``, and the last is ``t_final`` itself.
 
     A first sample past ``_checked``'s bound raises SimulationBlowupError
     before it is yielded, and so does a step that fails with ValueError,
@@ -604,7 +604,7 @@ def _march(y: np.ndarray, t: float, t_final: float, steps: int, advance, h: floa
     about.  Each step makes a new array, so a consumer may keep what it
     was given.
     """
-    dt = (t_final - t) / steps
+    t0, dt = t, (t_final - t) / steps
     if _overflowing(y):
         raise _blowup_error("initial state holds non-finite or overflowing samples",
                             float(np.abs(y[:2]).max()), t, h, cfg, dt)
@@ -615,7 +615,7 @@ def _march(y: np.ndarray, t: float, t_final: float, steps: int, advance, h: floa
                 y = advance(y, t)
         except ValueError as exc:
             raise _blowup_error(str(exc), float(np.abs(y[:2]).max()), t, h, cfg, dt) from exc
-        t = t_final if step == steps else t + dt
+        t = t_final if step == steps else t0 + step * dt
         yield y, t
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forcing_cases import field, trig
-from qins import diagnostics
+from qins import diagnostics, models
 from qins.diagnostics import (
     GalileanReport,
     ParticleSet,
@@ -150,6 +150,28 @@ def test_energy_audit_errors_hold_for_a_generator():
     with pytest.raises(ValueError, match="uniformly spaced"):
         energy_audit((State.rest(g, time=t) for t in (0.0, 0.01, 0.03)),
                      ForcingSpec.zero(), TEMAM)
+
+
+def test_every_gap_of_a_long_runs_clock_is_uniform():
+    # 12970 steps to t = 200: summed sample times drifted 1.7e-11 off on the last gap
+    clock = models._march(np.zeros((3, 4, 4)), 0.0, 200.0, 12970, lambda y, t: y, 1.0, TEMAM)
+    times = [t for _, t in clock]
+    dt = None
+    for t_prev, t in zip(times, times[1:]):
+        dt = diagnostics._first_gap(t_prev, t, dt)
+    assert times[-1] == 200.0
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e6])
+def test_a_gap_off_by_a_millionth_of_dt_is_refused(t0):
+    # the allowance of four units in the last place of t does not hide real unevenness
+    g = make_grid(8)
+    times = [t0 + j * 0.05 for j in range(4)]
+    assert len(energy_audit([State.rest(g, time=t) for t in times], ForcingSpec.zero(),
+                            TEMAM)) == 2
+    times[2] += 1e-6 * 0.05
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        energy_audit([State.rest(g, time=t) for t in times], ForcingSpec.zero(), TEMAM)
 
 
 # -- frame changes ----------------------------------------------------------------

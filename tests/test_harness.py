@@ -705,6 +705,26 @@ def test_a_snapshot_header_with_a_period_other_than_2pi_is_unreadable(tmp_path, 
     assert err.startswith("config error: ") and err.count("\n") == 1 and "record 0" in err
 
 
+@pytest.mark.parametrize("bad", (
+    {"n": 16.7}, {"n": "16", "time": "0.5"}, {"n": True}, {"time": False},
+    {"period": "6.283185307179586"},
+), ids=["n-float", "n-and-time-strings", "n-bool", "time-bool", "period-string"])
+def test_a_snapshot_header_value_of_the_wrong_type_is_unreadable(tmp_path, capsys, bad):
+    # such values were once coerced: n 16.7 read as 16, the string "0.5" as t = 0.5
+    write_snapshot(taylor_green_state(make_grid(16)), tmp_path / "ic")
+    head, block = (tmp_path / "ic.state").read_bytes().split(b"\n", 1)
+    header = {**json.loads(head), **bad}
+    (tmp_path / "ic.state").write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + block)
+    assert main(["inspect", str(tmp_path / "ic")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {tmp_path / 'ic'}: record 0: unreadable snapshot header")
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, initial_condition=ic)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "record 0" in err
+
+
 def test_cli_snapshot_on_the_wrong_grid_is_a_config_error(tmp_path):
     write_snapshot(taylor_green_state(make_grid(8)), tmp_path / "ic")
     ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
@@ -772,6 +792,46 @@ def test_cli_non_finite_config_values_are_config_errors(tmp_path, capsys, key, b
     assert f"{key} must be positive and finite, got inf" in err
 
 
+@pytest.mark.parametrize("key, bad", (
+    ("re", {"model": {"model": "temam", "re": True, "k": 100.0}}),
+    ("k", {"model": {"model": "temam", "re": 100.0, "k": True}}),
+    ("zeta_over_mu", {"model": {"model": "compressible", "re": 100.0, "k": 100.0,
+                                "zeta_over_mu": True}}),
+    ("t_final", {"t_final": True}),
+    ("cfl", {"cfl": True}),
+    ("amplitude", {"initial_condition": {"kind": "random_smooth", "amplitude": True}}),
+))
+def test_cli_true_where_a_number_belongs_is_a_config_error(tmp_path, capsys, key, bad):
+    # no config field is a flag: true was once read as 1.0, so "re": true ran at Re = 1
+    cfg_path = _write_config(tmp_path, n=8, **bad)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be a number, got True\n"
+
+
+@pytest.mark.parametrize("key, bad", (
+    ("out_dir", {"out_dir": 5}),
+    ("path", {"initial_condition": {"kind": "from_snapshot", "path": 5}}),
+))
+def test_cli_a_number_where_a_string_belongs_is_a_config_error(tmp_path, capsys, key, bad):
+    # each was once handed to Path() and ended in a TypeError traceback
+    cfg_path = _write_config(tmp_path, n=8, **bad)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be a string, got 5\n"
+
+
+@pytest.mark.parametrize("key, bad", (
+    ("model", 5), ("model", [1]), ("model", None), ("model", "temam"),
+    ("initial_condition", 5),
+))
+def test_cli_a_config_block_that_is_not_an_object_is_a_config_error(tmp_path, capsys, key, bad):
+    cfg_path = _write_config(tmp_path, n=8, **{key: bad})
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be a JSON object, got {bad!r}\n"
+
+
 def test_cli_run_on_a_directory_or_a_missing_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -780,6 +840,18 @@ def test_cli_run_on_a_directory_or_a_missing_file_exits_2(tmp_path, capsys):
     assert main(["run", str(missing), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("missing file: ") and err.count("\n") == 1 and str(missing) in err
+
+
+def test_cli_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = _write_config(tmp_path, out_dir=str(blocker / "sub"))
+    for argv in (["run", str(cfg_path), "--quiet"],
+                 ["verify", "--out", str(blocker / "sub"), "--quiet"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {blocker / 'sub'}")
+        assert err.count("\n") == 1
 
 
 def test_cli_names_a_blowup_whose_samples_are_still_finite(tmp_path, capsys):
@@ -901,6 +973,18 @@ def test_cli_snapshot_at_or_past_t_final_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"t={time:g}" in err and "t_final=0.05" in err
+
+
+def test_cli_free_run_from_a_late_snapshot_audits_its_budget(tmp_path):
+    # near t = 1e6 consecutive doubles are 1.2e-10 apart, so the sample times
+    # can be no more even than that
+    write_snapshot(replace(taylor_green_state(make_grid(16)), time=1e6), tmp_path / "ic")
+    ic = {"kind": "from_snapshot", "path": str(tmp_path / "ic")}
+    cfg_path = _write_config(tmp_path, t_final=1e6 + 0.2, initial_condition=ic)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    rows = read_timeseries(out / "budget.csv")
+    assert rows and 1e6 < rows[0].time < rows[-1].time < 1e6 + 0.2
 
 
 def test_cli_k_sweep_starts_at_the_snapshot_time(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Model right-hand sides, the pressure solve, time stepping."""
 
-import itertools
 import re
 from dataclasses import astuple, replace
 
@@ -454,18 +453,18 @@ def test_march_yields_the_initial_state_and_every_step():
     (ModelConfig(model="compressible", re=100.0, k=100.0), 0.01),
     ("density", 0.01),
 ], ids=["rk4", "etdrk4", "projection", "compressible", "density"])
-def test_a_run_ends_on_t_final_though_its_summed_times_drift(model, dt):
+def test_a_run_stamps_sample_j_at_t0_plus_j_dt_and_ends_on_t_final(model, dt):
     g = make_grid(16)
     if model == "density":
         steps, dt_used, samples = simulate_with_density(_taylor_green(g), TEMAM,
-                                                        ForcingSpec.zero(), 0.3, 0.4, dt)
+                                                        ForcingSpec.zero(), 0.41, 0.4, dt)
         times = [s.time for s, _ in samples]
     else:
-        steps, dt_used, states = march(_taylor_green(g), model, ForcingSpec.zero(), 0.3, dt)
+        steps, dt_used, states = march(_taylor_green(g), model, ForcingSpec.zero(), 0.41, dt)
         times = [s.time for s in states]
-    summed = list(itertools.accumulate([0.0] + [dt_used] * steps))
-    assert summed[-1] != 0.3  # the sum drifts off t_final
-    assert times[:-1] == summed[:-1] and times[-1] == 0.3
+    clock = [0.0 + j * dt_used for j in range(steps + 1)]
+    assert clock[-1] != 0.41  # t0 + steps dt drifts off t_final, so the last is snapped
+    assert times[:-1] == clock[:-1] and times[-1] == 0.41
 
 
 def test_simulate_rejects_empty_span():
