@@ -39,6 +39,9 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # the snapshot header's json needs an int
         if self.n < 4:
             raise ValueError(f"grid needs at least 4 cells per side, got n={self.n}")
 
@@ -58,7 +61,7 @@ class Grid:
 
 def make_grid(n: int) -> Grid:
     """Construct a periodic grid, rejecting degenerate sizes."""
-    return Grid(int(n))
+    return Grid(n)
 
 
 def _coerce(values, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -117,6 +117,8 @@ class ExperimentConfig:
 
 
 _BLOCKS = {"model": ModelConfig, "initial_condition": InitialConditionSpec}
+_TYPES = {"str": str, "str | None": (str, type(None)), "float": numbers.Real,
+          "float | None": (numbers.Real, type(None))}  # ints are left to _require_ints
 
 
 def _read(cls, raw, where: str):
@@ -124,8 +126,8 @@ def _read(cls, raw, where: str):
 
     The experiment's ``model`` and ``initial_condition`` blocks are read the
     same way, and an initial condition may be just its kind.  A tuple field
-    takes a JSON list of numbers and a string field a string or null.  No
-    field is a flag, so ``true``/``false`` is refused wherever it stands.
+    takes a JSON list of numbers, a number or string field one (or null if
+    it may be None), and no field is a flag: ``true``/``false`` is refused.
     The constructor's TypeError or ValueError becomes ``bad <where>: ...``.
     """
     if cls is InitialConditionSpec and isinstance(raw, str):
@@ -145,8 +147,7 @@ def _read(cls, raw, where: str):
                     isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value)):
                 raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
             value = tuple(float(x) for x in value)
-        elif isinstance(value, bool) or (
-                "str" in known[key].type and not isinstance(value, (str, type(None)))):
+        elif isinstance(value, bool) or not isinstance(value, _TYPES.get(known[key].type, object)):
             what = "a string" if "str" in known[key].type else "a number"
             raise ConfigError(f"{key} must be {what}, got {value!r}")
         kwargs[key] = value

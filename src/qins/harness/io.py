@@ -97,11 +97,10 @@ def read_states(path_stem: str | Path) -> Iterator[State]:
             try:
                 header = json.loads(head)
                 n, time, period = header["n"], header["time"], header["period"]
-                if (type(n) is not int or not {type(time), type(period)} <= {int, float}
+                if (not {type(time), type(period)} <= {int, float}
                         or period != TWO_PI or not np.isfinite(time)):
-                    raise ValueError(f"need an integer n, period 2 pi and a finite time, "
-                                     f"got {n!r}, {period!r}, {time!r}")
-                grid = Grid(n)
+                    raise ValueError(f"need period 2 pi and a finite time, got {period!r}, {time!r}")
+                grid = Grid(n)  # which refuses an n that is not an integer
             except (ValueError, TypeError, KeyError) as exc:
                 raise ValueError(f"record {record}: unreadable snapshot header ({exc})") from None
             size = 8 * 3 * n * n

@@ -231,8 +231,7 @@ def temam_rhs(y: np.ndarray, f, cfg: ModelConfig, h: float, out=None, work=None,
 def _poisson_inverse(n: int, h: float) -> np.ndarray:
     sin_x, sin_y, _ = stencil_symbols(n, h)
     sym = -(sin_x**2 + sin_y**2) / (h * h)
-    null = np.outer(2 * np.arange(n) % n == 0, 2 * np.arange(n // 2 + 1) % n == 0)
-    inv = np.divide(1.0, sym, out=np.zeros_like(sym), where=~null)
+    inv = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym != 0.0)
     inv.flags.writeable = False
     return inv
 
@@ -247,8 +246,7 @@ def solve_pressure_poisson(rhs: np.ndarray, h: float, out=None) -> np.ndarray:
     constant mode, plus the three checkerboard modes on even grids.  Those
     modes are dropped, which projects the right-hand side onto the
     operator's range (the compatibility condition) and fixes the solution
-    gauge at mean zero.  The inverse symbol, cached read-only per (n, h), is 0
-    there: sin(pi)^2 is about 1e-32, not 0, and its inverse would swamp the solution.
+    gauge at mean zero: the inverse symbol, cached read-only per (n, h), is 0 there.
     """
     if rhs.ndim != 2 or rhs.shape[0] != rhs.shape[1]:
         raise ValueError(f"pressure Poisson right-hand side must be (n, n), got {rhs.shape}")
@@ -358,6 +356,8 @@ def stable_dt(state: State, cfg: ModelConfig, cfl: float = DEFAULT_CFL) -> float
 def fixed_step(state: State, cfg: ModelConfig, t_final: float, dt: float | None = None,
                cfl: float = DEFAULT_CFL) -> tuple[int, float]:
     """``(steps, dt_used)``: ``dt`` (default stable_dt) trimmed to land on ``t_final``."""
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final <= state.time:
         raise ValueError("t_final must exceed the state's current time")
     span = t_final - state.time
@@ -448,7 +448,6 @@ def _etd_functions(z: np.ndarray, dt: float) -> np.ndarray:
 
 
 _CONTOUR = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)  # unit circle, 32 points
-_MODES_PER_BLOCK = 4096  # modes per coefficient block: bounded temporaries, few calls
 
 
 def etd_coefficients(cfg: ModelConfig, symbols: tuple, h: float, dt: float) -> np.ndarray:
@@ -469,24 +468,16 @@ def etd_coefficients(cfg: ModelConfig, symbols: tuple, h: float, dt: float) -> n
     reals: for each function of ``_etd_functions``, a (transverse factor),
     m ((uu entry - a) / sigma^2), g (g1 dt) and d (pp entry), so that the
     function maps a mode (v, p) to (a v + s (m s.v - i g p), d p - i K g s.v).
+    m is 0 where sigma is exactly 0, at the modes the pressure solve drops.
     """
     sin_x, sin_y, lap = symbols
     half = len(lap) // 2 + 1  # theta_x and -theta_x share their symbols, so mirror those rows
-    sigma2 = ((sin_x[:half] ** 2 + sin_y**2) / (h * h)).ravel()
-    c = ((0.5 * dt / cfg.re) * lap[:half]).ravel()
+    sigma2 = (sin_x[:half] ** 2 + sin_y**2) / (h * h)
+    c = (0.5 * dt / cfg.re) * lap[:half]
     delta2 = c * c - cfg.k * dt * dt * sigma2
     coef = np.zeros((6, 4) + lap.shape)
-    modes = coef[:, :, :half].reshape(6, 4, -1)  # a view
-    for i in range(0, c.size, _MODES_PER_BLOCK):
-        b = slice(i, i + _MODES_PER_BLOCK)
-        _coefficient_block(c[b], delta2[b], sigma2[b], dt, modes[:, :, b])
-    coef[:, :, half:] = coef[:, :, len(lap) - half:0:-1]
-    return coef
-
-
-def _coefficient_block(c, delta2, sigma2, dt: float, coef: np.ndarray) -> None:
-    coef[:, 0] = _etd_functions(2.0 * c, dt)
-    g1, g0 = coef[:, 2], coef[:, 3]  # turned into g and d at the end
+    a, m, g1, g0 = np.moveaxis(coef[:, :, :half], 1, 0)  # views; g1, g0 become g and d
+    a[...] = _etd_functions(2.0 * c, dt)
     osc, over = delta2 <= -1.0 / 16.0, delta2 >= 1.0 / 16.0
     near = ~(osc | over)
     omega = np.sqrt(-delta2[osc])
@@ -502,9 +493,11 @@ def _coefficient_block(c, delta2, sigma2, dt: float, coef: np.ndarray) -> None:
     values = _etd_functions(c[near][:, None] + r, dt)
     g0[:, near] = (values * w * r).mean(axis=-1).real
     g1[:, near] = (values * w).mean(axis=-1).real
-    np.divide(g0 + c * g1 - coef[:, 0], sigma2, out=coef[:, 1], where=sigma2 > 0.0)
+    np.divide(g0 + c * g1 - a, sigma2, out=m, where=sigma2 > 0.0)
     g0 -= c * g1
     g1 *= dt
+    coef[:, :, half:] = coef[:, :, len(lap) - half:0:-1]
+    return coef
 
 
 class ETDRK4:

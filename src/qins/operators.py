@@ -87,12 +87,15 @@ def stencil_symbols(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     ``_ddx`` and ``_ddy`` (scaled by 0.5/h) multiply a mode by i sin(theta_x)
     / h and i sin(theta_y) / h, and ``_lap`` (scaled by 1/h^2) by (2 cos
     theta_x + 2 cos theta_y - 4) / h^2.  Returns ``(sin theta_x, sin
-    theta_y, lap)`` shaped (n, 1), (1, n//2 + 1) and (n, n//2 + 1).
+    theta_y, lap)`` shaped (n, 1), (1, n//2 + 1) and (n, n//2 + 1).  Where
+    2m = 0 (mod n) a sine is exactly 0, as the stencil's action is there.
     """
     theta_x = 2.0 * np.pi * np.fft.fftfreq(n)[:, None]
     theta_y = 2.0 * np.pi * np.fft.rfftfreq(n)[None, :]
     lap = (2.0 * np.cos(theta_x) + 2.0 * np.cos(theta_y) - 4.0) / (h * h)
-    return np.sin(theta_x), np.sin(theta_y), lap
+    null = 2 * np.arange(n) % n == 0
+    return (np.where(null[:, None], 0.0, np.sin(theta_x)),
+            np.where(null[None, :n // 2 + 1], 0.0, np.sin(theta_y)), lap)
 
 
 def _convection(v: np.ndarray, h: float, out=None, dx=None, dy=None, work=None):

@@ -1,6 +1,8 @@
 """Grid and field containers: construction, arithmetic, discrete integrals."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qins.fields import (
+    Grid,
     ScalarField,
     VectorField,
     inner_product,
@@ -35,6 +38,22 @@ def test_grid_spacing_and_cell_centers():
 def test_grid_rejects_degenerate_sizes():
     with pytest.raises(ValueError):
         make_grid(3)
+
+
+@pytest.mark.parametrize("n", [8.7, 8.0, "8", True])
+def test_grid_refuses_a_size_that_is_not_an_integer(n):
+    # Grid(8.7) once built 9 cell centres and then refused every field;
+    # make_grid truncated 8.7 and "8" to 8
+    for build in (Grid, make_grid):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            build(n)
+
+
+def test_grid_stores_a_numpy_integer_size_as_an_int():
+    # the snapshot header writes n with json, which refuses a numpy integer
+    for g in (Grid(np.int64(8)), make_grid(np.int32(8))):
+        assert g.n == 8 and type(g.n) is int
+        assert json.loads(json.dumps({"n": g.n})) == {"n": 8}
 
 
 def test_scalar_field_validates_shape_and_finiteness():

@@ -809,6 +809,21 @@ def test_cli_true_where_a_number_belongs_is_a_config_error(tmp_path, capsys, key
     assert err == f"config error: {key} must be a number, got True\n"
 
 
+@pytest.mark.parametrize("key, value, bad", (
+    ("cfl", "'0.4'", {"cfl": "0.4"}),
+    ("t_final", "None", {"t_final": None}),
+    ("re", "'100'", {"model": {"model": "temam", "re": "100", "k": 100.0}}),
+    ("amplitude", "'1'", {"initial_condition": {"kind": "random_smooth", "amplitude": "1"}}),
+))
+def test_cli_a_string_or_null_where_a_number_belongs_is_a_config_error(tmp_path, capsys, key,
+                                                                         value, bad):
+    # each once failed a comparison in the constructor, and the message named no key
+    cfg_path = _write_config(tmp_path, n=8, **bad)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be a number, got {value}\n"
+
+
 @pytest.mark.parametrize("key, bad", (
     ("out_dir", {"out_dir": 5}),
     ("path", {"initial_condition": {"kind": "from_snapshot", "path": 5}}),

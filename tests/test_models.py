@@ -446,6 +446,13 @@ def test_march_yields_the_initial_state_and_every_step():
     assert all(_same_bits(a, b) for a, b in zip(_arrays(final), _arrays(stored[-1])))
 
 
+@pytest.mark.parametrize("t_final", [float("inf"), float("nan")])
+def test_march_refuses_a_non_finite_t_final(t_final):
+    # each once ended in an OverflowError or ValueError from int() of the step count
+    with pytest.raises(ValueError, match=f"t_final must be finite, got {t_final}"):
+        march(_taylor_green(make_grid(16)), TEMAM, ForcingSpec.zero(), t_final)
+
+
 @pytest.mark.parametrize("model, dt", [
     (TEMAM, 0.01),  # RK4
     (TEMAM, 0.045),  # ETDRK4, past the acoustic bound h / sqrt(k)
@@ -990,13 +997,19 @@ def _two_evaluation_coefficients(cfg, n, h, dt):
     return coef
 
 
-@pytest.mark.parametrize("n, re, k, dt", COEFFICIENT_CASES + (
-    (64, 100.0, 1e5, 0.04), (64, 100.0, 1e2, 0.04), (64, 100.0, 1e5, 1e-3), (64, 1.0, 1e3, 0.5)))
+# the n = 64 rows are the grid of the gate's ETD runs; n = 128 holds 8385 modes
+# of the theta_x >= 0 half plane, which a 4096-mode block build split in three
+GRID_COEFFICIENT_CASES = (
+    (64, 100.0, 1e5, 0.04), (64, 100.0, 1e2, 0.04), (64, 100.0, 1e5, 1e-3), (64, 1.0, 1e3, 0.5),
+    (128, 100.0, 1e5, 0.02))
+
+
+@pytest.mark.parametrize("n, re, k, dt", COEFFICIENT_CASES + GRID_COEFFICIENT_CASES)
 def test_etd_coefficients_match_the_two_evaluation_build(n, re, k, dt):
     # compared as what each coefficient adds to a mode, a, m sigma^2, g sigma
-    # and d, relative to the largest of them for the same function.  On even
-    # grids sin(pi) is 1.2e-16, not 0, so at the checkerboard modes m is a
-    # round-off difference over sigma^2 ~ 1e-32 in both builds.
+    # and d, relative to the largest of them for the same function.  The
+    # sines are exactly 0 at the constant and checkerboard modes, so sigma^2
+    # is 0 there and both builds leave m at 0.
     h = 2 * np.pi / n
     cfg = ModelConfig(model="temam", re=re, k=k)
     sin_x, sin_y, _ = symbols = stencil_symbols(n, h)
@@ -1007,6 +1020,21 @@ def test_etd_coefficients_match_the_two_evaluation_build(n, re, k, dt):
     want = _two_evaluation_coefficients(cfg, n, h, dt) * weight
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("n, re, k, dt", COEFFICIENT_CASES + GRID_COEFFICIENT_CASES)
+def test_etd_coefficients_leave_m_zero_at_the_modes_the_pressure_solve_drops(n, re, k, dt):
+    # 2m = 0 (mod n) on both axes: sigma = 0, where m once came out near 1e14
+    # from a round-off difference over sin(pi)^2 ~ 1e-32
+    h = 2 * np.pi / n
+    symbols = stencil_symbols(n, h)
+    coef = etd_coefficients(ModelConfig(model="temam", re=re, k=k), symbols, h, dt)
+    null = 2 * np.arange(n) % n == 0
+    dropped = np.outer(null, null[:n // 2 + 1])
+    assert dropped.sum() == (4 if n % 2 == 0 else 1)
+    assert (coef[:, 1][:, dropped] == 0.0).all()
+    assert np.isfinite(coef).all()
+    assert (models._poisson_inverse(n, h)[dropped] == 0.0).all()
 
 
 def _nonlinear_by_subtraction(y, f, cfg, h):

@@ -22,6 +22,7 @@ from qins.operators import (
     grad_div,
     gradient,
     laplacian,
+    stencil_symbols,
     strain_frobenius_sq,
 )
 
@@ -288,3 +289,19 @@ def test_operator_facades_are_the_componentwise_kernels_bitwise(n, w, seed):
                 _ddx(vx, h) ** 2 + _ddy(vx, h) ** 2 + _ddx(vy, h) ** 2 + _ddy(vy, h) ** 2)
     assert same(directional_derivative(w, s), d(a))
     assert same(directional_derivative(w, v), d(vx), d(vy))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 16, 17, 64, 65, 128])
+def test_stencil_sines_are_exactly_zero_where_the_stencil_annihilates(n):
+    # 2m = 0 (mod n): theta = 0, and pi on even n, where sin(pi) would be 1.2e-16
+    h = 2 * np.pi / n
+    sin_x, sin_y, _ = stencil_symbols(n, h)
+    null = 2 * np.arange(n) % n == 0
+    assert sin_x.shape == (n, 1) and sin_y.shape == (1, n // 2 + 1)
+    for sines, theta, mask in ((sin_x[:, 0], 2 * np.pi * np.fft.fftfreq(n), null),
+                               (sin_y[0], 2 * np.pi * np.fft.rfftfreq(n), null[:n // 2 + 1])):
+        assert mask.sum() == (2 if n % 2 == 0 else 1) and (sines[mask] == 0.0).all()
+        assert np.sin(theta)[~mask].tobytes() == sines[~mask].tobytes()
+        for m in np.flatnonzero(mask):  # the constant and the checkerboard: the stencil gives 0
+            mode = (-1.0) ** (2 * m * np.arange(n) // n)
+            assert not _ddx(np.tile(mode[:, None], (1, n)), h).any()
